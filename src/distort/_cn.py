@@ -5,6 +5,13 @@ switching to one-sided advection in cells where |v| dx > 2 D (the centered
 stencil loses positivity there and Crank-Nicolson would oscillate).  Both
 survival and value equations march through here; they differ only in the
 sign convention of the velocity and the boundary treatment.
+
+march_adjoint runs the transposed steps in reverse order.  Where many
+payloads are marched only to be read through one linear functional (the
+value at a node), that functional marched once gives the same numbers by
+discrete duality: e . (M_{N-1} ... M_0 u0) = (M_0^T ... M_{N-1}^T e) . u0.
+For the backward value equation this is the discrete Kolmogorov forward
+equation started from the probe.
 """
 
 import numpy as np
@@ -93,6 +100,19 @@ def theta_step(u, bands, dt, theta=0.5, bc_values=None):
     return out
 
 
+def _checked_times(times):
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
+        raise DomainError("times must be increasing with at least 2 entries")
+    return times
+
+
+def _transposed_bands(bands):
+    """Bands of L^T: the sub- and superdiagonals trade places."""
+    lower, diag, upper = bands
+    return np.append(0.0, upper[:-1]), diag, np.append(lower[1:], 0.0)
+
+
 def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None,
           theta=0.5, rannacher=0, keep_all=False):
     """March u0 across ``times``.
@@ -102,9 +122,7 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
     integrated with two fully implicit half steps to damp rough payloads.
     Returns the final slice, or the full (nt, nx) history when keep_all.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 2 or np.any(np.diff(times) <= 0.0):
-        raise DomainError("times must be increasing with at least 2 entries")
+    times = _checked_times(times)
     u = np.array(u0, dtype=float)
     if u.shape[-1] != np.asarray(x).size:
         raise DomainError("initial data does not match the grid")
@@ -126,3 +144,36 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
         if keep_all:
             history.append(u.copy())
     return np.vstack(history) if keep_all else u
+
+
+def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", theta=0.5,
+                  rannacher=0):
+    """Transpose of ``march``: march(u0, ...) @ w == u0 @ march_adjoint(w, ...).
+
+    Runs the intervals from last to first, applying the transposed step
+    M_k^T = B^T A^-T with A = I - theta dt L and B = I + (1-theta) dt L; the
+    Rannacher half steps on the first ``rannacher`` intervals are transposed
+    the same way.  A and B are polynomials in L and commute, so theta_step on
+    the transposed bands, which forms A^-T B^T, applies the same matrix;
+    only the rounding differs.  The velocity is evaluated
+    at the same interval midpoints as in ``march``.  Boundary values are not
+    supported: pinning them makes the step affine, which has no transpose.
+    """
+    times = _checked_times(times)
+    w = np.array(w, dtype=float)
+    if w.shape != np.asarray(x).shape:
+        raise DomainError("adjoint data does not match the grid")
+    static = velocity is None or not callable(velocity)
+    if static:
+        bands = _transposed_bands(operator_bands(x, diffusion, velocity, bc))
+    for k in range(times.size - 2, -1, -1):
+        dt = times[k + 1] - times[k]
+        if not static:
+            v = velocity(0.5 * (times[k] + times[k + 1]))
+            bands = _transposed_bands(operator_bands(x, diffusion, v, bc))
+        if k < rannacher:
+            w = theta_step(w, bands, 0.5 * dt, theta=1.0)
+            w = theta_step(w, bands, 0.5 * dt, theta=1.0)
+        else:
+            w = theta_step(w, bands, dt, theta=theta)
+    return w

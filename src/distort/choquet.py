@@ -37,6 +37,21 @@ class DiscreteRV:
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise DomainError(f"DiscreteRV: probabilities sum to {probs.sum()}, not 1")
 
+    def scaled(self, c):
+        """The law of c * eta for finite c >= 0.
+
+        Scaling can round distinct support points together (a subnormal c,
+        or c = 0); those merge into one point carrying their summed
+        probability, so the result is always a valid law."""
+        c = float(c)
+        if not (0.0 <= c < np.inf):
+            raise DomainError(f"DiscreteRV.scaled: scale factor {c} is not finite and nonnegative")
+        support = self.support * c
+        if not np.all(np.isfinite(support)):
+            raise DomainError(f"DiscreteRV.scaled: scale factor {c} overflows the support")
+        starts = np.flatnonzero(np.append(True, np.diff(support) > 0.0))
+        return DiscreteRV(support[starts], np.add.reduceat(self.probs, starts))
+
     def survival(self):
         """P(eta >= x_k) for each support point."""
         s = np.cumsum(self.probs[::-1])[::-1]
@@ -172,14 +187,8 @@ def monotonicity_suite(d, t=0.0, constants=(), scale_cases=(), dominated_pairs=(
 
     max_scale = 0.0
     for c, rv in scale_cases:
-        if c < 0.0:
-            raise DomainError("monotonicity_suite: scale factors must be nonnegative")
-        scaled = DiscreteRV(rv.support * float(c), rv.probs) if c > 0 else None
         base = choquet_expectation_discrete(rv, d, t)
-        if scaled is None:
-            err = 0.0
-        else:
-            err = abs(choquet_expectation_discrete(scaled, d, t) - c * base)
+        err = abs(choquet_expectation_discrete(rv.scaled(c), d, t) - c * base)
         max_scale = max(max_scale, err)
         details.append(("scaling", float(c), err))
 

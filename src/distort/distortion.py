@@ -98,11 +98,16 @@ class Distortion:
 
     # -- public API ----------------------------------------------------------
     def eval(self, t, p):
-        """phi_t(p) with the endpoints pinned exactly."""
+        """phi_t(p) with the endpoints pinned exactly.
+
+        An interior p maps strictly inside (0, 1): a value that rounds to 0
+        (p**2 at a subnormal p) or to 1 is moved by at most one ulp to the
+        nearest interior double, so the order against the endpoints is kept.
+        """
         arr = _asarray_prob(p, type(self).__name__ + ".eval")
         inner = np.clip(arr, _TINY, _BELOW_ONE)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            raw = self._value_t(t, inner, 1.0 - inner)
+            raw = np.clip(self._value_t(t, inner, 1.0 - inner), _TINY, _BELOW_ONE)
         out = np.where(arr == 0.0, 0.0, np.where(arr == 1.0, 1.0, raw))
         return _scalar_like(out, p)
 

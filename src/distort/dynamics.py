@@ -26,7 +26,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from . import normal
-from ._cn import march, uniform_spacing
+from ._cn import march, march_adjoint, uniform_spacing
 from .density import DensityField, DiffusionSpec, gaussian_field, solve_survival_pde
 from .errors import (
     AccuracyError,
@@ -478,6 +478,15 @@ def _smoothed_indicators(y_grid, x, width):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
+def _interp_weights(x_grid, xq):
+    """Weights e with e @ f == np.interp(xq, x_grid, f), to roundoff, for xq in the grid."""
+    j = int(np.clip(np.searchsorted(x_grid, xq) - 1, 0, x_grid.size - 2))
+    frac = (xq - x_grid[j]) / (x_grid[j + 1] - x_grid[j])
+    e = np.zeros(x_grid.size)
+    e[j], e[j + 1] = 1.0 - frac, frac
+    return e
+
+
 def _debias_smoothed(y_grid, surv, width):
     """Remove the leading smoothing bias of the logistic payload.
 
@@ -508,7 +517,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
     drift is declared constant (drift_const), else from a survival-PDE
     restart at (s, x) regularized to a narrow Gaussian.  The distorted curve
     Gq solves the backward value PDE for a sweep of smoothed indicator
-    payloads in one multi-payload march, then removes the smoothing bias.
+    payloads read at x; by discrete duality all of them come from one
+    adjoint (Kolmogorov forward) march of the probe at x, paired with each
+    payload.  The smoothing bias is then removed.
     The drift of the distorted dynamics is taken from mu when given (field
     or callable), else computed from the supplied or internally built
     density field.  The inverse of Gp is taken by bisection to 1e-12, ties
@@ -612,18 +623,19 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
                   "debias": 0.0, "identity_dynamics": True},
         )
 
-    # distorted conditional survival: one backward march, one payload per y
+    # distorted conditional survival: the backward value march of every
+    # smoothed-indicator payload, read at x, equals the payloads paired with
+    # one adjoint march of the interpolation weights of x
     width = 2.0 * dx
     payloads = _smoothed_indicators(y_grid, pde_x, width)
     vel = _velocity_from(mu, pde_x)
     r_grid = _sqrt_graded(s, t, n_steps)
     tau = t - r_grid[::-1]
-    u_final = march(
-        payloads, pde_x, tau, 0.5, lambda tm: vel(t - tm),
+    w = march_adjoint(
+        _interp_weights(pde_x, x), pde_x, tau, 0.5, lambda tm: vel(t - tm),
         bc="neumann", theta=0.5, rannacher=2,
     )
-    cols = np.clip(u_final, 0.0, 1.0)
-    surv_q_raw = np.array([float(np.interp(x, pde_x, row)) for row in cols])
+    surv_q_raw = np.clip(payloads @ w, 0.0, 1.0)
     surv_q = np.clip(_debias_smoothed(y_grid, surv_q_raw, width), 0.0, 1.0)
     surv_q = np.minimum.accumulate(surv_q)
 

@@ -257,8 +257,10 @@ def backward_induction(dt, terminal_values, horizon=None):
     return levels
 
 
-def _conditional_survival(trans, i, j, n):
-    """Survival of X_n over level-n states given node (i, j), under ``trans``."""
+def _forward_laws(trans, i, j, n):
+    """Yield the laws of X_{i+1}, ..., X_n given node (i, j), under ``trans``.
+
+    Each law is indexed by state and padded with zeros to n + 1 entries."""
     w = np.zeros(n + 1)
     w[j] = 1.0
     for k in range(i, n):
@@ -267,9 +269,20 @@ def _conditional_survival(trans, i, j, n):
         nxt[: k + 1] += w[: k + 1] * (1.0 - p)
         nxt[1 : k + 2] += w[: k + 1] * p
         w = nxt
+        yield w
+
+
+def _survival(w, j):
     surv = np.cumsum(w[::-1])[::-1]
     surv[: j + 1] = 1.0  # states at or below the current one are certain
     return surv
+
+
+def _conditional_survival(trans, i, j, n):
+    """Survival of X_n over level-n states given node (i, j), under ``trans``."""
+    for w in _forward_laws(trans, i, j, n):
+        pass
+    return _survival(w, j)
 
 
 def q_conditional_survival(dt, i, j, n=None):
@@ -374,11 +387,14 @@ def verify_tower(dt, terminal_values, r=0, s=None, n=None):
 
 
 def verify_initial_consistency(dt):
-    """Max over all levels and states of |phi_{t_n}(G_nk) - Q(X_n >= x_nk)|."""
+    """Max over all levels and states of |phi_{t_n}(G_nk) - Q(X_n >= x_nk)|.
+
+    One forward pass of the distorted law from the root reads every level."""
     phi = _phi_levels(dt.base, dt.schedule, dt.survival)
     worst = 0.0
-    for n in range(1, dt.n_periods + 1):
-        q_surv = _conditional_survival(dt.q_up, 0, 0, n)
+    laws = _forward_laws(dt.q_up, 0, 0, dt.n_periods)
+    for n, w in enumerate(laws, start=1):
+        q_surv = _survival(w[: n + 1], 0)
         worst = max(worst, float(np.max(np.abs(phi[n] - q_surv))))
     return worst
 

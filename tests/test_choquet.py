@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distort import AccuracyError, DomainError, Identity, Power, Wang
@@ -73,6 +73,33 @@ def test_discrete_rv_validation():
         DiscreteRV(np.array([0.0, 1.0]), np.array([0.7, 0.4]))  # sums past 1
     with pytest.raises(DomainError):
         DiscreteRV(np.array([0.0, 1.0]), np.array([1.0, 0.0]))  # zero atom
+
+
+def test_scaled_law_merges_points_rounded_together():
+    rv = DiscreteRV(np.array([1.0, 2.0, 2.5]), np.array([0.2, 0.3, 0.5]))
+    tiny = rv.scaled(5e-324)  # support rounds to [5e-324, 1e-323, 1e-323]
+    assert tiny.support.tolist() == [5e-324, 1e-323]
+    assert tiny.probs.tolist() == [0.2, 0.8]
+    zero = rv.scaled(0.0)
+    assert zero.support.tolist() == [0.0] and zero.probs.tolist() == [1.0]
+    doubled = rv.scaled(2.0)
+    assert doubled.support.tolist() == [2.0, 4.0, 5.0]
+    assert np.array_equal(doubled.probs, rv.probs)
+
+
+def test_scaled_law_rejects_negative_infinite_and_overflowing_factors():
+    rv = DiscreteRV(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+    for c in (-1.0, np.inf, np.nan, 1e308):
+        with pytest.raises(DomainError, match="scale factor"):
+            rv.scaled(c)
+
+
+def test_monotonicity_suite_scales_by_a_subnormal_factor():
+    rv = DiscreteRV(np.array([1.0, 2.0, 2.5]), np.array([0.2, 0.3, 0.5]))
+    rep = monotonicity_suite(Power(2.0), scale_cases=[(5e-324, rv)])
+    assert rep.passed
+    with pytest.raises(DomainError, match="scale factor"):
+        monotonicity_suite(Power(2.0), scale_cases=[(-1.0, rv)])
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +242,10 @@ def test_property_distorted_pmf_is_probability(rv, d):
 
 
 @given(discrete_rv_strategy(), family_strategy(), st.floats(0.0, 3.0))
+@example(DiscreteRV(np.array([1.0, 2.0, 2.5]), np.array([0.2, 0.3, 0.5])), Power(2.0),
+         5e-324)
 @settings(max_examples=60, deadline=None)
 def test_property_scaling_homogeneous(rv, d, c):
     base = choquet_expectation_discrete(rv, d)
-    if c == 0.0:
-        return
-    scaled = DiscreteRV(rv.support * c, rv.probs)
+    scaled = rv.scaled(c)
     assert choquet_expectation_discrete(scaled, d) == pytest.approx(c * base, rel=1e-10, abs=1e-12)

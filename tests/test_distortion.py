@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from distort import (
@@ -323,6 +323,8 @@ def family_strategy(draw):
 
 @given(family_strategy(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @settings(max_examples=120, deadline=None)
+@example(Power(2.0), 0.0, 5e-324)  # p**2 underflows to 0 at the smallest double
+@example(Power(0.3), 0.9999999999999999, 1.0)  # p**0.3 rounds to 1 one ulp below 1
 def test_property_range_and_order(d, p1, p2):
     v1, v2 = d.eval(0.0, p1), d.eval(0.0, p2)
     assert 0.0 <= v1 <= 1.0

@@ -30,6 +30,13 @@ from distort.dynamics import (
     wang_phi_closed,
     wang_value_closed,
 )
+from distort._cn import march
+from distort.dynamics import (
+    _debias_smoothed,
+    _smoothed_indicators,
+    _sqrt_graded,
+    _velocity_from,
+)
 from distort.errors import (
     AccuracyError,
     ConsistencyError,
@@ -401,6 +408,33 @@ def test_phi_curve_endpoint_validation():
                  p_grid=np.array([0.0, 0.5, 1.0]),
                  values=np.array([0.1, 0.5, 1.0]),
                  y_grid=np.zeros(3), surv_p=np.zeros(3), surv_q=np.zeros(3))
+
+
+def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field):
+    """Gq from one adjoint march equals the backward march of every smoothed
+    indicator payload read at x; the drift is queried at the same points."""
+    s, t, x, n_steps, n_march, n_y, y_width = 0.25, 1.0, 0.3, 200, 401, 41, 3.9
+    mu = compute_mu(Wang(0.5), wang_field, ZERO)
+    curve = build_phi_curve(Wang(0.5), SPEC0, s, t, x, drift_const=0.0, mu=mu,
+                            n_steps=n_steps, n_march=n_march, n_y=n_y)
+
+    ref_mu = DriftField(mu.t_grid, mu.x_grid, mu.mu)
+    sq_gap = math.sqrt(t - s)
+    y_grid = np.linspace(x - y_width * sq_gap, x + y_width * sq_gap, n_y)
+    half_m = (y_width + 5.6) * sq_gap
+    pde_x = x + np.linspace(-half_m, half_m, n_march)
+    width = 2.0 * (pde_x[1] - pde_x[0])
+    vel = _velocity_from(ref_mu, pde_x)
+    tau = t - _sqrt_graded(s, t, n_steps)[::-1]
+    u_final = march(_smoothed_indicators(y_grid, pde_x, width), pde_x, tau, 0.5,
+                    lambda tm: vel(t - tm), bc="neumann", theta=0.5, rannacher=2)
+    raw = np.array([np.interp(x, pde_x, row) for row in np.clip(u_final, 0.0, 1.0)])
+    ref = np.clip(_debias_smoothed(y_grid, raw, width), 0.0, 1.0)
+    ref = np.minimum.accumulate(ref)
+
+    assert np.array_equal(curve.y_grid, y_grid)
+    assert np.max(np.abs(curve.surv_q - ref)) <= 1e-12
+    assert mu.extrapolations == ref_mu.extrapolations > 0
 
 
 def test_phi_curve_is_nondecreasing(wang_curve):

@@ -32,6 +32,8 @@ from distort import (
 from distort.choquet import choquet_expectation_discrete
 from distort.tree import (
     DistortedTree,
+    _conditional_survival,
+    _phi_levels,
     TreeModel,
     backward_induction,
     crossing_tree_residual,
@@ -273,6 +275,21 @@ def test_conditional_survival_index_validation(square_tree):
 
 def test_initial_consistency_is_tight(square_tree):
     assert verify_initial_consistency(square_tree) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [Power(2.0), Wang(-0.7), KahnemanTversky(0.8)], ids=str)
+def test_initial_consistency_single_pass_matches_per_level_loop(d):
+    """The forward pass reads each level exactly as re-propagating from the
+    root to that level does, so the result is bit-identical."""
+    rng = np.random.default_rng(21)
+    for _ in range(8):
+        dt = distort_tree(random_tree(rng, int(rng.integers(1, 13))), d, strict=False)
+        phi = _phi_levels(dt.base, dt.schedule, dt.survival)
+        per_level = 0.0
+        for n in range(1, dt.n_periods + 1):
+            q_surv = _conditional_survival(dt.q_up, 0, 0, n)
+            per_level = max(per_level, float(np.max(np.abs(phi[n] - q_surv))))
+        assert verify_initial_consistency(dt) == per_level
 
 
 # ---------------------------------------------------------------------------
