@@ -33,7 +33,6 @@ from .distortion import (
     TverskyFox,
     Wang,
     distortion_from_dict,
-    distortion_to_dict,
     validate_distortion,
 )
 from .dynamics import (
@@ -104,7 +103,6 @@ __all__ = [
     "distort_tree",
     "distorted_pmf",
     "distortion_from_dict",
-    "distortion_to_dict",
     "gaussian_field",
     "general_sigma_mu",
     "lamperti_transform",

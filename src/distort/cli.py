@@ -356,7 +356,6 @@ def _resolve_config(args):
     if args.seed is not None:
         cfg.seed = args.seed
     cfg.strict_mon2 = bool(args.strict_mon2)
-    cfg.threads = args.threads or 0
     cfg.out = args.out or os.path.join("distort-out", args.command)
     return cfg
 
@@ -384,7 +383,6 @@ def _run_command(cfg):
         "wall_clock_s": wall,
         "version": __version__,
         "source": cfg.source,
-        "threads": cfg.threads,
     }
     with open(os.path.join(cfg.out, "meta.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -394,26 +392,11 @@ def _run_command(cfg):
     return 0
 
 
-def _apply_thread_limit(n):
-    if not n:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=n)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
-        log.debug("threadpoolctl not installed; set env thread caps to %d", n)
-
-
 def _add_common(sub):
     sub.add_argument("--config", help="path to a JSON config file")
     sub.add_argument("--preset", help="name of a built-in configuration")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
     sub.add_argument("--out", help="output directory (default distort-out/<command>)")
-    sub.add_argument("--threads", type=int, default=0,
-                     help="cap numerical library threads (0 = leave as is)")
     sub.add_argument("--strict-mon2", action="store_true",
                      help="fail instead of clamping on interleaving violations")
 
@@ -431,9 +414,6 @@ def build_parser():
     st = subs.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--filter", help="run only criteria whose name contains this")
     st.add_argument("--out", help="also write the verdicts as JSON here")
-    st.add_argument("--seed", type=int, default=None, help=argparse.SUPPRESS)
-    st.add_argument("--threads", type=int, default=0, help=argparse.SUPPRESS)
-    st.add_argument("--strict-mon2", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
@@ -444,7 +424,6 @@ def main(argv=None):
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_thread_limit(getattr(args, "threads", 0))
     try:
         if args.command == "selftest":
             from .selftest import run_selftest

@@ -201,7 +201,6 @@ class RunConfig:
     params: dict
     seed: int = 0
     out: str = ""
-    threads: int = 0
     strict_mon2: bool = False
     source: str = field(default="", compare=False)
 

@@ -246,32 +246,47 @@ class BridgeEstimate:
     route: str
 
 
-def _bridge_batches(paths, max_batches=40):
-    sizes = []
+def batch_generators(seed, paths, max_batches=40):
+    """Split paths into at most max_batches near-equal batches and yield
+    (idx, size, rng) for each, rng = Generator(Philox(key=[seed, idx])).
+
+    The key depends only on the seed and the batch index, so every batch
+    draws the same numbers whatever order the batches run in."""
     nb = min(max_batches, paths)
     base, extra = divmod(paths, nb)
-    for k in range(nb):
-        sizes.append(base + (1 if k < extra else 0))
-    return sizes
+    for idx in range(nb):
+        key = np.array([seed, idx], dtype=np.uint64)
+        yield idx, base + (1 if idx < extra else 0), np.random.Generator(np.random.Philox(key=key))
 
 
 def _sample_bridge(rng, size, steps, t, x0, x):
     """Exact sequential draw of the bridge from (0, x0) to (t, x); the
     conditional law of the next point is Gaussian, so no scheme error enters
-    the path law itself, only the exponent quadrature."""
+    the path law itself, only the exponent quadrature.
+
+    The normals are drawn as a (size, steps) block, so the draw does not
+    depend on the memory layout below.  The recursion runs on a step-major
+    (steps + 1, size) buffer, so each step reads and writes one contiguous
+    row, and the result is handed back path-major, (size, steps + 1), once.
+    The final step is not computed: its point is the pinned end x."""
     dt = t / steps
-    path = np.empty((size, steps + 1))
-    path[:, 0] = x0
-    z = rng.standard_normal((size, steps))
-    cur = np.full(size, x0)
-    for k in range(steps):
+    path = np.empty((steps + 1, size))
+    path[0] = x0
+    path[1:] = rng.standard_normal((size, steps)).T
+    mean = np.empty(size)
+    cur = path[0]
+    for k in range(steps - 1):
         remain = t - k * dt
-        mean = cur + (x - cur) * (dt / remain)
         var = dt * (remain - dt) / remain
-        cur = mean + np.sqrt(max(var, 0.0)) * z[:, k]
-        path[:, k + 1] = cur
-    path[:, -1] = x
-    return path
+        nxt = path[k + 1]
+        nxt *= np.sqrt(max(var, 0.0))
+        np.subtract(x, cur, out=mean)
+        mean *= dt / remain
+        mean += cur
+        nxt += mean
+        cur = nxt
+    path[-1] = x
+    return np.ascontiguousarray(path.T)
 
 
 def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0, smooth=None):
@@ -293,9 +308,7 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0, smooth=None)
     dt = t / steps
     s_left = dt * np.arange(steps)
     means = []
-    sizes = _bridge_batches(paths)
-    for idx, size in enumerate(sizes):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
+    for idx, size, rng in batch_generators(seed, paths):
         path = _sample_bridge(rng, size, steps, t, x0, x)
         left = path[:, :-1]
         b_left = np.asarray(spec.drift(s_left, left), dtype=float)

@@ -603,7 +603,3 @@ def distortion_from_dict(obj):
     if family == "wang":
         return Wang(obj["alpha"])
     return SeparableProduct(TimeWeight.from_dict(obj["time_weight"]), distortion_from_dict(obj["base"]))
-
-
-def distortion_to_dict(d):
-    return d.to_dict()

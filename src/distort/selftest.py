@@ -252,6 +252,23 @@ def _criterion_pde_vs_mc():
     return ok, f"gaps=[{','.join(gaps)}] in {elapsed:.1f}s{worst}"
 
 
+def ou_density(t, x):
+    """Closed-form density of dX = -X dt + dB from X_0 = 0: N(0, v), v = (1 - e^(-2t)) / 2."""
+    v = -0.5 * math.expm1(-2.0 * t)
+    return math.exp(-x * x / (2.0 * v)) / math.sqrt(2.0 * math.pi * v)
+
+
+def ou_bridge_excess(t, x, value, std_error, steps):
+    """How far a bridge estimate of the OU density lies beyond its allowance,
+    5 SE + rho (t + x^2) / (2 steps); positive means rejected.
+
+    The second term bounds the O(1/steps) bias of the left-point exponent:
+    the bridge's discrete quadratic variation misses t by (x^2 - t) / steps
+    and the Riemann sum of b^2 lags by about x^2 dt / 2."""
+    rho = ou_density(t, x)
+    return abs(value - rho) - (5.0 * std_error + rho * (t + x * x) / (2.0 * steps))
+
+
 def _criterion_density_estimators():
     worst = -math.inf
     zero_var = True
@@ -275,8 +292,17 @@ def _criterion_density_estimators():
                     abs(pde - est.value) - max(1e-3, se3),
                 ]
                 worst = max(worst, *pairs)
-    ok = worst <= 0.0 and zero_var
-    return ok, f"worst pairwise excess={worst:.2e} driftless bridge exact={zero_var}"
+    # a state-dependent drift, so the bridge estimate has variance to test
+    ou = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
+    ou_worst = -math.inf
+    for x in (0.0, 1.0, -1.0):
+        est = bridge_density_mc(ou, 1.0, x, paths=40_000, steps=400, seed=31)
+        ou_worst = max(ou_worst, ou_bridge_excess(1.0, x, est.value, est.std_error, 400))
+    ok = worst <= 0.0 and zero_var and ou_worst <= 0.0
+    return ok, (
+        f"worst pairwise excess={worst:.2e} driftless bridge exact={zero_var} "
+        f"OU worst excess={ou_worst:.2e}"
+    )
 
 
 def _criterion_invariants():

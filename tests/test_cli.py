@@ -230,3 +230,24 @@ def test_log_env_var_enables_info(tmp_path):
                 env_extra={"DISTORT_LOG": "INFO"})
     assert r.returncode == 0
     assert "INFO" in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tree", "--preset", "example3_3", "--threads", "2"],
+    ["selftest", "--seed", "3"],
+    ["selftest", "--threads", "2"],
+    ["selftest", "--strict-mon2"],
+])
+def test_flags_that_did_nothing_are_gone(argv):
+    from distort.cli import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_meta_sidecar_keys(tmp_path):
+    out = tmp_path / "run"
+    assert run_cli("tree", "--preset", "example3_3", "--out", str(out)).returncode == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert sorted(meta) == ["source", "version", "wall_clock_s"]

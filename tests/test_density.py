@@ -9,6 +9,8 @@ from distort.density import (
     DensityField,
     DiffusionSpec,
     SmoothDriftData,
+    _sample_bridge,
+    batch_generators,
     bridge_density_mc,
     bridge_martingale_variance,
     constant_drift,
@@ -22,6 +24,7 @@ from distort.density import (
     tail_ratio_diagnostics,
 )
 from distort.errors import AccuracyError, ConfigError, DomainError, NumericError
+from distort.selftest import ou_bridge_excess, ou_density
 
 from conftest import mp_cdf
 
@@ -284,6 +287,60 @@ def test_bridge_determinism_and_batching():
     assert a.value == b.value and a.std_error == b.std_error
     assert a.value != c.value
     assert isinstance(a, BridgeEstimate) and a.paths == 3000
+
+
+def _strided_bridge(rng, size, steps, t, x0, x):
+    """The bridge recursion written path-major, one strided column per step."""
+    dt = t / steps
+    path = np.empty((size, steps + 1))
+    path[:, 0] = x0
+    z = rng.standard_normal((size, steps))
+    cur = np.full(size, x0)
+    for k in range(steps):
+        remain = t - k * dt
+        mean = cur + (x - cur) * (dt / remain)
+        var = dt * (remain - dt) / remain
+        cur = mean + np.sqrt(max(var, 0.0)) * z[:, k]
+        path[:, k + 1] = cur
+    path[:, -1] = x
+    return path
+
+
+@pytest.mark.parametrize("size,steps,t,x0,x", [
+    (1000, 400, 1.0, 0.0, 0.5), (7, 2, 0.25, -0.3, 1.2), (33, 61, 2.0, 1.0, -1.0),
+])
+def test_sample_bridge_equals_the_strided_loop(size, steps, t, x0, x):
+    def rng():
+        return np.random.Generator(np.random.Philox(key=np.array([5, 3], dtype=np.uint64)))
+
+    got = _sample_bridge(rng(), size, steps, t, x0, x)
+    want = _strided_bridge(rng(), size, steps, t, x0, x)
+    assert got.shape == want.shape and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("paths", [1, 39, 40, 3001])
+def test_batch_generators_split_and_key(paths):
+    got = list(batch_generators(9, paths))
+    nb = min(40, paths)
+    base, extra = divmod(paths, nb)
+    assert [idx for idx, _, _ in got] == list(range(nb))
+    assert [size for _, size, _ in got] == [base + (k < extra) for k in range(nb)]
+    for idx, _, rng in got:
+        ref = np.random.Generator(np.random.Philox(key=np.array([9, idx], dtype=np.uint64)))
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+def test_ou_gate_rejects_the_driftless_density():
+    """Selftest criterion 9's OU gate must fail an estimate of the wrong law:
+    the driftless bridge estimate (exact, zero variance) at the OU probes."""
+    driftless = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
+    for x in (0.0, 1.0, -1.0):
+        est = bridge_density_mc(driftless, 1.0, x, paths=4000, steps=400, seed=31)
+        assert est.value == pytest.approx(normal.pdf(x), rel=1e-12)
+        assert ou_bridge_excess(1.0, x, est.value, est.std_error, 400) > 0.0
+        assert ou_bridge_excess(1.0, x, ou_density(1.0, x), 0.0, 400) < 0.0
+    assert ou_density(1.0, 0.5) == pytest.approx(ou_reference(0.5, 1.0), rel=1e-14)
 
 
 def test_bridge_guards():

@@ -17,6 +17,7 @@ from distort.distortion import Identity, Power, SeparableProduct, TimeWeight, Wa
 from distort.dynamics import (
     ConvergenceReport,
     DriftField,
+    GridLookup,
     PhiCurve,
     build_phi_curve,
     compute_mu,
@@ -131,6 +132,110 @@ def test_drift_field_interpolation_and_extension():
     assert f.extrapolations == 2
     with pytest.raises(DomainError):
         f.mu_at(0.0, 3.0, extrapolate="nearest_cell")
+
+
+def _interp_row(f, t):
+    """The drift row at t as one scalar blend, written out independently."""
+    tg = f.t_grid
+    t = min(max(t, tg[0]), tg[-1])
+    if tg.size == 1:
+        return f.mu[0]
+    k = int(np.clip(np.searchsorted(tg, t) - 1, 0, tg.size - 2))
+    w = np.clip((t - tg[k]) / (tg[k + 1] - tg[k]), 0.0, 1.0)
+    return (1.0 - w) * f.mu[k] + w * f.mu[k + 1]
+
+
+def _interp_mu_at(f, t, xs, extrapolate):
+    """mu_at by np.interp: (values, queries below the grid, above it)."""
+    row, xg = _interp_row(f, t), f.x_grid
+    out = np.interp(xs, xg, row)
+    below, above = xs < xg[0], xs > xg[-1]
+    if extrapolate == "slope":
+        lo_slope = (row[1] - row[0]) / (xg[1] - xg[0])
+        hi_slope = (row[-1] - row[-2]) / (xg[-1] - xg[-2])
+        out = np.where(below, row[0] + lo_slope * (xs - xg[0]), out)
+        out = np.where(above, row[-1] + hi_slope * (xs - xg[-1]), out)
+    return out, int(np.count_nonzero(below)), int(np.count_nonzero(above))
+
+
+def _probe_points(xg, rng):
+    """Every node, one ulp either side of it, both edges, points outside and
+    inside the grid."""
+    span = xg[-1] - xg[0]
+    return np.concatenate([
+        xg, np.nextafter(xg, np.inf), np.nextafter(xg, -np.inf),
+        [xg[0], xg[-1], xg[0] - span, xg[-1] + span, -np.inf, np.inf],
+        rng.uniform(xg[0] - 0.5 * span, xg[-1] + 0.5 * span, 200),
+    ])
+
+
+LOOKUP_GRIDS = {
+    "uniform": np.linspace(-8.0, 8.0, 1601),
+    "two-node": np.array([-0.2, 0.2]),
+    "offset": np.linspace(1e3, 1e3 + 1e-3, 50),
+    "non-uniform": np.array([-1.0, -0.9, -0.5, 0.0, 0.1, 0.7, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
+def test_grid_lookup_equals_np_interp(name):
+    rng = np.random.default_rng(len(name))
+    xg = LOOKUP_GRIDS[name]
+    lk = GridLookup(xg)
+    assert lk.uniform == (name != "non-uniform")
+    assert (lk.slopes(np.zeros(xg.size)) is None) == (name == "non-uniform")
+    row = rng.normal(size=xg.size)
+    xs = _probe_points(xg, rng)
+    out, n_out = lk(xs, row, lk.slopes(row))
+    assert np.array_equal(out, np.interp(xs, xg, row))
+    assert n_out == np.count_nonzero((xs < xg[0]) | (xs > xg[-1]))
+    # the last node returns the last value exactly, not by a vanishing slope
+    assert lk(xg[-1:], row, lk.slopes(row))[0][0] == row[-1]
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
+@pytest.mark.parametrize("extrapolate", ["hold", "slope"])
+def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
+    rng = np.random.default_rng(7)
+    xg = LOOKUP_GRIDS[name]
+    f = DriftField(np.array([0.1, 0.4, 1.0]), xg, rng.normal(size=(3, xg.size)))
+    xs = _probe_points(xg, rng)
+    xs = xs[np.isfinite(xs)]  # the edge slope is not finite at infinity
+    for t in (0.0, 0.1, 0.25, 0.4, 0.7, 1.0, 2.0):
+        before = f.extrapolations
+        ref, below, above = _interp_mu_at(f, t, xs, extrapolate)
+        assert np.array_equal(f.mu_at(t, xs, extrapolate=extrapolate), ref)
+        assert f.extrapolations - before == below + above > 0
+        assert f.mu_at(t, float(xs[-1]), extrapolate=extrapolate) == ref[-1]
+
+
+def test_grid_lookup_fuzz_against_np_interp():
+    """Random grids from 2 to 400 nodes, exact and jittered by a fraction of
+    a cell, at offsets far larger than the cell."""
+    rng = np.random.default_rng(20261018)
+    for trial in range(300):
+        n = int(rng.integers(2, 401))
+        x0, span = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-6, 4)
+        xg = np.linspace(x0, x0 + span, n)
+        if trial % 2:
+            xg = xg + rng.uniform(-0.2, 0.2, n) * span / max(n - 1, 1)
+            if np.any(np.diff(xg) <= 0.0):
+                continue
+        row = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+        lk = GridLookup(xg)
+        xs = _probe_points(xg, rng)
+        out, n_out = lk(xs, row, lk.slopes(row))
+        assert np.array_equal(out, np.interp(xs, xg, row)), (trial, n)
+        assert n_out == np.count_nonzero((xs < xg[0]) | (xs > xg[-1]))
+
+
+def test_grid_lookup_overflowing_slopes_fall_back_to_np_interp():
+    xg = np.array([0.0, 1e-10, 2e-10])
+    row = np.array([0.0, 1e300, -1e300])
+    lk = GridLookup(xg)
+    assert lk.uniform and lk.slopes(row) is None
+    xs = np.array([5e-11, 1e-10, 3e-10])
+    assert np.array_equal(lk(xs, row, None)[0], np.interp(xs, xg, row))
 
 
 def test_growth_constant_is_the_linear_gauge(wang_field):
@@ -287,6 +392,61 @@ def test_sim_counts_extrapolated_drift_queries():
     )
     res = simulate_q_dynamics(narrow, 0.0, 0.0, 1.0, paths=200, steps=50, seed=2)
     assert res.extrapolations > 0
+
+
+def _reference_q_dynamics(f, s, x, t, paths, steps, seed, g=None):
+    """The Euler loop with a per-batch, per-step np.interp drift lookup held
+    at the grid ends, and the batches split and keyed inline."""
+    dt = (t - s) / steps
+    sqdt = math.sqrt(dt)
+    nb = min(40, paths)
+    base, extra = divmod(paths, nb)
+    terminal, means, below, above = [], [], 0, 0
+    for idx in range(nb):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
+        z = rng.standard_normal((base + (1 if idx < extra else 0), steps))
+        cur = np.full(z.shape[0], float(x))
+        for k in range(steps):
+            drift, lo, hi = _interp_mu_at(f, s + k * dt, cur, "hold")
+            below, above = below + lo, above + hi
+            cur = cur + drift * dt + 1.0 * sqdt * z[:, k]
+        terminal.append(cur)
+        means.append(np.mean(g(cur) if g is not None else cur))
+    means = np.asarray(means)
+    allt = np.concatenate(terminal)
+    y = np.linspace(*np.quantile(allt, [0.001, 0.999]), 101)
+    return dict(
+        mean=float(np.mean(means)),
+        std_error=float(np.std(means, ddof=1) / np.sqrt(len(means))),
+        survival_y=y, survival=np.mean(allt[:, None] >= y[None, :], axis=0),
+        below=below, above=above,
+    )
+
+
+def _narrow_field(xg):
+    rng = np.random.default_rng(3)
+    return DriftField(np.linspace(0.0, 1.0, 7), xg, rng.normal(size=(7, xg.size)))
+
+
+@pytest.mark.parametrize("case", ["narrow", "narrow-non-uniform", "wang"])
+def test_sim_equals_the_per_step_np_interp_loop(case, value_field):
+    if case == "wang":
+        f, g = compute_mu(Wang(0.5), value_field, ZERO), smoothed_step
+        s, x, t, paths, steps = 0.25, 0.5, 1.0, 4001, 50
+    else:
+        xg = np.linspace(-0.3, 0.5, 9)
+        if case == "narrow-non-uniform":
+            xg = np.array([-0.3, -0.25, -0.05, 0.0, 0.3, 0.5])
+        f, g = _narrow_field(xg), None
+        s, x, t, paths, steps = 0.1, 0.05, 0.9, 3001, 37
+    ref = _reference_q_dynamics(f, s, x, t, paths, steps, 4, g)
+    res = simulate_q_dynamics(f, s, x, t, paths=paths, steps=steps, seed=4, g=g)
+    assert res.mean == ref["mean"] and res.std_error == ref["std_error"]
+    assert np.array_equal(res.survival_y, ref["survival_y"])
+    assert np.array_equal(res.survival, ref["survival"])
+    assert res.extrapolations == ref["below"] + ref["above"]
+    if g is None:
+        assert ref["below"] > 0 and ref["above"] > 0  # both edges extrapolate
 
 
 def test_sim_determinism_and_seed_sensitivity():
