@@ -46,7 +46,8 @@ class DiscreteRV:
         c = float(c)
         if not (0.0 <= c < np.inf):
             raise DomainError(f"DiscreteRV.scaled: scale factor {c} is not finite and nonnegative")
-        support = self.support * c
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            support = self.support * c
         if not np.all(np.isfinite(support)):
             raise DomainError(f"DiscreteRV.scaled: scale factor {c} overflows the support")
         starts = np.flatnonzero(np.append(True, np.diff(support) > 0.0))

@@ -48,7 +48,6 @@ from .tree import (
     naive_nested_expectation,
     phi_at_node,
     static_distorted_value,
-    survival_probabilities,
     verify_initial_consistency,
     verify_tower,
 )
@@ -77,9 +76,8 @@ def cmd_tree(cfg, out_dir):
     dt = distort_tree(tree, d, strict=cfg.strict_mon2)
     n = tree.n_periods
 
-    surv = survival_probabilities(tree)
     lev, idx, xs, gs = [], [], [], []
-    for i, row in enumerate(surv):
+    for i, row in enumerate(dt.survival):
         for j, gval in enumerate(row):
             lev.append(i)
             idx.append(j)

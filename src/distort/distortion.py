@@ -24,8 +24,8 @@ from .errors import ConfigError, DomainError
 
 EPS_P = 1e-12
 
-# smallest positive double; interior formulas are evaluated on p clipped away
-# from exact 0/1 and the endpoint values are overwritten afterwards
+# the smallest and the largest double strictly inside (0, 1): eval keeps the
+# image of an interior p between them
 _TINY = 5e-324
 _BELOW_ONE = 0.9999999999999999
 
@@ -100,15 +100,22 @@ class Distortion:
     def eval(self, t, p):
         """phi_t(p) with the endpoints pinned exactly.
 
-        An interior p maps strictly inside (0, 1): a value that rounds to 0
-        (p**2 at a subnormal p) or to 1 is moved by at most one ulp to the
-        nearest interior double, so the order against the endpoints is kept.
+        The formula runs only on the p strictly inside (0, 1); 0 and 1 are
+        written as such.  An interior p maps strictly inside (0, 1): a value
+        that rounds to 0 (p**2 at a subnormal p) or to 1 is moved by at most
+        one ulp to the nearest interior double, so the order against the
+        endpoints is kept.
         """
         arr = _asarray_prob(p, type(self).__name__ + ".eval")
-        inner = np.clip(arr, _TINY, _BELOW_ONE)
+        out = np.asarray(arr == 1.0, dtype=float)
+        interior = (arr > 0.0) & (arr < 1.0)
+        # an interior scalar is evaluated as a numpy scalar: numpy's scalar
+        # pow differs from its vector loop in the last ulp
+        inner = arr[()] if arr.ndim == 0 and interior else arr[interior]
+        # called even with no interior point left, so a schedule that is not
+        # a distortion at t (a SeparableProduct weight above 1) still raises
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            raw = np.clip(self._value_t(t, inner, 1.0 - inner), _TINY, _BELOW_ONE)
-        out = np.where(arr == 0.0, 0.0, np.where(arr == 1.0, 1.0, raw))
+            out[interior] = np.clip(self._value_t(t, inner, 1.0 - inner), _TINY, _BELOW_ONE)
         return _scalar_like(out, p)
 
     def _value_t(self, t, p, q):

@@ -52,14 +52,14 @@ def _refine_lower_half(p):
 def quantile(p):
     """Inverse CDF on (0, 1); endpoints map to -inf/+inf.
 
-    The refinement always runs on min(p, 1-p), where ndtr has full relative
-    precision; 1-p is exact for p >= 0.5, so both tails come out clean.
+    The refinement runs once, on min(p, 1-p), where ndtr has full relative
+    precision, and the sign is flipped above 1/2; 1-p is exact for
+    p >= 0.5, so both tails come out clean.
     """
     p = np.asarray(p, dtype=float)
-    lower = np.minimum(p, 0.5)
-    upper_comp = np.minimum(1.0 - p, 0.5)
     with np.errstate(invalid="ignore"):
-        out = np.where(p <= 0.5, _refine_lower_half(lower), -_refine_lower_half(upper_comp))
+        z = _refine_lower_half(np.minimum(p, 1.0 - p))
+    out = np.where(p > 0.5, -z, z)
     return out if out.ndim else float(out)
 
 

@@ -166,31 +166,17 @@ def _criterion_wang_drift():
     exact = alpha / (2.0 * np.sqrt(t_grid))[:, None]
     sup = float(np.max(np.abs(mu.mu - exact)))
 
-    # same drift with the density replaced by its bridge-MC estimate at a few
-    # cells; the error bar follows from the sensitivity of mu to rho
-    spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
+    # the OU drift b = -x from 0, with the density replaced by its bridge-MC
+    # estimate at a few cells; the estimate has variance, so the gate can fail
     t0 = time.perf_counter()
-    worst_z = 0.0
-    details = []
+    worst = -math.inf
     for t in (0.25, 1.0):
         for x in (-1.0, 0.0, 1.0):
-            est = bridge_density_mc(spec, t, x, paths=100_000, steps=100, seed=29)
-            G = normal.sf(x / math.sqrt(t))
-            cr = d.curvature_ratio(t, G, comp=normal.cdf(x / math.sqrt(t)))
-            tr = d.time_ratio(t, G, comp=normal.cdf(x / math.sqrt(t)))
-            rho = est.value
-            mu_hat = tr / rho - 0.5 * cr * rho
-            sens = abs(-tr / rho**2 - 0.5 * cr)
-            se_mu = sens * est.std_error
-            gap = abs(mu_hat - alpha / (2.0 * math.sqrt(t)))
-            if gap > 3.0 * se_mu + 1e-9:
-                worst_z = math.inf
-            elif se_mu > 0.0:
-                worst_z = max(worst_z, gap / se_mu)
-            details.append(f"{gap:.1e}")
+            est = bridge_density_mc(OU_SPEC, t, x, paths=40_000, steps=200, seed=29)
+            worst = max(worst, wang_ou_drift_excess(alpha, t, x, est.value, est.std_error, 200))
     elapsed = time.perf_counter() - t0
-    ok = sup <= 1e-6 and math.isfinite(worst_z) and elapsed < 30.0
-    return ok, f"analytic sup={sup:.3e} bridge gaps=[{','.join(details)}] mc={elapsed:.1f}s"
+    ok = sup <= 1e-6 and worst <= 0.0 and elapsed < 30.0
+    return ok, f"analytic sup={sup:.3e} OU bridge worst excess={worst:.2e} mc={elapsed:.1f}s"
 
 
 def _criterion_wang_phi():
@@ -252,6 +238,11 @@ def _criterion_pde_vs_mc():
     return ok, f"gaps=[{','.join(gaps)}] in {elapsed:.1f}s{worst}"
 
 
+# Ornstein-Uhlenbeck drift b(t, x) = -x from 0: state-dependent, so a bridge
+# estimate of its density has variance, and closed forms stay available
+OU_SPEC = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
+
+
 def ou_density(t, x):
     """Closed-form density of dX = -X dt + dB from X_0 = 0: N(0, v), v = (1 - e^(-2t)) / 2."""
     v = -0.5 * math.expm1(-2.0 * t)
@@ -267,6 +258,27 @@ def ou_bridge_excess(t, x, value, std_error, steps):
     and the Riemann sum of b^2 lags by about x^2 dt / 2."""
     rho = ou_density(t, x)
     return abs(value - rho) - (5.0 * std_error + rho * (t + x * x) / (2.0 * steps))
+
+
+def wang_ou_drift_excess(alpha, t, x, value, std_error, steps):
+    """How far the Wang(alpha) drift read from a bridge estimate of the OU
+    density lies beyond its allowance; positive means rejected.
+
+    For dX = -X dt + dB from 0 the distorted law at t is N(alpha sqrt(v), v),
+    so the distorted drift is mu = -x + alpha / (2 sqrt(v)), v = (1 - e^(-2t)) / 2.
+    The estimate mu-hat = b + dt_phi / (dp_phi rho) - (dpp_phi / dp_phi) rho / 2
+    moves with rho at the rate |sens|; the allowance is |sens| times 3 SE plus
+    the left-point bias allowance of ou_bridge_excess."""
+    d = Wang(alpha)
+    v = -0.5 * math.expm1(-2.0 * t)
+    z = x / math.sqrt(v)
+    g, comp = normal.sf(z), normal.cdf(z)
+    tr = d.time_ratio(t, g, comp=comp)
+    cr = d.curvature_ratio(t, g, comp=comp)
+    mu_hat = -x + tr / value - 0.5 * cr * value
+    sens = abs(-tr / value**2 - 0.5 * cr)
+    bias = ou_density(t, x) * (t + x * x) / (2.0 * steps)
+    return abs(mu_hat - (-x + alpha / (2.0 * math.sqrt(v)))) - sens * (3.0 * std_error + bias)
 
 
 def _criterion_density_estimators():
@@ -293,10 +305,9 @@ def _criterion_density_estimators():
                 ]
                 worst = max(worst, *pairs)
     # a state-dependent drift, so the bridge estimate has variance to test
-    ou = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
     ou_worst = -math.inf
     for x in (0.0, 1.0, -1.0):
-        est = bridge_density_mc(ou, 1.0, x, paths=40_000, steps=400, seed=31)
+        est = bridge_density_mc(OU_SPEC, 1.0, x, paths=40_000, steps=400, seed=31)
         ou_worst = max(ou_worst, ou_bridge_excess(1.0, x, est.value, est.std_error, 400))
     ok = worst <= 0.0 and zero_var and ou_worst <= 0.0
     return ok, (

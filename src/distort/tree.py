@@ -116,25 +116,13 @@ def load_tree(path):
 
 def occupation_probabilities(tree):
     """Node occupation masses under the base measure, level by level."""
-    levels = [np.array([1.0])]
-    for i in range(tree.n_periods):
-        w = levels[-1]
-        p = tree.up_prob[i]
-        nxt = np.zeros(i + 2)
-        nxt[: i + 1] += w * (1.0 - p)
-        nxt[1:] += w * p
-        levels.append(nxt)
-    return levels
+    return [np.array([1.0]), *_forward_laws(tree.up_prob, 0, 0, tree.n_periods)]
 
 
 def survival_probabilities(tree):
     """G_ij = P(X_i >= x_ij) for every node, as a list of level arrays."""
-    out = []
-    for w in occupation_probabilities(tree):
-        g = np.cumsum(w[::-1])[::-1]
-        g[0] = 1.0  # exactly, by construction
-        out.append(g)
-    return out
+    laws = _forward_laws(tree.up_prob, 0, 0, tree.n_periods)
+    return [np.array([1.0]), *(_survival(w, 0) for w in laws)]
 
 
 @dataclass(frozen=True)
@@ -162,32 +150,31 @@ class DistortedTree:
         return self.base.n_periods
 
 
-def _phi_levels(tree, schedule, survival):
-    """phi_{t_i}(G_i) per level; at the root time the distortion acts as the
-    identity (G there is {1}, where every schedule is pinned anyway)."""
-    out = [np.array([1.0])]
-    for i in range(1, tree.n_periods + 1):
-        out.append(np.asarray(schedule.eval(tree.times[i], np.clip(survival[i], 0.0, 1.0))))
-    return out
+def _phi_level(tree, schedule, survival, i):
+    """phi_{t_i}(G_i) on level i >= 1.  The root level is {1} under every
+    schedule (G there is {1}, where every schedule is pinned)."""
+    return np.asarray(schedule.eval(tree.times[i], np.clip(survival[i], 0.0, 1.0)))
 
 
 def distort_tree(tree, schedule, strict=True):
     """Build the distorted transitions q_ij from the marginal survival weights.
 
-    In strict mode an interleaving violation raises ConsistencyError naming
-    the first offending node; otherwise the quotient is clamped into
-    [1e-9, 1 - 1e-9] and the node is recorded in ``violations``.
+    phi is evaluated one level at a time, so a strict rejection stops at the
+    failing level.  In strict mode an interleaving violation raises
+    ConsistencyError naming the first offending node; otherwise the quotient
+    is clamped into [1e-9, 1 - 1e-9] and the node is recorded in
+    ``violations``.
     """
     survival = survival_probabilities(tree)
-    phi = _phi_levels(tree, schedule, survival)
     q_up = []
     mon2_ok = []
     violations = []
     degenerate = 0
+    hi = np.array([1.0])                 # phi_{t_i}(G_ij), j = 0..i
     for i in range(tree.n_periods):
-        hi = phi[i]                      # phi_{t_i}(G_ij), j = 0..i
-        lo = np.append(phi[i][1:], 0.0)  # phi_{t_i}(G_{i,j+1}), convention G_{i,i+1} = 0
-        mid = phi[i + 1][1:]             # phi_{t_{i+1}}(G_{i+1,j+1})
+        nxt = _phi_level(tree, schedule, survival, i + 1)
+        lo = np.append(hi[1:], 0.0)      # phi_{t_i}(G_{i,j+1}), convention G_{i,i+1} = 0
+        mid = nxt[1:]                    # phi_{t_{i+1}}(G_{i+1,j+1})
         den = hi - lo
         num = mid - lo
         ok = (lo < mid) & (mid < hi)
@@ -217,6 +204,7 @@ def distort_tree(tree, schedule, strict=True):
             q = np.clip(q, _PERMISSIVE_EPS, 1.0 - _PERMISSIVE_EPS)
         q_up.append(q)
         mon2_ok.append(ok)
+        hi = nxt
     return DistortedTree(
         base=tree,
         schedule=schedule,
@@ -260,16 +248,23 @@ def backward_induction(dt, terminal_values, horizon=None):
 def _forward_laws(trans, i, j, n):
     """Yield the laws of X_{i+1}, ..., X_n given node (i, j), under ``trans``.
 
-    Each law is indexed by state and padded with zeros to n + 1 entries."""
-    w = np.zeros(n + 1)
+    The law of X_k is indexed by the k + 1 states of level k."""
+    w = np.zeros(i + 1)
     w[j] = 1.0
     for k in range(i, n):
         p = trans[k]
-        nxt = np.zeros(n + 1)
-        nxt[: k + 1] += w[: k + 1] * (1.0 - p)
-        nxt[1 : k + 2] += w[: k + 1] * p
+        nxt = np.zeros(k + 2)
+        nxt[: k + 1] += w * (1.0 - p)
+        nxt[1:] += w * p
         w = nxt
         yield w
+
+
+def _last_law(trans, i, j, n):
+    """The law of X_n given node (i, j), under ``trans``."""
+    for w in _forward_laws(trans, i, j, n):
+        pass
+    return w
 
 
 def _survival(w, j):
@@ -280,9 +275,7 @@ def _survival(w, j):
 
 def _conditional_survival(trans, i, j, n):
     """Survival of X_n over level-n states given node (i, j), under ``trans``."""
-    for w in _forward_laws(trans, i, j, n):
-        pass
-    return _survival(w, j)
+    return _survival(_last_law(trans, i, j, n), j)
 
 
 def q_conditional_survival(dt, i, j, n=None):
@@ -390,12 +383,11 @@ def verify_initial_consistency(dt):
     """Max over all levels and states of |phi_{t_n}(G_nk) - Q(X_n >= x_nk)|.
 
     One forward pass of the distorted law from the root reads every level."""
-    phi = _phi_levels(dt.base, dt.schedule, dt.survival)
     worst = 0.0
     laws = _forward_laws(dt.q_up, 0, 0, dt.n_periods)
     for n, w in enumerate(laws, start=1):
-        q_surv = _survival(w[: n + 1], 0)
-        worst = max(worst, float(np.max(np.abs(phi[n] - q_surv))))
+        phi = _phi_level(dt.base, dt.schedule, dt.survival, n)
+        worst = max(worst, float(np.max(np.abs(phi - _survival(w, 0)))))
     return worst
 
 
@@ -424,7 +416,7 @@ def static_distorted_value(tree, d, terminal_values):
     """Static Choquet expectation of an increasing terminal payoff."""
     g = np.asarray(terminal_values, dtype=float)
     _check_increasing(g, "static_distorted_value terminal payoff")
-    surv = survival_probabilities(tree)[-1]
+    surv = _conditional_survival(tree.up_prob, 0, 0, tree.n_periods)
     t_n = float(tree.times[-1])
     w_hi = np.asarray(d.eval(t_n, np.clip(surv, 0.0, 1.0)), dtype=float)
     w_lo = np.append(w_hi[1:], 0.0)
@@ -468,7 +460,7 @@ def random_monotone_payoff(rng, n_states, scale=1.0):
 
 def terminal_law(tree, terminal_values=None):
     """The level-N law as a DiscreteRV (of the payoff if given, else the state)."""
-    w = occupation_probabilities(tree)[-1]
+    w = _last_law(tree.up_prob, 0, 0, tree.n_periods)
     x = tree.states[-1] if terminal_values is None else np.asarray(terminal_values, float)
     keep = w > 0.0
     return DiscreteRV(x[keep], w[keep] / w[keep].sum())

@@ -43,3 +43,26 @@ def mp_wang(alpha, p):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+def mp_phi(d, p):
+    """phi(p) of a time-invariant distortion, from its dict form, at 40 digits."""
+    spec = d.to_dict()
+    family = spec["family"]
+    p = mp.mpf(p)
+    q = 1 - p
+    if family == "identity":
+        return p
+    if family == "power":
+        return p ** mp.mpf(spec["gamma"])
+    if family == "kahneman_tversky":
+        g = mp.mpf(spec["gamma"])
+        return p**g / (p**g + q**g) ** (1 / g)
+    if family == "tversky_fox":
+        a, g = mp.mpf(spec["alpha"]), mp.mpf(spec["gamma"])
+        return a * p**g / (a * p**g + q**g)
+    if family == "prelec":
+        return mp.exp(-mp.mpf(spec["gamma"]) * (-mp.log(p)) ** mp.mpf(spec["alpha"]))
+    if family == "wang":
+        return mp_wang(spec["alpha"], p)
+    raise ValueError(f"no oracle for family {family!r}")

@@ -1,5 +1,7 @@
 """Static Choquet expectations: discrete sums, density quadrature, shape checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -92,6 +94,14 @@ def test_scaled_law_rejects_negative_infinite_and_overflowing_factors():
     for c in (-1.0, np.inf, np.nan, 1e308):
         with pytest.raises(DomainError, match="scale factor"):
             rv.scaled(c)
+
+
+def test_scaled_law_overflow_raises_without_a_warning():
+    rv = DiscreteRV(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows the support"):
+            rv.scaled(1e308)
 
 
 def test_monotonicity_suite_scales_by_a_subnormal_factor():

@@ -24,7 +24,7 @@ from distort.density import (
     tail_ratio_diagnostics,
 )
 from distort.errors import AccuracyError, ConfigError, DomainError, NumericError
-from distort.selftest import ou_bridge_excess, ou_density
+from distort.selftest import ou_bridge_excess, ou_density, wang_ou_drift_excess
 
 from conftest import mp_cdf
 
@@ -329,6 +329,21 @@ def test_batch_generators_split_and_key(paths):
     for idx, _, rng in got:
         ref = np.random.Generator(np.random.Philox(key=np.array([9, idx], dtype=np.uint64)))
         assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+
+
+def test_wang_drift_gate_rejects_the_driftless_density():
+    """Selftest criterion 5's gate must fail the Wang drift read from the
+    wrong law, the driftless bridge estimate (exact, zero variance), at its
+    cells, and pass the OU density, whose drift is the closed form."""
+    driftless = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
+    for t in (0.25, 1.0):
+        for x in (-1.0, 0.0, 1.0):
+            est = bridge_density_mc(driftless, t, x, paths=4000, steps=200, seed=29)
+            assert est.std_error == 0.0
+            assert wang_ou_drift_excess(0.5, t, x, est.value, est.std_error, 200) > 0.0
+            # at the exact density the drift formula meets the closed form to
+            # roundoff, far inside any bias allowance
+            assert wang_ou_drift_excess(0.5, t, x, ou_density(t, x), 0.0, 10**12) < 0.0
 
 
 def test_ou_gate_rejects_the_driftless_density():

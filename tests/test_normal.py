@@ -83,3 +83,58 @@ def test_vectorized_shapes():
     assert normal.cdf(np.zeros(3)).shape == (3,)
     assert isinstance(normal.cdf(0.0), float)
     assert isinstance(normal.quantile(0.3), float)
+
+
+def _quantile_two_branch(p):
+    """Both halves refined over the whole array, one kept: the quantile's
+    result with the work it now skips."""
+    p = np.asarray(p, dtype=float)
+    lower = np.minimum(p, 0.5)
+    upper_comp = np.minimum(1.0 - p, 0.5)
+    with np.errstate(invalid="ignore"):
+        out = np.where(p <= 0.5, normal._refine_lower_half(lower),
+                       -normal._refine_lower_half(upper_comp))
+    return out if out.ndim else float(out)
+
+
+def _pair_two_branch(p, comp):
+    p = np.asarray(p, dtype=float)
+    comp = np.asarray(comp, dtype=float)
+    z = _quantile_two_branch(np.minimum(p, comp))
+    out = np.where(p <= comp, z, -z)
+    return out if out.ndim else float(out)
+
+
+def _quantile_points():
+    rng = np.random.default_rng(606)
+    tails = 10.0 ** -rng.uniform(0.0, 323.0, 300)
+    fixed = [0.0, 1.0, -0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324,
+             1e-300, 1e-20, 0.9999999999999999, 1.0 - 1e-12, 0.25, 0.75]
+    return np.concatenate([fixed, tails, 1.0 - tails, rng.uniform(0.0, 1.0, 300)])
+
+
+def test_quantile_one_branch_bit_identical():
+    """Refining min(p, 1-p) once and flipping the sign above 1/2 gives the
+    two-branch result bit for bit, at the endpoints, 0.5 +- 1 ulp and both
+    tails, and outside [0, 1]."""
+    p = np.concatenate([_quantile_points(), [-0.1, 1.5, 2.0, -np.inf, np.inf]])
+    assert normal.quantile(p).tobytes() == _quantile_two_branch(p).tobytes()
+    for x in p[::5]:
+        got = normal.quantile(float(x))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_quantile_two_branch(float(x))).tobytes()
+
+
+def test_quantile_from_pair_one_branch_bit_identical():
+    p = _quantile_points()
+    rng = np.random.default_rng(607)
+    for comp in (1.0 - p, rng.permutation(p), 10.0 ** -rng.uniform(0.0, 323.0, p.size)):
+        got = normal.quantile_from_pair(p, comp)
+        assert got.tobytes() == _pair_two_branch(p, comp).tobytes()
+        back = normal.quantile_from_pair(comp, p)
+        assert back.tobytes() == _pair_two_branch(comp, p).tobytes()
+    for x in p[::5]:
+        got = normal.quantile_from_pair(float(x), 1.0 - float(x))
+        assert type(got) is float
+        ref = _pair_two_branch(float(x), 1.0 - float(x))
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()

@@ -14,6 +14,7 @@ exact rational arithmetic done by hand:
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from distort import (
     Wang,
 )
 from distort.choquet import choquet_expectation_discrete
+from distort.density import DiffusionSpec, constant_drift
+from distort.dynamics import lattice_from_diffusion
 from distort.tree import (
     DistortedTree,
     _conditional_survival,
-    _phi_levels,
     TreeModel,
     backward_induction,
     crossing_tree_residual,
@@ -284,11 +286,11 @@ def test_initial_consistency_single_pass_matches_per_level_loop(d):
     rng = np.random.default_rng(21)
     for _ in range(8):
         dt = distort_tree(random_tree(rng, int(rng.integers(1, 13))), d, strict=False)
-        phi = _phi_levels(dt.base, dt.schedule, dt.survival)
         per_level = 0.0
         for n in range(1, dt.n_periods + 1):
+            phi = d.eval(dt.times[n], np.clip(dt.survival[n], 0.0, 1.0))
             q_surv = _conditional_survival(dt.q_up, 0, 0, n)
-            per_level = max(per_level, float(np.max(np.abs(phi[n] - q_surv))))
+            per_level = max(per_level, float(np.max(np.abs(phi - q_surv))))
         assert verify_initial_consistency(dt) == per_level
 
 
@@ -427,3 +429,124 @@ def test_saved_tree_is_canonical(two_period, tmp_path):
     assert json.loads(text)["times"] == [0.0, 1.0, 2.0]
     save_tree(two_period, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_text() == text
+
+
+# ---------------------------------------------------------------------------
+# the lattice path without discarded work, against the eager routes
+
+def _occupation_list(tree):
+    """Every level's occupation masses, materialised."""
+    levels = [np.array([1.0])]
+    for i in range(tree.n_periods):
+        w, p = levels[-1], tree.up_prob[i]
+        nxt = np.zeros(i + 2)
+        nxt[: i + 1] += w * (1.0 - p)
+        nxt[1:] += w * p
+        levels.append(nxt)
+    return levels
+
+
+def _survival_list(tree):
+    out = []
+    for w in _occupation_list(tree):
+        g = np.cumsum(w[::-1])[::-1]
+        g[0] = 1.0
+        out.append(g)
+    return out
+
+
+def _eager_distort_tree(tree, schedule, strict):
+    """phi on every level up front, then the edge loop."""
+    survival = _survival_list(tree)
+    phi = [np.array([1.0])] + [
+        np.asarray(schedule.eval(tree.times[i], np.clip(survival[i], 0.0, 1.0)))
+        for i in range(1, tree.n_periods + 1)
+    ]
+    q_up, mon2_ok, violations, degenerate = [], [], [], 0
+    for i in range(tree.n_periods):
+        hi, lo, mid = phi[i], np.append(phi[i][1:], 0.0), phi[i + 1][1:]
+        den, num = hi - lo, mid - lo
+        ok = (lo < mid) & (mid < hi)
+        scale = np.maximum(1e-280, 16.0 * np.finfo(float).eps * hi)
+        dead = (den < scale) | (~ok & (np.maximum(lo - mid, mid - hi) <= scale))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = num / den
+        if np.any(dead):
+            q = np.where(dead, tree.up_prob[i], q)
+            ok = ok | dead
+            degenerate += int(np.count_nonzero(dead))
+        bad = ~ok
+        if np.any(bad):
+            if strict:
+                j = int(np.argmax(bad))
+                raise ConsistencyError(f"distorted transition at node (i={i}, j={j}) leaves (0, 1)")
+            violations.extend((i, int(j)) for j in np.nonzero(bad)[0])
+            q = np.clip(q, 1e-9, 1.0 - 1e-9)
+        q_up.append(q)
+        mon2_ok.append(ok)
+    return q_up, mon2_ok, violations, degenerate
+
+
+def _tree_cases():
+    rng = np.random.default_rng(808)
+    cases = []
+    for k in range(60):
+        n = int(rng.integers(1, 13))
+        d = [Power(float(rng.uniform(0.3, 3.0))), Wang(float(rng.uniform(-1.5, 1.5))),
+             KahnemanTversky(float(rng.uniform(0.3, 0.95))),
+             SeparableProduct(TimeWeight("exp", rate=float(rng.uniform(-0.6, 0.0))),
+                              Power(2.0))][k % 4]
+        cases.append((random_tree(rng, n, p_range=(0.05, 0.95)), d))
+    spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
+    cases.append((lattice_from_diffusion(spec, 64), KahnemanTversky(0.6)))
+    cases.append((lattice_from_diffusion(spec, 200), Wang(0.5)))
+    return cases
+
+
+def test_distort_tree_per_level_phi_matches_eager_route():
+    """phi one level at a time gives the eager route's transitions bit for
+    bit in both modes, the non-strict clip and the strict rejection
+    included."""
+    clipped = rejected = 0
+    for tree, d in _tree_cases():
+        ref = _eager_distort_tree(tree, d, strict=False)
+        dt = distort_tree(tree, d, strict=False)
+        assert [q.tobytes() for q in dt.q_up] == [q.tobytes() for q in ref[0]]
+        assert [ok.tolist() for ok in dt.mon2_ok] == [ok.tolist() for ok in ref[1]]
+        assert (dt.violations, dt.degenerate_edges) == (ref[2], ref[3])
+        clipped += bool(ref[2])
+        try:
+            strict_ref = _eager_distort_tree(tree, d, strict=True)
+        except ConsistencyError as exc:
+            rejected += 1
+            with pytest.raises(ConsistencyError, match=re.escape(str(exc))):
+                distort_tree(tree, d)
+        else:
+            dt = distort_tree(tree, d)
+            assert [q.tobytes() for q in dt.q_up] == [q.tobytes() for q in strict_ref[0]]
+            assert (dt.violations, dt.degenerate_edges) == ([], strict_ref[3])
+    assert clipped >= 5 and rejected >= 5  # both the clip and the rejection ran
+
+
+def test_kahneman_tversky_lattice_rejected_at_level_58():
+    spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
+    with pytest.raises(ConsistencyError, match=re.escape("node (i=58, j=1)")):
+        distort_tree(lattice_from_diffusion(spec, 64), KahnemanTversky(0.6))
+
+
+def test_last_level_reads_match_the_occupation_list_route():
+    """static_distorted_value, terminal_law and the level lists read one
+    forward pass; each equals its materialised-list route bit for bit."""
+    for tree, d in _tree_cases():
+        occ = _occupation_list(tree)
+        surv = _survival_list(tree)
+        assert [w.tobytes() for w in occupation_probabilities(tree)] == [w.tobytes() for w in occ]
+        assert [g.tobytes() for g in survival_probabilities(tree)] == [g.tobytes() for g in surv]
+        g = np.cumsum(np.linspace(0.1, 1.0, tree.n_periods + 1))
+        w_hi = np.asarray(d.eval(float(tree.times[-1]), np.clip(surv[-1], 0.0, 1.0)))
+        assert static_distorted_value(tree, d, g) == float(g @ (w_hi - np.append(w_hi[1:], 0.0)))
+        w = occ[-1]
+        keep = w > 0.0
+        rv = terminal_law(tree, g)
+        assert rv.support.tobytes() == g[keep].tobytes()
+        assert rv.probs.tobytes() == (w[keep] / w[keep].sum()).tobytes()
