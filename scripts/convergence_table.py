@@ -34,7 +34,12 @@ def main():
             print(f"  N={N:>6d}  error={err:.6e}")
         if rep.skipped:
             print(f"  skipped (interleaving failed): {rep.skipped}")
-        print(f"  fitted order: {-rep.slope:.2f}")
+        if len(rep.errors) < 2:
+            print("  fitted order: none, fewer than two lattices")
+        elif any(e1 <= e2 for e1, e2 in zip(rep.errors, rep.errors[1:])):
+            print("  fitted order: none, the errors do not strictly decrease with N")
+        else:
+            print(f"  fitted order: {-rep.slope:.2f}")
         print()
 
 

@@ -142,8 +142,8 @@ def choquet_expectation_density(survival, g, d, t=0.0, agreement_tol=None):
     coarse = float(g_vals[0]) + _trapezoid_stieltjes(phi_vals[::2], g_vals[::2])
     err_b = abs(by_parts - coarse) / 3.0
 
-    # density form: rho = -dG/dx by centered differences, phi' by finite
-    # differences of eval (keeps this an independent route from .derivatives)
+    # density form: rho = -dG/dx by centered differences, phi' from the
+    # schedule's analytic .derivatives (the by-parts form reads .eval)
     rho = -np.gradient(G, x)
     der = d.derivatives(t, np.clip(G, 0.0, 1.0))
     integrand = g_vals * rho * np.asarray(der.dp)

@@ -14,14 +14,14 @@ import time
 
 import numpy as np
 
-from . import __version__, normal
-from .choquet import DiscreteRV
-from .config import RunConfig, load_config, validate_params
+from . import __version__
+from .config import RunConfig, load_config
 from .density import (
     DiffusionSpec,
     bridge_density_mc,
     constant_drift,
     default_grids,
+    density_cross_check,
     field_to_binary,
     field_to_csv,
     gaussian_field,
@@ -32,7 +32,7 @@ from .dynamics import (
     build_phi_curve,
     compute_mu,
     convergence_study,
-    simulate_q_dynamics,
+    pde_mc_check,
     smoothed_step_payload,
     solve_distorted_pde,
 )
@@ -215,24 +215,7 @@ def cmd_dynamics(cfg, out_dir):
         paths = int(mc.get("paths", 100_000))
         steps = int(mc.get("steps", 100))
         probes = mc.get("probes", [[0.25 * T + sol.s_grid[0], x0]])
-        cols = {k: [] for k in ("s", "x", "pde", "mc", "se", "gap")}
-        worst = -float("inf")
-        g = smoothed_step_payload(
-            float(params.get("value", {}).get("payload_center", 0.2)),
-            float(params.get("value", {}).get("payload_width", 0.25)),
-        )
-        for s_p, x_p in probes:
-            res = simulate_q_dynamics(mu, float(s_p), float(x_p), T,
-                                      paths=paths, steps=steps, seed=cfg.seed, g=g)
-            u_val = sol.u_at(float(s_p), float(x_p))
-            gap = abs(u_val - res.mean)
-            worst = max(worst, gap - (3.0 * res.std_error + 1e-3))
-            cols["s"].append(float(s_p))
-            cols["x"].append(float(x_p))
-            cols["pde"].append(u_val)
-            cols["mc"].append(res.mean)
-            cols["se"].append(res.std_error)
-            cols["gap"].append(gap)
+        cols, worst = pde_mc_check(mu, sol, g, probes, T, paths, steps, cfg.seed)
         write_csv(os.path.join(out_dir, "mc_vs_pde.csv"),
                   list(cols), [cols[k] for k in cols])
         results["mc"] = {"paths": paths, "worst_excess_over_3se": worst}
@@ -303,30 +286,7 @@ def cmd_density(cfg, out_dir):
         results["bridge"] = {"paths": paths, "routes": sorted(routes)}
 
     if params.get("compare", False):
-        sq = float(np.sqrt(T))
-        cols = {k: [] for k in ("t", "x", "closed", "pde", "bridge", "se")}
-        worst = -float("inf")
-        for t in (0.25 * T, T):
-            rt = float(np.sqrt(t))
-            for off in (-0.8 * sq, 0.0, 0.6 * sq):
-                x = x0 + b * t + off
-                closed = float(normal.pdf((x - x0 - b * t) / rt) / rt)
-                pde = field.rho_at(t, x)
-                est = bridge_density_mc(spec, t, x, paths=80_000, steps=100,
-                                        seed=cfg.seed)
-                se3 = 3.0 * est.std_error
-                worst = max(
-                    worst,
-                    abs(closed - pde) - 1e-3,
-                    abs(closed - est.value) - max(1e-3, se3),
-                    abs(pde - est.value) - max(1e-3, se3),
-                )
-                cols["t"].append(t)
-                cols["x"].append(x)
-                cols["closed"].append(closed)
-                cols["pde"].append(pde)
-                cols["bridge"].append(est.value)
-                cols["se"].append(est.std_error)
+        cols, worst = density_cross_check(b, x0, T, field, cfg.seed)
         write_csv(os.path.join(out_dir, "compare.csv"),
                   list(cols), [cols[k] for k in cols])
         results["compare"] = {"worst_pairwise_excess": worst}

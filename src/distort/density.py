@@ -27,6 +27,8 @@ from .report import read_csv, write_csv
 
 _T_INIT_MIN = 1e-3
 _RHO_FLOOR = 1e-10
+# Monte Carlo paths run in at most this many batches (the batch-means SE)
+_MAX_BATCHES = 40
 _MAGIC = b"DFLD"
 _BINARY_VERSION = 1
 
@@ -68,11 +70,43 @@ def constant_drift(c):
     return lambda t, x: np.full_like(np.asarray(x, dtype=float), c)
 
 
-def default_grids(spec, nt=800, nx=1601, t_init=_T_INIT_MIN, width=8.0):
+def default_grids(spec, nt=800, nx=1601, width=8.0):
+    """nt times from _T_INIT_MIN to T and nx points within width sqrt(T) of x0."""
     half = width * np.sqrt(spec.T)
     x_grid = np.linspace(spec.x0 - half, spec.x0 + half, nx)
-    t_grid = np.linspace(t_init, spec.T, nt)
+    t_grid = np.linspace(_T_INIT_MIN, spec.T, nt)
     return t_grid, x_grid
+
+
+def blend_rows(grid, t, *stacks):
+    """Each (nt, nx) stack's rows blended linearly at time t between the two
+    grid rows around it.  The weight is clipped to [0, 1], so t past either
+    end reads that end's row; a one-row grid returns its row."""
+    if grid.size == 1:
+        return tuple(m[0] for m in stacks)
+    k = int(np.clip(np.searchsorted(grid, t) - 1, 0, grid.size - 2))
+    w = np.clip((t - grid[k]) / (grid[k + 1] - grid[k]), 0.0, 1.0)
+    return tuple((1.0 - w) * m[k] + w * m[k + 1] for m in stacks)
+
+
+def bounded_rows(grid, t, *stacks):
+    """blend_rows for t within the grid (to 1e-12) of at least two rows;
+    DomainError otherwise."""
+    if grid.size < 2:
+        raise DomainError("interpolation needs at least two grid entries")
+    if not (grid[0] - 1e-12 <= t <= grid[-1] + 1e-12):
+        raise DomainError(f"time {t} outside grid [{grid[0]}, {grid[-1]}]")
+    return blend_rows(grid, t, *stacks)
+
+
+def bounded_read(x_grid, row, x):
+    """np.interp of row at x (scalar in, scalar out); DomainError for x more
+    than 1e-12 outside the grid."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < x_grid[0] - 1e-12) or np.any(xs > x_grid[-1] + 1e-12):
+        raise DomainError("query outside the x grid")
+    out = np.interp(xs, x_grid, row)
+    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -115,38 +149,15 @@ class DensityField:
         object.__setattr__(self, "G", proj)
         object.__setattr__(self, "G_comp", comp)
 
-    def _locate(self, grid, v):
-        if grid.size < 2:
-            raise DomainError("interpolation needs at least two grid entries")
-        if not (grid[0] - 1e-12 <= v <= grid[-1] + 1e-12):
-            raise DomainError(f"query {v} outside grid [{grid[0]}, {grid[-1]}]")
-        k = int(np.clip(np.searchsorted(grid, v) - 1, 0, grid.size - 2))
-        w = (v - grid[k]) / (grid[k + 1] - grid[k])
-        return k, float(np.clip(w, 0.0, 1.0))
-
     def slice_at(self, t):
         """(rho_row, G_row) at time t by linear blending of adjacent rows."""
-        k, w = self._locate(self.t_grid, t)
-        return (
-            (1.0 - w) * self.rho[k] + w * self.rho[k + 1],
-            (1.0 - w) * self.G[k] + w * self.G[k + 1],
-        )
+        return bounded_rows(self.t_grid, t, self.rho, self.G)
 
     def rho_at(self, t, x):
-        return self._bilinear(self.rho, t, x)
+        return bounded_read(self.x_grid, bounded_rows(self.t_grid, t, self.rho)[0], x)
 
     def G_at(self, t, x):
-        return self._bilinear(self.G, t, x)
-
-    def _bilinear(self, M, t, x):
-        k, w = self._locate(self.t_grid, t)
-        row = (1.0 - w) * M[k] + w * M[k + 1]
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.interp(xs, self.x_grid, row)
-        lo, hi = self.x_grid[0], self.x_grid[-1]
-        if np.any(xs < lo - 1e-12) or np.any(xs > hi + 1e-12):
-            raise DomainError("query outside the x grid")
-        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        return bounded_read(self.x_grid, bounded_rows(self.t_grid, t, self.G)[0], x)
 
     def mass(self):
         """Integral of rho over x for every time slice."""
@@ -246,13 +257,13 @@ class BridgeEstimate:
     route: str
 
 
-def batch_generators(seed, paths, max_batches=40):
-    """Split paths into at most max_batches near-equal batches and yield
+def batch_generators(seed, paths):
+    """Split paths into at most _MAX_BATCHES near-equal batches and yield
     (idx, size, rng) for each, rng = Generator(Philox(key=[seed, idx])).
 
     The key depends only on the seed and the batch index, so every batch
     draws the same numbers whatever order the batches run in."""
-    nb = min(max_batches, paths)
+    nb = min(_MAX_BATCHES, paths)
     base, extra = divmod(paths, nb)
     for idx in range(nb):
         key = np.array([seed, idx], dtype=np.uint64)
@@ -340,6 +351,39 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0, smooth=None)
     return BridgeEstimate(value=est, std_error=se, paths=paths, seed=seed, route=route)
 
 
+def density_cross_check(b, x0, T, field, seed):
+    """The three routes to the density of dX = b dt + dB from (0, x0), checked
+    pairwise: the Gaussian closed form, field.rho_at and bridge_density_mc
+    (80k paths x 100 steps), at t in {T/4, T} and x = x0 + b t + {-0.8, 0,
+    0.6} sqrt(T).
+
+    Returns the table (columns t, x, closed, pde, bridge, se) and the worst
+    excess of a pairwise gap over its allowance: 1e-3 between the closed
+    form and the field, max(1e-3, 3 SE) against the bridge.  Positive means
+    rejected."""
+    spec = DiffusionSpec(drift=constant_drift(b), x0=x0, T=T)
+    sq = float(np.sqrt(T))
+    cols = {k: [] for k in ("t", "x", "closed", "pde", "bridge", "se")}
+    worst = -float("inf")
+    for t in (0.25 * T, T):
+        rt = float(np.sqrt(t))
+        for off in (-0.8 * sq, 0.0, 0.6 * sq):
+            x = x0 + b * t + off
+            closed = float(normal.pdf((x - x0 - b * t) / rt) / rt)
+            pde = field.rho_at(t, x)
+            est = bridge_density_mc(spec, t, x, paths=80_000, steps=100, seed=seed)
+            se3 = 3.0 * est.std_error
+            worst = max(
+                worst,
+                abs(closed - pde) - 1e-3,
+                abs(closed - est.value) - max(1e-3, se3),
+                abs(pde - est.value) - max(1e-3, se3),
+            )
+            for col, v in zip(cols.values(), (t, x, closed, pde, est.value, est.std_error)):
+                col.append(v)
+    return cols, worst
+
+
 def bridge_martingale_variance(t, s_values, paths=20_000, steps=400, seed=0):
     """Empirical variances of the bridge martingale M_s = int dB_r / (t - r).
 
@@ -375,17 +419,18 @@ class TailDiagnostics:
     cells_skipped: int
 
 
-def tail_ratio_diagnostics(field, t0, x_center=None):
+def tail_ratio_diagnostics(field, t0):
     """Grid evidence for the tail regularity of the field at times >= t0.
 
     Reports max |d_x rho| / rho and the range of r = G (1-G) / rho over
-    cells with rho above a floor, together with min of r * (1 + |x - c|)
-    (the quantity the theory keeps bounded away from zero).
+    cells with rho above a floor, together with min of r * (1 + |x - c|),
+    c the middle grid point (the quantity the theory keeps bounded away
+    from zero).
     """
     t = field.t_grid
     if not (t[0] - 1e-12 <= t0 <= t[-1] + 1e-12):
         raise DomainError("tail_ratio_diagnostics: t0 outside the field's time grid")
-    c = field.x_grid[len(field.x_grid) // 2] if x_center is None else float(x_center)
+    c = field.x_grid[len(field.x_grid) // 2]
     sel = t >= t0 - 1e-12
     rho = field.rho[sel]
     G = field.G[sel]

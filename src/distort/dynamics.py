@@ -31,6 +31,9 @@ from .density import (
     DensityField,
     DiffusionSpec,
     batch_generators,
+    blend_rows,
+    bounded_read,
+    bounded_rows,
     gaussian_field,
     solve_survival_pde,
 )
@@ -47,6 +50,8 @@ _DENOM_FLOOR = 1e-300
 # half-width of the usable-density window, in standard deviations: survival
 # ratios stay representable out to ~37 sigma, with margin for drift terms
 _Z_USABLE = 34.0
+# half-width of the y probes of build_phi_curve, in sqrt(t - s)
+_Y_WIDTH = 3.9
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,6 @@ class DriftField:
     t_grid: np.ndarray
     x_grid: np.ndarray
     mu: np.ndarray
-    provenance: dict = dataclass_field(default_factory=dict)
     extrapolations: int = 0
 
     def __post_init__(self):
@@ -139,13 +143,7 @@ class DriftField:
 
     def row_at(self, t):
         """Drift slice at time t on the field's x grid (time held at the ends)."""
-        tg = self.t_grid
-        t = min(max(t, tg[0]), tg[-1])
-        if tg.size == 1:
-            return self.mu[0]
-        k = int(np.clip(np.searchsorted(tg, t) - 1, 0, tg.size - 2))
-        w = np.clip((t - tg[k]) / (tg[k + 1] - tg[k]), 0.0, 1.0)
-        return (1.0 - w) * self.mu[k] + w * self.mu[k + 1]
+        return blend_rows(self.t_grid, t, self.mu)[0]
 
     def table(self, times):
         """look(k, xs): the drift at (times[k], xs), equal to
@@ -179,9 +177,10 @@ class DriftField:
             return float(out[0])
         return out
 
-    def growth_constant(self, x_center=None):
-        """max |mu| / (1 + |x - c|) over the grid (the linear-growth gauge)."""
-        c = 0.5 * (self.x_grid[0] + self.x_grid[-1]) if x_center is None else x_center
+    def growth_constant(self):
+        """max |mu| / (1 + |x - c|) over the grid, c its midpoint (the
+        linear-growth gauge)."""
+        c = 0.5 * (self.x_grid[0] + self.x_grid[-1])
         scale = 1.0 + np.abs(self.x_grid - c)
         return float(np.max(np.abs(self.mu) / scale))
 
@@ -217,20 +216,14 @@ def _mu_core(d, field, b_rows, sigma_sq):
     return mu
 
 
-def compute_mu(d, field, b, sigma_const=1.0):
-    """Distorted drift on the field's grid for unit (or constant) sigma."""
-    if sigma_const <= 0.0:
-        raise DomainError("compute_mu: sigma_const must be positive")
+def compute_mu(d, field, b):
+    """Distorted drift on the field's grid for unit sigma."""
     x = field.x_grid
     b_rows = np.vstack(
         [np.broadcast_to(np.asarray(b(t, x), dtype=float), x.shape) for t in field.t_grid]
     )
-    sigma_sq = np.full((field.t_grid.size, 1), float(sigma_const) ** 2)
-    mu = _mu_core(d, field, b_rows, sigma_sq)
-    return DriftField(
-        field.t_grid.copy(), x.copy(), mu,
-        provenance={"distortion": d.to_dict(), "sigma": float(sigma_const)},
-    )
+    mu = _mu_core(d, field, b_rows, np.ones((field.t_grid.size, 1)))
+    return DriftField(field.t_grid.copy(), x.copy(), mu)
 
 
 def general_sigma_mu(d, field, b, sigma, sigma_check):
@@ -274,10 +267,7 @@ def general_sigma_mu(d, field, b, sigma, sigma_check):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = drho / field.rho
         extra = extra + np.where(factor != 0.0, factor * ratio, 0.0)
-    return DriftField(
-        t_grid.copy(), x.copy(), core + extra,
-        provenance={"distortion": d.to_dict(), "sigma": "general"},
-    )
+    return DriftField(t_grid.copy(), x.copy(), core + extra)
 
 
 def smoothed_step_payload(center=0.2, width=0.25):
@@ -337,17 +327,9 @@ class PDESolution:
         object.__setattr__(self, "u", proj)
 
     def u_at(self, s, x):
-        sg = self.s_grid
-        if not (sg[0] - 1e-12 <= s <= sg[-1] + 1e-12):
-            raise DomainError(f"PDESolution: s={s} outside [{sg[0]}, {sg[-1]}]")
-        k = int(np.clip(np.searchsorted(sg, s) - 1, 0, sg.size - 2))
-        w = np.clip((s - sg[k]) / (sg[k + 1] - sg[k]), 0.0, 1.0)
-        row = (1.0 - w) * self.u[k] + w * self.u[k + 1]
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(xs < self.x_grid[0] - 1e-12) or np.any(xs > self.x_grid[-1] + 1e-12):
-            raise DomainError("PDESolution: x outside the grid")
-        out = np.interp(xs, self.x_grid, row)
-        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        """u(s, x), blended linearly in s and interpolated in x; DomainError
+        for s or x outside the grids."""
+        return bounded_read(self.x_grid, bounded_rows(self.s_grid, s, self.u)[0], x)
 
 
 def _payload_on_grid(g, x):
@@ -369,32 +351,27 @@ def _velocity_from(mu, x_grid):
     raise DomainError("mu must be a DriftField or a callable (t, x) -> drift")
 
 
-def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400, s_grid=None,
-                        sigma_const=1.0, rannacher=2):
-    """Backward CN sweep of d_s u + 1/2 sigma^2 d_xx u + mu d_x u = 0.
+def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
+    """Backward CN sweep of d_s u + 1/2 d_xx u + mu d_x u = 0 on n_steps
+    equal steps from t_end back to s_min.
 
-    Marches the time-reversed equation with reflecting boundaries; slices
-    are clipped to the payload range and projected monotone, with both
-    magnitudes recorded on the solution.  A visible payload gradient at the
-    spatial boundary means the domain cut off transported mass, reported as
-    an accuracy error."""
+    Marches the time-reversed equation with reflecting boundaries and two
+    Rannacher start steps; slices are clipped to the payload range and
+    projected monotone, with both magnitudes recorded on the solution.  A
+    visible payload gradient at the spatial boundary means the domain cut
+    off transported mass, reported as an accuracy error."""
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
-    if s_grid is None:
-        if not (0.0 <= s_min < t_end):
-            raise DomainError("solve_distorted_pde: need 0 <= s_min < t_end")
-        s_grid = np.linspace(s_min, t_end, n_steps + 1)
-    else:
-        s_grid = np.asarray(s_grid, dtype=float)
-        if abs(s_grid[-1] - t_end) > 1e-12 or np.any(np.diff(s_grid) <= 0.0):
-            raise DomainError("solve_distorted_pde: s_grid must increase up to t_end")
+    if not (0.0 <= s_min < t_end):
+        raise DomainError("solve_distorted_pde: need 0 <= s_min < t_end")
+    s_grid = np.linspace(s_min, t_end, n_steps + 1)
     g_vals = _payload_on_grid(g, x)
     vel = _velocity_from(mu, x)
     tau = t_end - s_grid[::-1]
 
     u_tau = march(
-        g_vals, x, tau, 0.5 * sigma_const**2, lambda tm: vel(t_end - tm),
-        bc="neumann", theta=0.5, rannacher=rannacher, keep_all=True,
+        g_vals, x, tau, 0.5, lambda tm: vel(t_end - tm),
+        bc="neumann", theta=0.5, rannacher=2, keep_all=True,
     )
     u = u_tau[::-1]
     dx = x[1] - x[0]
@@ -429,8 +406,8 @@ class QSimResult:
 
 
 def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
-                        y_grid=None, sigma_const=1.0):
-    """Euler scheme for the distorted dynamics from (s, x) to time t.
+                        y_grid=None):
+    """Euler scheme for the distorted dynamics (unit sigma) from (s, x) to time t.
 
     Drift queries outside the field hold the nearest value and are counted.
     Returns mean and batch-means standard error of g at the terminal time
@@ -462,8 +439,7 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
     terminal = []
     means = []
     for _, size, rng in batch_generators(seed, paths):
-        noise = np.multiply(sigma_const * sqdt, rng.standard_normal((size, steps)).T,
-                            order="C")
+        noise = np.multiply(sqdt, rng.standard_normal((size, steps)).T, order="C")
         cur = np.full(size, float(x))
         for k in range(steps):
             step = look(k, cur) * dt
@@ -492,6 +468,26 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
         mean=mean, std_error=se, paths=paths, seed=seed,
         survival_y=y_grid, survival=surv, extrapolations=n_extrap,
     )
+
+
+def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
+    """The value PDE solution sol against Euler Monte Carlo of the dynamics
+    with drift mu: at each probe (s, x), the gap between u(s, x) and the
+    mean of g(X_t_end) against 3 SE + 1e-3.
+
+    Returns the table (columns s, x, pde, mc, se, gap) and the worst excess
+    of a gap over its allowance.  Positive means rejected."""
+    cols = {k: [] for k in ("s", "x", "pde", "mc", "se", "gap")}
+    worst = -float("inf")
+    for s, x in probes:
+        s, x = float(s), float(x)
+        res = simulate_q_dynamics(mu, s, x, t_end, paths=paths, steps=steps, seed=seed, g=g)
+        u_val = sol.u_at(s, x)
+        gap = abs(u_val - res.mean)
+        worst = max(worst, gap - (3.0 * res.std_error + 1e-3))
+        for col, v in zip(cols.values(), (s, x, u_val, res.mean, res.std_error, gap)):
+            col.append(v)
+    return cols, worst
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +590,33 @@ def _field_equals_drift(mu_field, drift):
     return True
 
 
+def _trimmed_pde_field(spec, s, t, nx, half):
+    """Survival-PDE field of spec on [s, t], trimmed to usable density, and
+    the x grid it was solved on (nx points within 8 sqrt(T) of x0).
+
+    A survival field carried in floats saturates at G = 1 near seven
+    standard deviations, where the density read off the grid collapses to
+    exact zeros.  The field keeps the times from s on (to 1e-12) and the x
+    within min(half, 7 sqrt(s)) of x0, stopping short of the first x on
+    either side of x0 whose density is exactly 0 at a kept time; callers
+    extend the drift past the trimmed edges."""
+    wide_half = 8.0 * math.sqrt(spec.T)
+    wide = np.linspace(spec.x0 - wide_half, spec.x0 + wide_half, nx)
+    full = solve_survival_pde(spec, np.linspace(1e-3, t, 801), wide)
+    keep_t = full.t_grid >= s - 1e-12
+    keep_x = np.abs(wide - spec.x0) <= min(half, 7.0 * math.sqrt(s)) + 1e-12
+    zero = np.flatnonzero((full.rho == 0.0)[keep_t].any(axis=0))
+    k0 = int(np.argmin(np.abs(wide - spec.x0)))
+    keep_x[: np.max(zero[zero < k0], initial=-1) + 1] = False
+    keep_x[np.min(zero[zero > k0], initial=wide.size):] = False
+    cells = np.ix_(keep_t, keep_x)
+    field = DensityField(full.t_grid[keep_t], wide[keep_x], full.rho[cells],
+                         full.G[cells], G_comp=full.G_comp[cells])
+    return field, wide
+
+
 def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
-                    mu=None, s_min=None, n_steps=800, n_march=1601, n_y=161,
-                    y_width=3.9):
+                    mu=None, s_min=None, n_steps=800, n_march=1601, n_y=161):
     """Assemble Phi(s, t, x; .) by pairing conditional survival curves.
 
     The undistorted curve Gp comes from the Gaussian closed form when the
@@ -605,11 +625,13 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
     Gq solves the backward value PDE for a sweep of smoothed indicator
     payloads read at x; by discrete duality all of them come from one
     adjoint (Kolmogorov forward) march of the probe at x, paired with each
-    payload.  The smoothing bias is then removed.
+    payload.  The smoothing bias is then removed.  The y probes span 3.9
+    sqrt(t - s) on either side of the drifted center.
     The drift of the distorted dynamics is taken from mu when given (field
-    or callable), else computed from the supplied or internally built
-    density field.  The inverse of Gp is taken by bisection to 1e-12, ties
-    toward the smaller y."""
+    or callable), else computed from the supplied density field, or from a
+    Gaussian field for constant drift, or from the trimmed survival-PDE
+    field (_trimmed_pde_field).  The inverse of Gp is taken by bisection to
+    1e-12, ties toward the smaller y."""
     if s <= 0.0:
         raise DomainError(
             "build_phi_curve: s = 0 is rejected; the time-zero law is a point "
@@ -637,13 +659,13 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
     else:
         b_sx = float(np.asarray(spec.drift(s, np.asarray([x], dtype=float)))[0])
     center = x + b_sx * gap
-    y_grid = np.linspace(center - y_width * sq_gap, center + y_width * sq_gap, n_y)
+    y_grid = np.linspace(center - _Y_WIDTH * sq_gap, center + _Y_WIDTH * sq_gap, n_y)
 
     # undistorted conditional survival at the y probes
     if drift_const is not None:
         surv_p = normal.sf((y_grid - center) / sq_gap)
     else:
-        half_c = (y_width + 5.0) * sq_gap
+        half_c = (_Y_WIDTH + 5.0) * sq_gap
         xg_c = np.linspace(x - half_c, x + half_c, max(n_march, 2401))
         tg_c = np.linspace(s, t, 401)
         cond = solve_survival_pde(spec, tg_c, xg_c, initial=(x + b_sx * 1e-4, 1e-4))
@@ -651,8 +673,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
 
     # march domain for the distorted survival sweep, centered on the anchor
     # so the evaluation point is an exact node
-    half_m = (y_width + 5.6) * sq_gap + abs(center - x)
-    c_m = x
+    half_m = (_Y_WIDTH + 5.6) * sq_gap + abs(center - x)
     pde_x = x + np.linspace(-half_m, half_m, n_march)
     dx = pde_x[1] - pde_x[0]
 
@@ -660,32 +681,16 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
     if mu is None:
         if field is None:
             if drift_const is not None:
-                half_f = min(half_m + abs(c_m - spec.x0), _Z_USABLE * math.sqrt(s))
+                half_f = min(half_m + abs(x - spec.x0), _Z_USABLE * math.sqrt(s))
                 nf = max(801, int(2.0 * half_f / dx) | 1)
                 xg_f = np.linspace(spec.x0 - half_f, spec.x0 + half_f, nf)
                 field = gaussian_field(spec.x0, _sqrt_graded(s, t, 200), xg_f,
                                        drift=b_sx)
                 mu_src = "gaussian-field"
             else:
-                # a survival field carried in floats saturates at G = 1 near
-                # seven standard deviations, where the density read off the
-                # grid collapses to exact zeros; trim the drift field there
-                # and let the march extend it by the edge slope
-                wide_half = 8.0 * math.sqrt(spec.T)
-                wide = np.linspace(
-                    spec.x0 - wide_half, spec.x0 + wide_half, max(n_march, 1601)
-                )
-                full = solve_survival_pde(spec, np.linspace(1e-3, t, 801), wide)
-                half_f = min(half_m + abs(c_m - spec.x0), 7.0 * math.sqrt(s))
-                keep_t = full.t_grid >= s - 1e-12
-                keep_x = np.abs(wide - spec.x0) <= half_f + 1e-12
-                field = DensityField(
-                    full.t_grid[keep_t],
-                    wide[keep_x],
-                    full.rho[np.ix_(keep_t, keep_x)],
-                    full.G[np.ix_(keep_t, keep_x)],
-                    G_comp=full.G_comp[np.ix_(keep_t, keep_x)],
-                )
+                # the march extends the trimmed drift by the edge slope
+                field, _ = _trimmed_pde_field(spec, s, t, max(n_march, 1601),
+                                              half_m + abs(x - spec.x0))
                 mu_src = "pde-field"
         else:
             mu_src = "given-field"
@@ -924,24 +929,15 @@ class ConvergenceReport:
 def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None, strict=True):
     """Backward-induction values on refining lattices against a PDE reference.
 
-    Each N gets its own survival weights and distorted transitions; the
-    value is read at (eval_t, eval_x), interpolated across the level when
-    the state is off-lattice.  Lattices whose transitions violate the
+    The reference is u_ref, or when None the value PDE at (eval_t, eval_x)
+    with the drift computed on the trimmed survival-PDE field
+    (_trimmed_pde_field) from eval_t on.  Each N gets its own survival
+    weights and distorted transitions; the value is read at (eval_t,
+    eval_x), interpolated across the level when the state is off-lattice.  Lattices whose transitions violate the
     interleaving condition are skipped and reported.  The slope is the
     least-squares fit of log error against log N."""
     if u_ref is None:
-        half = 8.0 * math.sqrt(spec.T)
-        xg = np.linspace(spec.x0 - half, spec.x0 + half, 1601)
-        pde_field = solve_survival_pde(spec, np.linspace(1e-3, spec.T, 801), xg)
-        keep_t = pde_field.t_grid >= eval_t - 1e-9
-        keep_x = np.abs(xg - spec.x0) <= 7.0 * math.sqrt(eval_t) + 1e-12
-        trimmed = DensityField(
-            pde_field.t_grid[keep_t],
-            xg[keep_x],
-            pde_field.rho[np.ix_(keep_t, keep_x)],
-            pde_field.G[np.ix_(keep_t, keep_x)],
-            G_comp=pde_field.G_comp[np.ix_(keep_t, keep_x)],
-        )
+        trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)
         mu = compute_mu(d, trimmed, spec.drift)
         sol = solve_distorted_pde(mu, g, eval_t, spec.T, xg, n_steps=800)
         u_ref = sol.u_at(eval_t, eval_x)

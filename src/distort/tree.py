@@ -423,27 +423,29 @@ def static_distorted_value(tree, d, terminal_values):
     return float(g @ (w_hi - w_lo))
 
 
-def crossing_tree_residual(p1, p2, d1, d2, t1=1.0, t2=2.0):
-    """Consistency residual of the two-period tree with crossing middle edges.
+def crossing_tree_residual(p1, p2, d1, d2):
+    """Consistency residual of the two-period tree with crossing middle edges,
+    periods at t = 1 (schedule d1) and t = 2 (schedule d2).
 
     Zero is necessary for a time-consistent node distortion to exist on that
     (non-recombining) geometry; the square distortion at p1 = p2 = 1/2 gives
     -1/8, the identity gives 0 for every (p1, p2)."""
     if not (0.0 < p1 < 1.0 and 0.0 < p2 < 1.0):
         raise DomainError("crossing_tree_residual: probabilities must lie in (0, 1)")
-    a = d2.eval(t2, (1.0 + p2) / 2.0)
-    b = d2.eval(t2, (1.0 - p1 + p2) / 2.0)
-    c = d2.eval(t2, (1.0 - p1) / 2.0)
-    return float(d1.eval(t1, 0.5) - (a - b + c))
+    a = d2.eval(2.0, (1.0 + p2) / 2.0)
+    b = d2.eval(2.0, (1.0 - p1 + p2) / 2.0)
+    c = d2.eval(2.0, (1.0 - p1) / 2.0)
+    return float(d1.eval(1.0, 0.5) - (a - b + c))
 
 
 # ---------------------------------------------------------------------------
 # generators for randomized suites
 
-def random_tree(rng, n_periods, p_range=(0.2, 0.8), dt=1.0, step=1.0):
-    """Symmetric lattice states with independently drawn up-probabilities."""
-    times = np.arange(n_periods + 1, dtype=float) * dt
-    states = [np.array([(2 * j - i) * step for j in range(i + 1)]) for i in range(n_periods + 1)]
+def random_tree(rng, n_periods, p_range=(0.2, 0.8)):
+    """Symmetric lattice states 2j - i at times 0, 1, ..., n_periods, with
+    independently drawn up-probabilities."""
+    times = np.arange(n_periods + 1, dtype=float)
+    states = [np.arange(-i, i + 1, 2, dtype=float) for i in range(n_periods + 1)]
     up_prob = [rng.uniform(p_range[0], p_range[1], size=i + 1) for i in range(n_periods)]
     return TreeModel(times, states, up_prob)
 

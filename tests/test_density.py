@@ -15,6 +15,7 @@ from distort.density import (
     bridge_martingale_variance,
     constant_drift,
     default_grids,
+    density_cross_check,
     field_from_binary,
     field_from_csv,
     field_to_binary,
@@ -367,6 +368,17 @@ def test_bridge_guards():
     blowup = DiffusionSpec(drift=lambda t, x: np.asarray(x, float) * 1e200, x0=0.0, T=1.0)
     with pytest.raises(NumericError):
         bridge_density_mc(blowup, 1.0, 1.0, paths=100, steps=10, seed=1)
+
+
+def test_density_cross_check_rejects_a_scaled_density():
+    field = gaussian_field(0.3, np.linspace(0.1, 1.0, 37), np.linspace(-5.0, 5.0, 501), drift=0.5)
+    cols, worst = density_cross_check(0.5, 0.3, 1.0, field, 5)
+    assert worst <= 0.0
+    assert cols["t"] == [0.25] * 3 + [1.0] * 3
+    assert cols["x"][1] == 0.3 + 0.5 * 0.25 and cols["x"][4] == 0.3 + 0.5
+    scaled = DensityField(field.t_grid, field.x_grid, 1.05 * field.rho, field.G)
+    _, worst_scaled = density_cross_check(0.5, 0.3, 1.0, scaled, 5)
+    assert worst_scaled > 0.0
 
 
 def test_bridge_martingale_time_change():

@@ -25,6 +25,7 @@ from distort.dynamics import (
     general_sigma_mu,
     lamperti_transform,
     lattice_from_diffusion,
+    pde_mc_check,
     simulate_q_dynamics,
     solve_distorted_pde,
     wang_mu_closed,
@@ -36,6 +37,7 @@ from distort.dynamics import (
     _debias_smoothed,
     _smoothed_indicators,
     _sqrt_graded,
+    _trimmed_pde_field,
     _velocity_from,
 )
 from distort.errors import (
@@ -240,7 +242,7 @@ def test_grid_lookup_overflowing_slopes_fall_back_to_np_interp():
 
 def test_growth_constant_is_the_linear_gauge(wang_field):
     mu = compute_mu(Wang(0.5), wang_field, ZERO)
-    c = mu.growth_constant(x_center=0.0)
+    c = mu.growth_constant()
     assert np.isfinite(c)
     assert c == pytest.approx(0.5 / (2.0 * math.sqrt(0.1)), rel=1e-9)
 
@@ -383,6 +385,20 @@ def test_sim_matches_pde_value(value_field):
     res = simulate_q_dynamics(muf, 0.5, -0.5, 1.0, paths=40_000, steps=100,
                               seed=11, g=smoothed_step)
     assert abs(sol.u_at(0.5, -0.5) - res.mean) <= 3.0 * res.std_error + 1e-3
+
+
+def test_pde_mc_check_rejects_the_undistorted_value(value_field):
+    muf = compute_mu(Wang(0.5), value_field, ZERO)
+    probes = [(0.25, 0.0), (0.5, -0.5)]
+    sol = solve_distorted_pde(muf, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=200)
+    cols, worst = pde_mc_check(muf, sol, smoothed_step, probes, 1.0, 20_000, 50, 11)
+    assert worst <= 0.0
+    assert cols["s"] == [0.25, 0.5] and cols["x"] == [0.0, -0.5]
+    assert cols["gap"] == [abs(p - m) for p, m in zip(cols["pde"], cols["mc"])]
+    # the same Monte Carlo against the value of the base dynamics, b = 0
+    base = solve_distorted_pde(ZERO, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=200)
+    _, worst_base = pde_mc_check(muf, base, smoothed_step, probes, 1.0, 20_000, 50, 11)
+    assert worst_base > 0.0
 
 
 def test_sim_counts_extrapolated_drift_queries():
@@ -727,3 +743,35 @@ def test_convergence_internal_reference_close_to_closed_form():
     closed = wang_value_closed(0.5, smoothed_step, 0.5, 1.0, 0.0)
     assert abs(rep.reference - closed) <= 5e-4
     assert rep.errors[0] <= 5e-3
+
+
+OU = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
+
+
+def test_trimmed_field_stops_short_of_zero_density():
+    # the OU law at t = 0.5 has sd 0.56, so 7 sqrt(0.5) reaches 8.8 sd, where
+    # the survival field saturates and its density is exactly 0
+    field, wide = _trimmed_pde_field(OU, 0.5, 1.0, 1601, math.inf)
+    assert np.all(field.rho > 0.0)
+    assert field.t_grid[0] >= 0.5 - 1e-12 and field.t_grid[-1] == 1.0
+    assert field.x_grid[0] > -7.0 * math.sqrt(0.5) and field.x_grid[-1] < 7.0 * math.sqrt(0.5)
+    assert set(field.x_grid) <= set(wide) and wide.size == 1601
+    # the base case keeps its full window
+    field0, _ = _trimmed_pde_field(SPEC0, 0.5, 1.0, 1601, math.inf)
+    assert field0.x_grid[-1] == pytest.approx(7.0 * math.sqrt(0.5), abs=0.01)
+
+
+def test_convergence_internal_reference_for_ou_drift():
+    rep = convergence_study(OU, Wang(0.5), smoothed_step, [64, 256, 1024], 0.5, 0.0)
+    assert rep.skipped == []
+    assert all(a > b for a, b in zip(rep.errors, rep.errors[1:]))
+    assert -1.2 < rep.slope < -0.8
+    # closed form: under Wang(alpha) the OU drift gains alpha / (2 sqrt(v(t))),
+    # v(t) = (1 - e^(-2t)) / 2, so X_1 from (0.5, 0) is Gaussian with mean
+    # int_0.5^1 e^(-(1 - r)) alpha / (2 sqrt(v(r))) dr and variance v(0.5)
+    r = np.linspace(0.5, 1.0, 20001)
+    v = -0.5 * np.expm1(-2.0 * r)
+    mean = np.trapezoid(np.exp(r - 1.0) * 0.25 / np.sqrt(v), r)
+    z = np.linspace(-12.0, 12.0, 4801)
+    closed = np.trapezoid(smoothed_step(mean + math.sqrt(v[0]) * z) * normal.pdf(z), z)
+    assert abs(rep.reference - closed) <= 1e-5

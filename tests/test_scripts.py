@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/, each in a fresh interpreter with
 PYTHONPATH=src, as their docstrings say to run them."""
 
+import functools
 import os
 import re
 import subprocess
@@ -19,13 +20,26 @@ SCRIPTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, row, min_rows", SCRIPTS, ids=[s[0][0] for s in SCRIPTS])
-def test_script_exits_0_with_a_table(argv, row, min_rows):
+@functools.lru_cache(maxsize=None)
+def run_script(argv):
     env = dict(os.environ, PYTHONPATH="src")
-    r = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(Path("scripts") / argv[0]), *argv[1:]],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
+
+
+@pytest.mark.parametrize("argv, row, min_rows", SCRIPTS, ids=[s[0][0] for s in SCRIPTS])
+def test_script_exits_0_with_a_table(argv, row, min_rows):
+    r = run_script(tuple(argv))
     assert r.returncode == 0, r.stderr
     rows = [line for line in r.stdout.splitlines() if re.match(row, line)]
     assert len(rows) >= min_rows, r.stdout
+
+
+def test_convergence_table_fits_no_order_to_errors_that_grow():
+    # at N = 16, 64 both Wang(0.5) errors grow with N and the Power(2) errors fall
+    out = run_script(tuple(SCRIPTS[0][0])).stdout
+    orders = re.findall(r"^  fitted order: (.*)$", out, flags=re.M)
+    assert orders[:2] == ["none, the errors do not strictly decrease with N"] * 2, out
+    assert float(orders[2]) > 0.0, out
