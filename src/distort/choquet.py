@@ -9,7 +9,7 @@ g(min) + integral of phi(G) dg, which is the better conditioned form on
 gridded survival data.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -158,57 +158,3 @@ def choquet_expectation_density(survival, g, d, t=0.0, agreement_tol=None):
             f"({by_parts} vs {density_form}, tol {tol}); refine the grid"
         )
     return by_parts
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Results of the constant / scaling / dominance checks."""
-
-    max_constant_error: float
-    max_scaling_error: float
-    dominance_ok: bool
-    details: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return self.dominance_ok and max(self.max_constant_error, self.max_scaling_error) < 1e-12
-
-
-def monotonicity_suite(d, t=0.0, constants=(), scale_cases=(), dominated_pairs=()):
-    """Check E[c] = c, E[c*xi] = c*E[xi], and xi1 <= xi2 implies E[xi1] <= E[xi2]."""
-    details = []
-    max_const = 0.0
-    for c in constants:
-        if c < 0.0:
-            raise DomainError("monotonicity_suite: constants must be nonnegative")
-        rv = DiscreteRV(np.array([float(c)]), np.array([1.0]))
-        err = abs(choquet_expectation_discrete(rv, d, t) - c)
-        max_const = max(max_const, err)
-        details.append(("constant", float(c), err))
-
-    max_scale = 0.0
-    for c, rv in scale_cases:
-        base = choquet_expectation_discrete(rv, d, t)
-        err = abs(choquet_expectation_discrete(rv.scaled(c), d, t) - c * base)
-        max_scale = max(max_scale, err)
-        details.append(("scaling", float(c), err))
-
-    dominance_ok = True
-    for lo, hi in dominated_pairs:
-        if np.any(hi.support < lo.support) or not np.array_equal(lo.probs, hi.probs):
-            raise DomainError(
-                "monotonicity_suite: dominated pair needs identical probs and "
-                "pointwise ordered support"
-            )
-        e_lo = choquet_expectation_discrete(lo, d, t)
-        e_hi = choquet_expectation_discrete(hi, d, t)
-        ok = e_lo <= e_hi + 1e-14
-        dominance_ok = dominance_ok and ok
-        details.append(("dominance", e_hi - e_lo, ok))
-
-    return MonotonicityReport(
-        max_constant_error=max_const,
-        max_scaling_error=max_scale,
-        dominance_ok=dominance_ok,
-        details=details,
-    )

@@ -271,7 +271,6 @@ def cmd_density(cfg, out_dir):
         paths = int(br.get("paths", 100_000))
         steps = int(br.get("steps", 100))
         cols = {k: [] for k in ("t", "x", "value", "std_error")}
-        routes = set()
         for t in br["t"]:
             for x in br["x"]:
                 est = bridge_density_mc(spec, float(t), float(x), paths=paths,
@@ -280,10 +279,9 @@ def cmd_density(cfg, out_dir):
                 cols["x"].append(float(x))
                 cols["value"].append(est.value)
                 cols["std_error"].append(est.std_error)
-                routes.add(est.route)
         write_csv(os.path.join(out_dir, "bridge.csv"),
                   list(cols), [cols[k] for k in cols])
-        results["bridge"] = {"paths": paths, "routes": sorted(routes)}
+        results["bridge"] = {"paths": paths}
 
     if params.get("compare", False):
         cols, worst = density_cross_check(b, x0, T, field, cfg.seed)

@@ -8,9 +8,7 @@ Three independent routes to rho(t, x) and G(t, x) = P(X_t >= x):
     no density;
   * Monte Carlo over Brownian bridges pinned at (t, x): the density equals
     the Gaussian kernel times E[exp(I)], where I integrates the drift along
-    the bridge.  When an antiderivative of b is registered the exponent is
-    integrated by parts, which removes the stochastic integral; for constant
-    drift that route is fully deterministic (zero variance).
+    the bridge.
 
 The routes share no code, so pairwise agreement is a real check.
 """
@@ -23,10 +21,9 @@ import numpy as np
 from . import normal
 from ._cn import march, uniform_spacing
 from .errors import AccuracyError, ConfigError, DomainError, NumericError
-from .report import read_csv, write_csv
+from .report import write_csv
 
 _T_INIT_MIN = 1e-3
-_RHO_FLOOR = 1e-10
 # Monte Carlo paths run in at most this many batches (the batch-means SE)
 _MAX_BATCHES = 40
 _MAGIC = b"DFLD"
@@ -115,7 +112,7 @@ class DensityField:
 
     G_comp holds 1 - G computed by whatever accurate route the producer had
     available (the complement loses all precision near G = 1 if formed by
-    subtraction, which is exactly where the tail diagnostics need it).
+    subtraction, which is exactly where the drift's ratio evaluation needs it).
     """
 
     t_grid: np.ndarray
@@ -149,19 +146,8 @@ class DensityField:
         object.__setattr__(self, "G", proj)
         object.__setattr__(self, "G_comp", comp)
 
-    def slice_at(self, t):
-        """(rho_row, G_row) at time t by linear blending of adjacent rows."""
-        return bounded_rows(self.t_grid, t, self.rho, self.G)
-
     def rho_at(self, t, x):
         return bounded_read(self.x_grid, bounded_rows(self.t_grid, t, self.rho)[0], x)
-
-    def G_at(self, t, x):
-        return bounded_read(self.x_grid, bounded_rows(self.t_grid, t, self.G)[0], x)
-
-    def mass(self):
-        """Integral of rho over x for every time slice."""
-        return np.trapezoid(self.rho, self.x_grid, axis=1)
 
 
 def gaussian_field(x0, t_grid, x_grid, drift=0.0):
@@ -235,26 +221,11 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
 # Brownian bridge Monte Carlo
 
 @dataclass(frozen=True)
-class SmoothDriftData:
-    """Antiderivative data enabling the integrated-by-parts bridge exponent.
-
-    antiderivative(t, x) = integral of b(t, y) dy from 0 to x; drift_dx is
-    the x-derivative of b; antiderivative_dt is the t-derivative of the
-    antiderivative (None for time-invariant drift).
-    """
-
-    antiderivative: object
-    drift_dx: object
-    antiderivative_dt: object = None
-
-
-@dataclass(frozen=True)
 class BridgeEstimate:
     value: float
     std_error: float
     paths: int
     seed: int
-    route: str
 
 
 def batch_generators(seed, paths):
@@ -300,13 +271,12 @@ def _sample_bridge(rng, size, steps, t, x0, x):
     return np.ascontiguousarray(path.T)
 
 
-def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0, smooth=None):
+def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0):
     """Estimate rho(t, x) as Gaussian kernel times E[exp(I)] over bridges.
 
-    I is the drift functional along the bridge: by-parts form when smooth
-    drift data is given, left-point Ito sums otherwise.  Standard error by
-    batch means over counter-keyed generators, so the estimate is identical
-    regardless of how batches would be scheduled.
+    I is the drift functional along the bridge, by left-point Ito sums.
+    Standard error by batch means over counter-keyed generators, so the
+    estimate is identical regardless of how batches would be scheduled.
     """
     if not spec.unit_sigma:
         raise DomainError("bridge_density_mc: requires sigma = 1")
@@ -321,20 +291,10 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0, smooth=None)
     means = []
     for idx, size, rng in batch_generators(seed, paths):
         path = _sample_bridge(rng, size, steps, t, x0, x)
-        left = path[:, :-1]
-        b_left = np.asarray(spec.drift(s_left, left), dtype=float)
-        if smooth is None:
-            incr = np.diff(path, axis=1)
-            with np.errstate(over="ignore", invalid="ignore"):
-                expo = np.sum(b_left * incr, axis=1) - 0.5 * dt * np.sum(b_left**2, axis=1)
-        else:
-            bbar = smooth.antiderivative
-            head = bbar(t, np.array([x]))[0] - bbar(0.0, np.array([x0]))[0]
-            core = 0.5 * np.asarray(smooth.drift_dx(s_left, left), dtype=float)
-            core = core + 0.5 * b_left**2
-            if smooth.antiderivative_dt is not None:
-                core = core + np.asarray(smooth.antiderivative_dt(s_left, left), dtype=float)
-            expo = head - dt * np.sum(core, axis=1)
+        b_left = np.asarray(spec.drift(s_left, path[:, :-1]), dtype=float)
+        incr = np.diff(path, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expo = np.sum(b_left * incr, axis=1) - 0.5 * dt * np.sum(b_left**2, axis=1)
         if not np.all(np.isfinite(expo)):
             raise NumericError(
                 f"bridge_density_mc: non-finite exponent in batch {idx} "
@@ -347,8 +307,7 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0, smooth=None)
         se = float(kernel * np.std(means, ddof=1) / np.sqrt(len(means)))
     else:
         se = float("nan")
-    route = "direct" if smooth is None else "by-parts"
-    return BridgeEstimate(value=est, std_error=se, paths=paths, seed=seed, route=route)
+    return BridgeEstimate(value=est, std_error=se, paths=paths, seed=seed)
 
 
 def density_cross_check(b, x0, T, field, seed):
@@ -384,74 +343,6 @@ def density_cross_check(b, x0, T, field, seed):
     return cols, worst
 
 
-def bridge_martingale_variance(t, s_values, paths=20_000, steps=400, seed=0):
-    """Empirical variances of the bridge martingale M_s = int dB_r / (t - r).
-
-    Increments are independent Gaussians with exact variances
-    1/(t - s_next) - 1/(t - s_prev), so this checks the time-change claim
-    Var M_s = s / (t (t - s)) without any quadrature error.
-    """
-    s_values = np.asarray(s_values, dtype=float)
-    if np.any((s_values <= 0.0) | (s_values >= t)):
-        raise DomainError("bridge_martingale_variance: need 0 < s < t")
-    s_grid = np.unique(np.concatenate([np.linspace(0.0, s_values.max(), steps), s_values]))
-    var_inc = 1.0 / (t - s_grid[1:]) - 1.0 / (t - s_grid[:-1])
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    z = rng.standard_normal((paths, var_inc.size))
-    m = np.cumsum(np.sqrt(var_inc) * z, axis=1)
-    out = []
-    for s in s_values:
-        k = int(np.searchsorted(s_grid, s)) - 1
-        out.append(float(np.var(m[:, k], ddof=1)))
-    return np.asarray(out)
-
-
-# ---------------------------------------------------------------------------
-# tail diagnostics
-
-@dataclass(frozen=True)
-class TailDiagnostics:
-    max_grad_log_rho: float
-    ratio_min: float
-    ratio_max: float
-    scaled_floor: float
-    cells_used: int
-    cells_skipped: int
-
-
-def tail_ratio_diagnostics(field, t0):
-    """Grid evidence for the tail regularity of the field at times >= t0.
-
-    Reports max |d_x rho| / rho and the range of r = G (1-G) / rho over
-    cells with rho above a floor, together with min of r * (1 + |x - c|),
-    c the middle grid point (the quantity the theory keeps bounded away
-    from zero).
-    """
-    t = field.t_grid
-    if not (t[0] - 1e-12 <= t0 <= t[-1] + 1e-12):
-        raise DomainError("tail_ratio_diagnostics: t0 outside the field's time grid")
-    c = field.x_grid[len(field.x_grid) // 2]
-    sel = t >= t0 - 1e-12
-    rho = field.rho[sel]
-    G = field.G[sel]
-    comp = field.G_comp[sel]
-    drho = np.gradient(rho, field.x_grid, axis=1)
-    keep = rho >= _RHO_FLOOR
-    if not np.any(keep):
-        raise DomainError("tail_ratio_diagnostics: no cells above the density floor")
-    grad = float(np.max(np.abs(drho[keep]) / rho[keep]))
-    ratio = G[keep] * comp[keep] / rho[keep]
-    scale = 1.0 + np.abs(np.broadcast_to(field.x_grid, rho.shape)[keep] - c)
-    return TailDiagnostics(
-        max_grad_log_rho=grad,
-        ratio_min=float(ratio.min()),
-        ratio_max=float(ratio.max()),
-        scaled_floor=float((ratio * scale).min()),
-        cells_used=int(keep.sum()),
-        cells_skipped=int(keep.size - keep.sum()),
-    )
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -460,19 +351,6 @@ def field_to_csv(field, path):
     tt = np.repeat(field.t_grid, nx)
     xx = np.tile(field.x_grid, nt)
     write_csv(path, ["t", "x", "rho", "G"], [tt, xx, field.rho.ravel(), field.G.ravel()])
-
-
-def field_from_csv(path):
-    header, cols = read_csv(path)
-    if header != ["t", "x", "rho", "G"]:
-        raise ConfigError(f"field_from_csv: unexpected header {header}")
-    tt, xx, rho, G = cols
-    t_grid = np.unique(tt)
-    x_grid = np.unique(xx)
-    nt, nx = t_grid.size, x_grid.size
-    if nt * nx != rho.size:
-        raise ConfigError("field_from_csv: grid is not rectangular")
-    return DensityField(t_grid, x_grid, rho.reshape(nt, nx), G.reshape(nt, nx))
 
 
 def field_to_binary(field, path):

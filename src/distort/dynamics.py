@@ -52,6 +52,8 @@ _DENOM_FLOOR = 1e-300
 _Z_USABLE = 34.0
 # half-width of the y probes of build_phi_curve, in sqrt(t - s)
 _Y_WIDTH = 3.9
+# lamperti_transform rejects sigma below this on its probe grid
+_SIGMA_FLOOR = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +148,9 @@ class DriftField:
         return blend_rows(self.t_grid, t, self.mu)[0]
 
     def table(self, times):
-        """look(k, xs): the drift at (times[k], xs), equal to
-        mu_at(times[k], xs, "hold") bit for bit and counted the same way,
-        from rows and slopes built once."""
+        """look(k, xs): the drift at (times[k], xs), with xs clipped to the
+        grid and read as np.interp would bit for bit, every clipped query
+        counted, from rows and slopes built once."""
         rows = np.array([self.row_at(t) for t in times])
         slopes = self._lookup.slopes(rows)
 
@@ -159,16 +161,14 @@ class DriftField:
 
         return look
 
-    def mu_at(self, t, x, extrapolate="slope"):
+    def mu_at(self, t, x):
         """Bilinear evaluation; x outside the grid extends by the edge slope
-        or holds the edge value, counted either way."""
-        if extrapolate not in ("slope", "hold"):
-            raise DomainError(f"DriftField: unknown extrapolation {extrapolate!r}")
+        and is counted."""
         row, xg = self.row_at(t), self.x_grid
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out, n_out = self._lookup(xs, row, None)
         self.extrapolations += n_out
-        if n_out and extrapolate == "slope":
+        if n_out:
             lo_slope = (row[1] - row[0]) / (xg[1] - xg[0])
             hi_slope = (row[-1] - row[-2]) / (xg[-1] - xg[-2])
             out = np.where(xs < xg[0], row[0] + lo_slope * (xs - xg[0]), out)
@@ -343,7 +343,7 @@ def _payload_on_grid(g, x):
 
 def _velocity_from(mu, x_grid):
     if isinstance(mu, DriftField):
-        return lambda tm: mu.mu_at(tm, x_grid, extrapolate="slope")
+        return lambda tm: mu.mu_at(tm, x_grid)
     if callable(mu):
         return lambda tm: np.broadcast_to(
             np.asarray(mu(tm, x_grid), dtype=float), x_grid.shape
@@ -417,8 +417,9 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
     drift rows at the step times and their slopes, 16 * steps * nx bytes
     (2.6 MB for 100 steps on 1601 nodes).  The paths run in batches from
     density.batch_generators; each batch's normals are transposed once, so
-    step k reads one contiguous row.  Results equal the per-step
-    mu_at(.., "hold") loop bit for bit."""
+    step k reads one contiguous row.  Results equal a per-step loop that
+    clips the paths to the grid and reads the blended row by np.interp, bit
+    for bit."""
     if not (isinstance(mu, DriftField) or callable(mu)):
         raise DomainError("simulate_q_dynamics: mu must be a DriftField or callable")
     if not (s < t):
@@ -476,7 +477,12 @@ def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
     mean of g(X_t_end) against 3 SE + 1e-3.
 
     Returns the table (columns s, x, pde, mc, se, gap) and the worst excess
-    of a gap over its allowance.  Positive means rejected."""
+    of a gap over its allowance.  Positive means rejected.  The standard
+    error comes from batch means, so paths must be at least 2."""
+    if paths < 2:
+        raise DomainError(
+            f"pde_mc_check: paths={paths} gives no standard error; need paths >= 2"
+        )
     cols = {k: [] for k in ("s", "x", "pde", "mc", "se", "gap")}
     worst = -float("inf")
     for s, x in probes:
@@ -615,8 +621,8 @@ def _trimmed_pde_field(spec, s, t, nx, half):
     return field, wide
 
 
-def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
-                    mu=None, s_min=None, n_steps=800, n_march=1601, n_y=161):
+def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
+                    s_min=None, n_steps=800, n_march=1601, n_y=161):
     """Assemble Phi(s, t, x; .) by pairing conditional survival curves.
 
     The undistorted curve Gp comes from the Gaussian closed form when the
@@ -628,10 +634,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
     payload.  The smoothing bias is then removed.  The y probes span 3.9
     sqrt(t - s) on either side of the drifted center.
     The drift of the distorted dynamics is taken from mu when given (field
-    or callable), else computed from the supplied density field, or from a
-    Gaussian field for constant drift, or from the trimmed survival-PDE
-    field (_trimmed_pde_field).  The inverse of Gp is taken by bisection to
-    1e-12, ties toward the smaller y."""
+    or callable), else computed from a Gaussian field for constant drift, or
+    from the trimmed survival-PDE field (_trimmed_pde_field).  The inverse
+    of Gp is taken by bisection to 1e-12, ties toward the smaller y."""
     if s <= 0.0:
         raise DomainError(
             "build_phi_curve: s = 0 is rejected; the time-zero law is a point "
@@ -679,21 +684,17 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, field=None,
 
     mu_src = "given"
     if mu is None:
-        if field is None:
-            if drift_const is not None:
-                half_f = min(half_m + abs(x - spec.x0), _Z_USABLE * math.sqrt(s))
-                nf = max(801, int(2.0 * half_f / dx) | 1)
-                xg_f = np.linspace(spec.x0 - half_f, spec.x0 + half_f, nf)
-                field = gaussian_field(spec.x0, _sqrt_graded(s, t, 200), xg_f,
-                                       drift=b_sx)
-                mu_src = "gaussian-field"
-            else:
-                # the march extends the trimmed drift by the edge slope
-                field, _ = _trimmed_pde_field(spec, s, t, max(n_march, 1601),
-                                              half_m + abs(x - spec.x0))
-                mu_src = "pde-field"
+        if drift_const is not None:
+            half_f = min(half_m + abs(x - spec.x0), _Z_USABLE * math.sqrt(s))
+            nf = max(801, int(2.0 * half_f / dx) | 1)
+            xg_f = np.linspace(spec.x0 - half_f, spec.x0 + half_f, nf)
+            field = gaussian_field(spec.x0, _sqrt_graded(s, t, 200), xg_f, drift=b_sx)
+            mu_src = "gaussian-field"
         else:
-            mu_src = "given-field"
+            # the march extends the trimmed drift by the edge slope
+            field, _ = _trimmed_pde_field(spec, s, t, max(n_march, 1601),
+                                          half_m + abs(x - spec.x0))
+            mu_src = "pde-field"
         mu = compute_mu(d, field, spec.drift)
 
     # when the computed drift equals the base drift bit for bit (identity
@@ -797,12 +798,14 @@ class LampertiResult:
     psi_inv: object
 
 
-def lamperti_transform(spec, c0=1e-8, sigma_time_invariant=True):
+def lamperti_transform(spec):
     """Reduce dX = b dt + sigma dB to unit diffusion by the space change
     psi(t, x) = integral_0^x dy / sigma(t, y).
 
     Returns the transformed spec and both coordinate maps; the transformed
-    drift is bhat = [dt_psi + b/sigma - 1/2 dx_sigma] at psi_inv.  The
+    drift is bhat = [dt_psi + b/sigma - 1/2 dx_sigma] at psi_inv, with the
+    derivatives taken by central differences of step 1e-6 (dt_psi forward
+    below t = 1e-6, so sigma is never read at a negative time).  The
     survival identities G(t, x) = Ghat(t, psi(t, x)) and rho(t, x) =
     rhohat(t, psi(t, x)) / sigma(t, x) pull densities back to the original
     coordinates."""
@@ -813,9 +816,9 @@ def lamperti_transform(spec, c0=1e-8, sigma_time_invariant=True):
     span = 8.0 * math.sqrt(spec.T)
     probes = np.linspace(spec.x0 - span, spec.x0 + span, 81)
     vals = np.asarray(sigma(0.0, probes), dtype=float)
-    if np.any(vals < c0):
+    if np.any(vals < _SIGMA_FLOOR):
         raise DomainError(
-            f"lamperti_transform: sigma drops below {c0} on the probe grid; "
+            f"lamperti_transform: sigma drops below {_SIGMA_FLOOR} on the probe grid; "
             "the space change is not invertible there"
         )
 
@@ -865,12 +868,11 @@ def lamperti_transform(spec, c0=1e-8, sigma_time_invariant=True):
         ds_dx = np.array(
             [(sig_scalar(t, v + h) - sig_scalar(t, v - h)) / (2.0 * h) for v in xs]
         )
-        out = b_val / s_val - 0.5 * ds_dx
-        if not sigma_time_invariant:
-            dpsi_dt = np.array(
-                [(psi_scalar(t + h, v) - psi_scalar(t - h, v)) / (2.0 * h) for v in xs]
-            )
-            out = out + dpsi_dt
+        t_lo = t - h if t >= h else t
+        dpsi_dt = np.array(
+            [(psi_scalar(t + h, v) - psi_scalar(t_lo, v)) / (t + h - t_lo) for v in xs]
+        )
+        out = b_val / s_val - 0.5 * ds_dx + dpsi_dt
         return float(out[0]) if np.isscalar(zq) or np.asarray(zq).ndim == 0 else out
 
     spec_hat = DiffusionSpec(drift=b_hat, x0=float(psi(0.0, spec.x0)), T=spec.T)
@@ -885,7 +887,7 @@ def lattice_from_diffusion(spec, N):
     states x0 + (2j - i) sqrt(h), up-probability 1/2 + 1/2 b sqrt(h).
 
     The one-step mean is b h exactly and the raw second moment is h, so the
-    variance is h - (b h)^2; both identities are asserted at construction."""
+    variance is h - (b h)^2."""
     if not spec.unit_sigma:
         raise DomainError("lattice_from_diffusion: requires unit sigma")
     if N < 1:
@@ -907,12 +909,6 @@ def lattice_from_diffusion(spec, N):
                 f"lattice_from_diffusion: |b| sqrt(h) >= 1 at level {i}; "
                 f"this drift needs N > {n_min}"
             )
-        mean_inc = (2.0 * p - 1.0) * sq
-        var_inc = h - mean_inc**2
-        if np.max(np.abs(mean_inc - b_row * h)) > 1e-12 * max(1.0, sq):
-            raise NumericError("lattice_from_diffusion: mean increment mismatch")
-        if np.max(np.abs(var_inc - (h - (b_row * h) ** 2))) > 1e-12 * max(1.0, h):
-            raise NumericError("lattice_from_diffusion: variance mismatch")
         up_prob.append(np.asarray(p, dtype=float))
     return TreeModel(times, states, up_prob)
 

@@ -82,14 +82,3 @@ def write_csv(path, header, columns):
         for row in zip(*cols):
             w.writerow([f"{v:.17g}" for v in row])
 
-
-def read_csv(path):
-    """Read a numeric CSV written by write_csv: returns (header, columns)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        rows = [[float(v) for v in row] for row in r if row]
-    if not rows:
-        return header, [np.array([]) for _ in header]
-    arr = np.asarray(rows, dtype=float)
-    return header, [arr[:, k] for k in range(arr.shape[1])]

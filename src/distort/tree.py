@@ -24,9 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .choquet import DiscreteRV
 from .errors import ConsistencyError, DomainError
-from .report import canonical_json
 
 # occupation masses below this underflow double precision so badly that the
 # distorted-transition quotient becomes 0/0; such edges fall back to the
@@ -103,20 +101,9 @@ class TreeModel:
             raise DomainError(f"TreeModel: missing key {exc}") from exc
 
 
-def save_tree(tree, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(tree.to_dict()))
-        fh.write("\n")
-
-
 def load_tree(path):
     with open(path, encoding="utf-8") as fh:
         return TreeModel.from_dict(json.load(fh))
-
-
-def occupation_probabilities(tree):
-    """Node occupation masses under the base measure, level by level."""
-    return [np.array([1.0]), *_forward_laws(tree.up_prob, 0, 0, tree.n_periods)]
 
 
 def survival_probabilities(tree):
@@ -458,11 +445,3 @@ def random_monotone_payoff(rng, n_states, scale=1.0):
     if top <= 0.0:
         return np.zeros(n_states)
     return scale * g / top
-
-
-def terminal_law(tree, terminal_values=None):
-    """The level-N law as a DiscreteRV (of the payoff if given, else the state)."""
-    w = _last_law(tree.up_prob, 0, 0, tree.n_periods)
-    x = tree.states[-1] if terminal_values is None else np.asarray(terminal_values, float)
-    keep = w > 0.0
-    return DiscreteRV(x[keep], w[keep] / w[keep].sum())

@@ -2,8 +2,10 @@
 
 The mpmath oracles use the erfc route so they keep full relative precision
 arbitrarily deep in the tails, independently of the scipy implementations
-used inside the package.
+used inside the package.  read_csv reads back the CSVs the package writes.
 """
+
+import csv
 
 import mpmath as mp
 import numpy as np
@@ -66,3 +68,15 @@ def mp_phi(d, p):
     if family == "wang":
         return mp_wang(spec["alpha"], p)
     raise ValueError(f"no oracle for family {family!r}")
+
+
+def read_csv(path):
+    """Read a numeric CSV written by report.write_csv: returns (header, columns)."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        r = csv.reader(fh)
+        header = next(r)
+        rows = [[float(v) for v in row] for row in r if row]
+    if not rows:
+        return header, [np.array([]) for _ in header]
+    arr = np.asarray(rows, dtype=float)
+    return header, [arr[:, k] for k in range(arr.shape[1])]

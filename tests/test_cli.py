@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from distort.config import validate_params
-from distort.report import read_csv
+
+from conftest import read_csv
 
 
 def run_cli(*args, env_extra=None):
@@ -134,6 +135,27 @@ def test_dynamics_seed_controls_mc(tmp_path):
         outs.append((out / "mc_vs_pde.csv").read_bytes())
     assert outs[0] == outs[1]
     assert outs[0] != outs[2]
+
+
+def test_dynamics_mc_with_one_path_exits_2(tmp_path):
+    # one path gives one batch and no standard error; the check must say so
+    # instead of failing later on a non-finite report value
+    cfg = {
+        "schema_version": 1,
+        "distortion": {"family": "wang", "alpha": 0.5},
+        "model": {"b": 0.0, "x0": 0.0, "T": 1.0},
+        "mu_grid": {"t_min": 0.2, "t_max": 1.0, "nt": 9, "x_half": 6.0, "nx": 241},
+        "value": {"s_min": 0.25},
+        "mc": {"paths": 1, "steps": 20, "probes": [[0.5, 0.0]]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("dynamics", "--config", str(path), "--out", str(out))
+    assert r.returncode == 2
+    assert "paths" in r.stderr
+    assert "non-finite" not in r.stderr
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_key_in_config_exits_2(tmp_path):

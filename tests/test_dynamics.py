@@ -130,10 +130,8 @@ def test_drift_field_interpolation_and_extension():
     assert f.mu_at(0.5, 1.0) == pytest.approx(1.5)
     assert f.mu_at(0.0, 3.0) == pytest.approx(3.0)  # edge slope continues
     assert f.extrapolations == 1
-    assert f.mu_at(0.0, 3.0, extrapolate="hold") == pytest.approx(2.0)
+    assert f.table([0.0])(0, np.array([3.0]))[0] == pytest.approx(2.0)  # table holds
     assert f.extrapolations == 2
-    with pytest.raises(DomainError):
-        f.mu_at(0.0, 3.0, extrapolate="nearest_cell")
 
 
 def _interp_row(f, t):
@@ -148,7 +146,8 @@ def _interp_row(f, t):
 
 
 def _interp_mu_at(f, t, xs, extrapolate):
-    """mu_at by np.interp: (values, queries below the grid, above it)."""
+    """mu_at ("slope") or table() ("hold") by np.interp: (values, queries
+    below the grid, above it)."""
     row, xg = _interp_row(f, t), f.x_grid
     out = np.interp(xs, xg, row)
     below, above = xs < xg[0], xs > xg[-1]
@@ -198,6 +197,13 @@ def test_grid_lookup_equals_np_interp(name):
 @pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
 @pytest.mark.parametrize("extrapolate", ["hold", "slope"])
 def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
+    """mu_at extends by the edge slope; table() holds the edge value."""
+
+    def read(t, xs):
+        if extrapolate == "slope":
+            return f.mu_at(t, xs)
+        return f.table([t])(0, np.atleast_1d(xs))
+
     rng = np.random.default_rng(7)
     xg = LOOKUP_GRIDS[name]
     f = DriftField(np.array([0.1, 0.4, 1.0]), xg, rng.normal(size=(3, xg.size)))
@@ -206,9 +212,9 @@ def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
     for t in (0.0, 0.1, 0.25, 0.4, 0.7, 1.0, 2.0):
         before = f.extrapolations
         ref, below, above = _interp_mu_at(f, t, xs, extrapolate)
-        assert np.array_equal(f.mu_at(t, xs, extrapolate=extrapolate), ref)
+        assert np.array_equal(read(t, xs), ref)
         assert f.extrapolations - before == below + above > 0
-        assert f.mu_at(t, float(xs[-1]), extrapolate=extrapolate) == ref[-1]
+        assert np.all(read(t, float(xs[-1])) == ref[-1])
 
 
 def test_grid_lookup_fuzz_against_np_interp():
@@ -399,6 +405,14 @@ def test_pde_mc_check_rejects_the_undistorted_value(value_field):
     base = solve_distorted_pde(ZERO, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=200)
     _, worst_base = pde_mc_check(muf, base, smoothed_step, probes, 1.0, 20_000, 50, 11)
     assert worst_base > 0.0
+
+
+def test_pde_mc_check_rejects_fewer_than_two_paths(value_field):
+    muf = compute_mu(Wang(0.5), value_field, ZERO)
+    sol = solve_distorted_pde(muf, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=50)
+    for paths in (1, 0):
+        with pytest.raises(DomainError, match="paths"):
+            pde_mc_check(muf, sol, smoothed_step, [(0.25, 0.0)], 1.0, paths, 10, 11)
 
 
 def test_sim_counts_extrapolated_drift_queries():
@@ -671,6 +685,41 @@ def test_lamperti_round_trip_state_dependent_sigma():
     assert np.max(np.abs(back - xs)) <= 1e-10
 
 
+@pytest.mark.parametrize("t", [0.0, 0.8])
+def test_lamperti_drift_carries_the_time_derivative(t):
+    """sigma = 1 + 0.5 t, b = 0: psi = x / (1 + 0.5 t), so the unit-sigma
+    drift is d_t psi = -0.5 z / (1 + 0.5 t) at z = psi; at t = 0 the time
+    difference runs forward, reading no negative time."""
+    seen = []
+
+    def sigma(tq, x):
+        seen.append(float(tq))
+        return (1.0 + 0.5 * tq) * np.ones_like(np.asarray(x, dtype=float))
+
+    spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0, sigma=sigma)
+    res = lamperti_transform(spec)
+    z = np.array([-1.5, 0.0, 1.0])
+    got = np.asarray(res.spec_hat.drift(t, z))
+    assert np.max(np.abs(got - (-0.5 * z / (1.0 + 0.5 * t)))) <= 1e-6
+    if t == 0.8:
+        assert got[2] == pytest.approx(-0.357142857, abs=1e-6)
+    assert min(seen) >= 0.0
+
+
+def test_lamperti_time_invariant_sigma_has_no_time_term():
+    """A sigma that ignores t gives the same psi at every time, so the time
+    difference adds exactly zero: the drift is b / sigma - sigma' / 2 at psi_inv."""
+    sig = lambda t, x: 1.0 + 0.1 * np.tanh(np.asarray(x, dtype=float))
+    spec = DiffusionSpec(drift=constant_drift(0.1), x0=0.0, T=1.0, sigma=sig)
+    res = lamperti_transform(spec)
+    z = np.linspace(-2.0, 2.0, 9)
+    h = 1e-6
+    for t in (0.0, 0.3, 1.0):
+        s = lambda v: float(sig(t, np.array([v]))[0])
+        ref = [0.1 / s(v) - 0.5 * (s(v + h) - s(v - h)) / (2.0 * h) for v in res.psi_inv(t, z)]
+        assert np.array_equal(np.asarray(res.spec_hat.drift(t, z)), ref)
+
+
 def test_lamperti_rejects_vanishing_sigma():
     spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0,
                          sigma=lambda t, x: np.abs(np.asarray(x, dtype=float)) * 0.1)
@@ -701,6 +750,29 @@ def test_lattice_moment_matching_state_dependent_drift():
     for i in [1, 7, 15]:
         b_row = -0.4 * tree.states[i]
         assert np.allclose(tree.up_prob[i], 0.5 + 0.5 * b_row * sq, atol=1e-15)
+
+
+@pytest.mark.parametrize("N", [1, 64, 4096])
+@pytest.mark.parametrize("drift", [
+    constant_drift(0.7),
+    # OU with a halved pull: -x fails the range check, since at N = 64 the
+    # top node x0 + N sqrt(h) = 8.2 gives |b| sqrt(h) > 1
+    lambda t, x: -0.5 * np.asarray(x, dtype=float),
+    lambda t, x: (0.5 + np.sin(3.0 * t)) * np.ones_like(np.asarray(x, dtype=float)),
+], ids=["constant", "ou", "time-dependent"])
+def test_lattice_increments_match_the_drift_moments(drift, N):
+    """Each one-step law on {+sqrt(h), -sqrt(h)} has mean b h and variance
+    h - (b h)^2, with b read at the node."""
+    spec = DiffusionSpec(drift=drift, x0=0.2, T=1.0)
+    tree = lattice_from_diffusion(spec, N)
+    h = 1.0 / N
+    sq = math.sqrt(h)
+    for i, p in enumerate(tree.up_prob):
+        b = np.broadcast_to(np.asarray(drift(tree.times[i], tree.states[i]), float), p.shape)
+        mean = p * sq - (1.0 - p) * sq
+        var = p * h + (1.0 - p) * h - mean**2
+        assert np.max(np.abs(mean - b * h)) <= 1e-12 * max(1.0, sq)
+        assert np.max(np.abs(var - (h - (b * h) ** 2))) <= 1e-12 * max(1.0, h)
 
 
 def test_lattice_resolution_error_suggests_minimal_n():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from distort.errors import ConfigError
-from distort.report import canonical_json, read_csv, write_csv
+from distort.report import canonical_json, write_csv
+
+from conftest import read_csv
 
 
 def test_canonical_json_sorts_keys_and_is_stable():

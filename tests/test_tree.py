@@ -13,7 +13,6 @@ exact rational arithmetic done by hand:
 """
 
 import copy
-import json
 import re
 
 import numpy as np
@@ -30,28 +29,28 @@ from distort import (
     TimeWeight,
     Wang,
 )
-from distort.choquet import choquet_expectation_discrete
+from distort.choquet import DiscreteRV, choquet_expectation_discrete
 from distort.density import DiffusionSpec, constant_drift
 from distort.dynamics import lattice_from_diffusion
+from distort.report import canonical_json
 from distort.tree import (
     DistortedTree,
     _conditional_survival,
+    _forward_laws,
+    _last_law,
     TreeModel,
     backward_induction,
     crossing_tree_residual,
     distort_tree,
     load_tree,
     naive_nested_expectation,
-    occupation_probabilities,
     p_conditional_survival,
     phi_at_node,
     q_conditional_survival,
     random_monotone_payoff,
     random_tree,
-    save_tree,
     static_distorted_value,
     survival_probabilities,
-    terminal_law,
     verify_initial_consistency,
     verify_tower,
 )
@@ -104,7 +103,7 @@ def test_model_rejects_bad_input():
 
 def test_model_round_trip(two_period, tmp_path):
     path = tmp_path / "tree.json"
-    save_tree(two_period, path)
+    path.write_text(canonical_json(two_period.to_dict()))
     back = load_tree(path)
     assert np.array_equal(back.times, two_period.times)
     for a, b in zip(back.states, two_period.states):
@@ -124,8 +123,8 @@ def test_from_dict_rejects_unknown_and_missing_keys():
 # survival probabilities
 
 def test_occupation_and_survival_exact(two_period):
-    occ = occupation_probabilities(two_period)
-    assert occ[2].tolist() == [0.25, 0.5, 0.25]
+    occ = _last_law(two_period.up_prob, 0, 0, 2)
+    assert occ.tolist() == [0.25, 0.5, 0.25]
     surv = survival_probabilities(two_period)
     assert surv[1].tolist() == [1.0, 0.5]
     assert surv[2].tolist() == [1.0, 0.75, 0.25]
@@ -217,7 +216,7 @@ def test_backward_induction_matches_static(square_tree, two_period):
 
 def test_static_agrees_with_discrete_choquet(two_period):
     d = KahnemanTversky(0.61)
-    rv = terminal_law(two_period, G_PAYOFF)
+    rv = DiscreteRV(G_PAYOFF, _last_law(two_period.up_prob, 0, 0, 2))
     # the payoff value 0 contributes nothing, so the discrete form (which
     # needs strictly increasing support) sees the same value
     a = choquet_expectation_discrete(rv, d, t=2.0)
@@ -416,21 +415,6 @@ def test_random_payoff_monotone_and_scaled():
     assert g[-1] == pytest.approx(3.0)
 
 
-def test_terminal_law_matches_occupation(two_period):
-    rv = terminal_law(two_period)
-    assert rv.support.tolist() == [-2.0, 0.0, 2.0]
-    assert np.allclose(rv.probs, [0.25, 0.5, 0.25], rtol=0.0, atol=1e-15)
-
-
-def test_saved_tree_is_canonical(two_period, tmp_path):
-    path = tmp_path / "tree.json"
-    save_tree(two_period, path)
-    text = path.read_text()
-    assert json.loads(text)["times"] == [0.0, 1.0, 2.0]
-    save_tree(two_period, tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_text() == text
-
-
 # ---------------------------------------------------------------------------
 # the lattice path without discarded work, against the eager routes
 
@@ -535,18 +519,15 @@ def test_kahneman_tversky_lattice_rejected_at_level_58():
 
 
 def test_last_level_reads_match_the_occupation_list_route():
-    """static_distorted_value, terminal_law and the level lists read one
+    """static_distorted_value, the last law and the level lists read one
     forward pass; each equals its materialised-list route bit for bit."""
     for tree, d in _tree_cases():
         occ = _occupation_list(tree)
         surv = _survival_list(tree)
-        assert [w.tobytes() for w in occupation_probabilities(tree)] == [w.tobytes() for w in occ]
+        laws = [np.array([1.0]), *_forward_laws(tree.up_prob, 0, 0, tree.n_periods)]
+        assert [w.tobytes() for w in laws] == [w.tobytes() for w in occ]
         assert [g.tobytes() for g in survival_probabilities(tree)] == [g.tobytes() for g in surv]
         g = np.cumsum(np.linspace(0.1, 1.0, tree.n_periods + 1))
         w_hi = np.asarray(d.eval(float(tree.times[-1]), np.clip(surv[-1], 0.0, 1.0)))
         assert static_distorted_value(tree, d, g) == float(g @ (w_hi - np.append(w_hi[1:], 0.0)))
-        w = occ[-1]
-        keep = w > 0.0
-        rv = terminal_law(tree, g)
-        assert rv.support.tobytes() == g[keep].tobytes()
-        assert rv.probs.tobytes() == (w[keep] / w[keep].sum()).tobytes()
+        assert _last_law(tree.up_prob, 0, 0, tree.n_periods).tobytes() == occ[-1].tobytes()

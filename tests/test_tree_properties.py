@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from distort import Identity
 from distort.tree import (
+    _forward_laws,
     backward_induction,
     distort_tree,
-    occupation_probabilities,
     phi_at_node,
     random_monotone_payoff,
     random_tree,
@@ -72,7 +72,8 @@ def test_property_identity_distortion_is_neutral(params):
     tree, _ = params
     dt = distort_tree(tree, Identity())
     eps = np.finfo(float).eps
-    for i, (q, p, w) in enumerate(zip(dt.q_up, tree.up_prob, occupation_probabilities(tree))):
+    occ = [np.array([1.0]), *_forward_laws(tree.up_prob, 0, 0, tree.n_periods)]
+    for i, (q, p, w) in enumerate(zip(dt.q_up, tree.up_prob, occ)):
         assert np.all(np.abs(q - p) <= 8.0 * eps * (i + 1.0) / w)
 
 
