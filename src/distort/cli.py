@@ -36,7 +36,7 @@ from .dynamics import (
     smoothed_step_payload,
     solve_distorted_pde,
 )
-from .errors import ConfigError, DistortError
+from .errors import ConfigError, DistortError, DomainError
 from .presets import get_preset, preset_names
 from .report import canonical_json, write_csv
 from .tree import (
@@ -251,6 +251,11 @@ def cmd_density(cfg, out_dir):
     x0 = float(model.get("x0", 0.0))
     T = float(model["T"])
     spec = DiffusionSpec(drift=constant_drift(b), x0=x0, T=T)
+    if "bridge" in params and int(params["bridge"].get("paths", 100_000)) < 2:
+        raise DomainError(
+            f"density: bridge paths={params['bridge']['paths']} gives no standard error; "
+            "need paths >= 2"
+        )
 
     gr = dict(params.get("grids", {}))
     nt = int(gr.get("nt", 101))

@@ -13,7 +13,9 @@ Three independent routes to rho(t, x) and G(t, x) = P(X_t >= x):
 The routes share no code, so pairwise agreement is a real check.
 """
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,9 @@ from .report import write_csv
 _T_INIT_MIN = 1e-3
 # Monte Carlo paths run in at most this many batches (the batch-means SE)
 _MAX_BATCHES = 40
+# Monte Carlo normals are drawn, and the bridge exponent is reduced, this
+# many paths at a time, so no worker holds a (paths, steps) temporary
+DRAW_ROWS = 128
 _MAGIC = b"DFLD"
 _BINARY_VERSION = 1
 
@@ -233,7 +238,8 @@ def batch_generators(seed, paths):
     (idx, size, rng) for each, rng = Generator(Philox(key=[seed, idx])).
 
     The key depends only on the seed and the batch index, so every batch
-    draws the same numbers whatever order the batches run in."""
+    draws the same numbers whatever order, and whatever thread, the batches
+    run in; run_batches relies on this to run one share of them per core."""
     nb = min(_MAX_BATCHES, paths)
     base, extra = divmod(paths, nb)
     for idx in range(nb):
@@ -241,21 +247,100 @@ def batch_generators(seed, paths):
         yield idx, base + (1 if idx < extra else 0), np.random.Generator(np.random.Philox(key=key))
 
 
-def _sample_bridge(rng, size, steps, t, x0, x):
-    """Exact sequential draw of the bridge from (0, x0) to (t, x); the
-    conditional law of the next point is Gaussian, so no scheme error enters
-    the path law itself, only the exponent quadrature.
+def _worker_count(shares):
+    """The cores this process may run on, capped by the number of shares."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, shares))
 
-    The normals are drawn as a (size, steps) block, so the draw does not
-    depend on the memory layout below.  The recursion runs on a step-major
-    (steps + 1, size) buffer, so each step reads and writes one contiguous
-    row, and the result is handed back path-major, (size, steps + 1), once.
-    The final step is not computed: its point is the pinned end x."""
+
+def run_batches(seed, paths, work, scratch, group=1):
+    """work(buf, batches) over the batches of batch_generators(seed, paths),
+    group consecutive batches per call, one thread per core.
+
+    The groups are cut into one contiguous share per worker; the worker
+    count is the number of cores available to the process, capped by the
+    number of groups, and a single worker runs inline without a pool.
+    scratch(width), width the most paths in one group, is called once per
+    worker here in the calling thread, and its result is the buf of every
+    work call of that worker: the scratch memory is one buffer per worker.
+    work may run on a worker thread, so it may change nothing but buf and
+    what it allocates, and whatever it calls (a drift, a payoff) must be a pure
+    elementwise function of its arguments; numpy's error state is the
+    caller's.
+
+    Returns work's results, one per group, in batch order, so a reduction
+    over them in the calling thread is that of a serial run bit for bit.  A
+    share stops at its first failing group, and the error raised is that of
+    the lowest-index failing group: the one a serial run would raise."""
+    batches = list(batch_generators(seed, paths))
+    groups = [batches[i:i + group] for i in range(0, len(batches), group)]
+    n = _worker_count(len(groups))
+    shares = [groups[w * len(groups) // n:(w + 1) * len(groups) // n] for w in range(n)]
+    width = max(sum(size for _, size, _ in grp) for grp in groups)
+    bufs = [scratch(width) for _ in range(n)]
+    err = np.geterr()
+
+    def run_share(w):
+        done = []
+        with np.errstate(**err):
+            for grp in shares[w]:
+                try:
+                    done.append(work(bufs[w], grp))
+                except Exception as exc:
+                    return done, exc
+        return done, None
+
+    if n == 1:
+        outcomes = [run_share(0)]
+    else:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            outcomes = list(pool.map(run_share, range(n)))
+    results = []
+    for done, exc in outcomes:
+        if exc is not None:
+            raise exc
+        results.extend(done)
+    return results
+
+
+def normals_buffer(steps):
+    """The path-major buffer draw_normals draws through: DRAW_ROWS paths of
+    steps normals."""
+    return np.empty((DRAW_ROWS, steps))
+
+
+def draw_normals(rng, out, draw):
+    """Fill out, (steps, size), with rng.standard_normal((size, steps)).T.
+
+    The normals are drawn DRAW_ROWS paths at a time into draw (from
+    normals_buffer) and copied in transposed; consecutive draws on one
+    generator continue its stream, so out holds the one-block draw's numbers
+    and no (size, steps) block is allocated."""
+    size = out.shape[1]
+    for a in range(0, size, DRAW_ROWS):
+        block = draw[:min(DRAW_ROWS, size - a)]
+        rng.standard_normal(out=block)
+        out[:, a:a + block.shape[0]] = block.T
+
+
+def _sample_bridge(rng, path, draw, t, x0, x):
+    """Exact sequential draw of the bridge from (0, x0) to (t, x) into the
+    step-major buffer path, (steps + 1, size); the conditional law of the
+    next point is Gaussian, so no scheme error enters the path law itself,
+    only the exponent quadrature.
+
+    The normals are those of one (size, steps) block (draw_normals), so the
+    draw does not depend on the memory layout.  Each step reads and writes
+    one contiguous row.  The final step is not computed: its point is the
+    pinned end x."""
+    steps = path.shape[0] - 1
     dt = t / steps
-    path = np.empty((steps + 1, size))
     path[0] = x0
-    path[1:] = rng.standard_normal((size, steps)).T
-    mean = np.empty(size)
+    draw_normals(rng, path[1:], draw)
+    mean = np.empty(path.shape[1])
     cur = path[0]
     for k in range(steps - 1):
         remain = t - k * dt
@@ -268,15 +353,20 @@ def _sample_bridge(rng, size, steps, t, x0, x):
         nxt += mean
         cur = nxt
     path[-1] = x
-    return np.ascontiguousarray(path.T)
 
 
 def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0):
     """Estimate rho(t, x) as Gaussian kernel times E[exp(I)] over bridges.
 
     I is the drift functional along the bridge, by left-point Ito sums.
-    Standard error by batch means over counter-keyed generators, so the
-    estimate is identical regardless of how batches would be scheduled.
+    Standard error by batch means over counter-keyed generators.  The
+    batches run through run_batches, one share per core; each worker holds
+    one step-major path buffer of (steps + 1) x (paths in a batch) doubles
+    (3.2 MB at 40k paths x 400 steps) and two of DRAW_ROWS paths.  The
+    estimate is the same whatever the worker count.  spec.drift is called
+    from the worker threads on slices of DRAW_ROWS paths, its t argument
+    the (steps,) row of left-point times, so it must be a pure elementwise
+    function.
     """
     if not spec.unit_sigma:
         raise DomainError("bridge_density_mc: requires sigma = 1")
@@ -288,20 +378,34 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0):
     kernel = np.exp(-((x - x0) ** 2) / (2.0 * t)) / np.sqrt(2.0 * np.pi * t)
     dt = t / steps
     s_left = dt * np.arange(steps)
-    means = []
-    for idx, size, rng in batch_generators(seed, paths):
-        path = _sample_bridge(rng, size, steps, t, x0, x)
-        b_left = np.asarray(spec.drift(s_left, path[:, :-1]), dtype=float)
-        incr = np.diff(path, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = np.sum(b_left * incr, axis=1) - 0.5 * dt * np.sum(b_left**2, axis=1)
+
+    def work(buf, batches):
+        (idx, size, rng), = batches
+        path, draw, rows = buf[0][:, :size], buf[1], buf[2]
+        _sample_bridge(rng, path, draw, t, x0, x)
+        # the exponent DRAW_ROWS paths at a time, each path a contiguous row
+        expo = np.empty(size)
+        for a in range(0, size, DRAW_ROWS):
+            n = min(DRAW_ROWS, size - a)
+            seg = rows[:n]
+            np.copyto(seg, path[:, a:a + n].T)
+            b_left = np.asarray(spec.drift(s_left, seg[:, :-1]), dtype=float)
+            incr = np.subtract(seg[:, 1:], seg[:, :-1], out=draw[:n])
+            with np.errstate(over="ignore", invalid="ignore"):
+                # both products overwrite incr's buffer once it is read
+                drift_sum = np.sum(np.multiply(b_left, incr, out=incr), axis=1)
+                square_sum = np.sum(np.square(b_left, out=incr), axis=1)
+                expo[a:a + n] = drift_sum - 0.5 * dt * square_sum
         if not np.all(np.isfinite(expo)):
             raise NumericError(
                 f"bridge_density_mc: non-finite exponent in batch {idx} "
                 f"(drift blowup along the bridge near t={t}, x={x})"
             )
-        means.append(np.mean(np.exp(expo)))
-    means = np.asarray(means)
+        return np.mean(np.exp(expo))
+
+    means = np.asarray(run_batches(seed, paths, work, lambda width: (
+        np.empty((steps + 1, width)), normals_buffer(steps), np.empty((DRAW_ROWS, steps + 1))
+    )))
     est = float(kernel * np.mean(means))
     if len(means) > 1:
         se = float(kernel * np.std(means, ddof=1) / np.sqrt(len(means)))

@@ -30,11 +30,13 @@ from ._cn import march, march_adjoint, uniform_spacing
 from .density import (
     DensityField,
     DiffusionSpec,
-    batch_generators,
     blend_rows,
     bounded_read,
     bounded_rows,
+    draw_normals,
     gaussian_field,
+    normals_buffer,
+    run_batches,
     solve_survival_pde,
 )
 from .errors import (
@@ -54,6 +56,10 @@ _Z_USABLE = 34.0
 _Y_WIDTH = 3.9
 # lamperti_transform rejects sigma below this on its probe grid
 _SIGMA_FLOOR = 1e-8
+# the Euler engine steps this many consecutive batches as one row: a step is
+# about 22 small numpy calls whatever the row's width, so a wider row spreads
+# their dispatch cost over more paths
+_EULER_GROUP = 4
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +154,17 @@ class DriftField:
         return blend_rows(self.t_grid, t, self.mu)[0]
 
     def table(self, times):
-        """look(k, xs): the drift at (times[k], xs), with xs clipped to the
-        grid and read as np.interp would bit for bit, every clipped query
-        counted, from rows and slopes built once."""
+        """look(k, xs) -> (the drift at (times[k], xs), the count of xs
+        outside the grid), with xs clipped to the grid and read as np.interp
+        would bit for bit, from rows and slopes built once.
+
+        look changes nothing, so worker threads may share it; the caller
+        adds the counts to extrapolations."""
         rows = np.array([self.row_at(t) for t in times])
         slopes = self._lookup.slopes(rows)
 
         def look(k, xs):
-            out, n_out = self._lookup(xs, rows[k], None if slopes is None else slopes[k])
-            self.extrapolations += n_out
-            return out
+            return self._lookup(xs, rows[k], None if slopes is None else slopes[k])
 
         return look
 
@@ -415,11 +422,17 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
 
     A DriftField is read through DriftField.table, built once per call: the
     drift rows at the step times and their slopes, 16 * steps * nx bytes
-    (2.6 MB for 100 steps on 1601 nodes).  The paths run in batches from
-    density.batch_generators; each batch's normals are transposed once, so
-    step k reads one contiguous row.  Results equal a per-step loop that
-    clips the paths to the grid and reads the blended row by np.interp, bit
-    for bit."""
+    (2.6 MB for 100 steps on 1601 nodes).  The batches of
+    density.batch_generators run through density.run_batches, one share per
+    core, _EULER_GROUP consecutive batches stepped side by side as one row;
+    each worker holds one (steps, row width) noise buffer, step k reading
+    one contiguous row (8 MB for 100k paths x 100 steps).  A callable mu is
+    called from the worker threads on those rows, and g on each batch's
+    slice of them, so both must be pure elementwise functions.  Results
+    equal a per-batch, per-step loop that clips the paths to the grid and
+    reads the blended row by np.interp, bit for bit, whatever the worker
+    count; the extrapolation count is added to mu.extrapolations here, in
+    the calling thread, once the call succeeds."""
     if not (isinstance(mu, DriftField) or callable(mu)):
         raise DomainError("simulate_q_dynamics: mu must be a DriftField or callable")
     if not (s < t):
@@ -430,41 +443,56 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
     sqdt = math.sqrt(dt)
     times = s + np.arange(steps) * dt
     if isinstance(mu, DriftField):
-        start_extrap = mu.extrapolations
         look = mu.table(times)
     else:
-        start_extrap = None
-        look = lambda k, xs: np.broadcast_to(
-            np.asarray(mu(float(times[k]), xs), dtype=float), xs.shape
+        look = lambda k, xs: (
+            np.broadcast_to(np.asarray(mu(float(times[k]), xs), dtype=float), xs.shape), 0
         )
-    terminal = []
-    means = []
-    for _, size, rng in batch_generators(seed, paths):
-        noise = np.multiply(sqdt, rng.standard_normal((size, steps)).T, order="C")
-        cur = np.full(size, float(x))
+
+    def work(buf, batches):
+        noise, draw = buf
+        sizes = [size for _, size, _ in batches]
+        rows = noise[:, :sum(sizes)]
+        start = 0
+        for _, size, rng in batches:
+            draw_normals(rng, rows[:, start:start + size], draw)
+            start += size
+        rows *= sqdt
+        cur = np.full(rows.shape[1], float(x))
+        n_out = 0
         for k in range(steps):
-            step = look(k, cur) * dt
+            drift, n = look(k, cur)
+            n_out += n
+            step = drift * dt
             step += cur
-            step += noise[k]
+            step += rows[k]
             cur = step
         if not np.all(np.isfinite(cur)):
             raise NumericError("simulate_q_dynamics: paths diverged")
-        terminal.append(cur)
-        means.append(np.mean(g(cur) if g is not None else cur))
-    means = np.asarray(means, dtype=float)
+        ends = np.cumsum(sizes)[:-1]
+        means = [np.mean(g(part) if g is not None else part) for part in np.split(cur, ends)]
+        return cur, means, n_out
+
+    done = run_batches(
+        seed, paths, work, lambda width: (np.empty((steps, width)), normals_buffer(steps)),
+        group=_EULER_GROUP,
+    )
+    means = np.asarray([m for _, group_means, _ in done for m in group_means], dtype=float)
     mean = float(np.mean(means))
     se = (
         float(np.std(means, ddof=1) / np.sqrt(len(means)))
         if len(means) > 1 else float("nan")
     )
-    allt = np.concatenate(terminal)
+    allt = np.concatenate([cur for cur, _, _ in done])
     if y_grid is None:
         lo, hi = np.quantile(allt, [0.001, 0.999])
         y_grid = np.linspace(lo, hi, 101)
     else:
         y_grid = np.asarray(y_grid, dtype=float)
     surv = np.mean(allt[:, None] >= y_grid[None, :], axis=0)
-    n_extrap = 0 if start_extrap is None else int(mu.extrapolations - start_extrap)
+    n_extrap = sum(n for _, _, n in done)
+    if isinstance(mu, DriftField):
+        mu.extrapolations += n_extrap
     return QSimResult(
         mean=mean, std_error=se, paths=paths, seed=seed,
         survival_y=y_grid, survival=surv, extrapolations=n_extrap,
@@ -805,7 +833,9 @@ def lamperti_transform(spec):
     Returns the transformed spec and both coordinate maps; the transformed
     drift is bhat = [dt_psi + b/sigma - 1/2 dx_sigma] at psi_inv, with the
     derivatives taken by central differences of step 1e-6 (dt_psi forward
-    below t = 1e-6, so sigma is never read at a negative time).  The
+    below t = 1e-6, so sigma is never read at a negative time).  bhat
+    broadcasts t against x, as DiffusionSpec asks, and evaluates each point
+    on its own (a bisection of quad calls, some milliseconds a point).  The
     survival identities G(t, x) = Ghat(t, psi(t, x)) and rho(t, x) =
     rhohat(t, psi(t, x)) / sigma(t, x) pull densities back to the original
     coordinates."""
@@ -860,20 +890,22 @@ def lamperti_transform(spec):
 
     h = 1e-6
 
-    def b_hat(t, zq):
-        zs = np.atleast_1d(np.asarray(zq, dtype=float))
-        xs = np.asarray(psi_inv(t, zs), dtype=float).reshape(zs.shape)
-        b_val = np.broadcast_to(np.asarray(spec.drift(t, xs), dtype=float), zs.shape)
-        s_val = np.array([sig_scalar(t, v) for v in xs])
-        ds_dx = np.array(
-            [(sig_scalar(t, v + h) - sig_scalar(t, v - h)) / (2.0 * h) for v in xs]
-        )
+    def b_hat_at(t, z):
+        xv = float(psi_inv(t, z))
+        b_val = np.broadcast_to(np.asarray(spec.drift(t, np.array([xv])), dtype=float), (1,))[0]
+        ds_dx = (sig_scalar(t, xv + h) - sig_scalar(t, xv - h)) / (2.0 * h)
         t_lo = t - h if t >= h else t
-        dpsi_dt = np.array(
-            [(psi_scalar(t + h, v) - psi_scalar(t_lo, v)) / (t + h - t_lo) for v in xs]
-        )
-        out = b_val / s_val - 0.5 * ds_dx + dpsi_dt
-        return float(out[0]) if np.isscalar(zq) or np.asarray(zq).ndim == 0 else out
+        dpsi_dt = (psi_scalar(t + h, xv) - psi_scalar(t_lo, xv)) / (t + h - t_lo)
+        return b_val / sig_scalar(t, xv) - 0.5 * ds_dx + dpsi_dt
+
+    def b_hat(t, zq):
+        # t broadcasts against z (the bridge passes a row of step times), and
+        # each point is evaluated on its own
+        tb, zb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(zq, dtype=float))
+        out = np.array(
+            [b_hat_at(float(ti), float(zi)) for ti, zi in zip(tb.ravel(), zb.ravel())]
+        ).reshape(zb.shape)
+        return float(out) if out.ndim == 0 else out
 
     spec_hat = DiffusionSpec(drift=b_hat, x0=float(psi(0.0, spec.x0)), T=spec.T)
     return LampertiResult(spec_hat=spec_hat, psi=psi, psi_inv=psi_inv)

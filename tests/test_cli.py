@@ -158,6 +158,25 @@ def test_dynamics_mc_with_one_path_exits_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_density_bridge_with_one_path_exits_2(tmp_path):
+    # one path gives one batch and no standard error: rejected before any
+    # estimate is made, instead of writing nan into bridge.csv
+    cfg = {
+        "schema_version": 1,
+        "model": {"b": 0.5, "x0": 0.0, "T": 1.0},
+        "grids": {"nt": 21, "nx": 101},
+        "bridge": {"t": [0.5], "x": [0.2], "paths": 1, "steps": 20},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("density", "--config", str(path), "--out", str(out))
+    assert r.returncode == 2
+    assert "paths" in r.stderr
+    assert not (out / "report.json").exists()
+    assert not (out / "bridge.csv").exists()
+
+
 def test_unknown_key_in_config_exits_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({

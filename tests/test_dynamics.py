@@ -9,6 +9,7 @@ from distort import normal
 from distort.density import (
     DensityField,
     DiffusionSpec,
+    bridge_density_mc,
     constant_drift,
     gaussian_field,
     solve_survival_pde,
@@ -130,8 +131,9 @@ def test_drift_field_interpolation_and_extension():
     assert f.mu_at(0.5, 1.0) == pytest.approx(1.5)
     assert f.mu_at(0.0, 3.0) == pytest.approx(3.0)  # edge slope continues
     assert f.extrapolations == 1
-    assert f.table([0.0])(0, np.array([3.0]))[0] == pytest.approx(2.0)  # table holds
-    assert f.extrapolations == 2
+    vals, n_out = f.table([0.0])(0, np.array([3.0]))
+    assert vals[0] == pytest.approx(2.0)  # table holds
+    assert n_out == 1 and f.extrapolations == 1  # the caller adds table counts
 
 
 def _interp_row(f, t):
@@ -202,7 +204,9 @@ def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
     def read(t, xs):
         if extrapolate == "slope":
             return f.mu_at(t, xs)
-        return f.table([t])(0, np.atleast_1d(xs))
+        vals, n_out = f.table([t])(0, np.atleast_1d(xs))
+        f.extrapolations += n_out
+        return vals
 
     rng = np.random.default_rng(7)
     xg = LOOKUP_GRIDS[name]
@@ -718,6 +722,21 @@ def test_lamperti_time_invariant_sigma_has_no_time_term():
         s = lambda v: float(sig(t, np.array([v]))[0])
         ref = [0.1 / s(v) - 0.5 * (s(v + h) - s(v - h)) / (2.0 * h) for v in res.psi_inv(t, z)]
         assert np.array_equal(np.asarray(res.spec_hat.drift(t, z)), ref)
+
+
+def test_lamperti_drift_broadcasts_time_against_the_state():
+    """The transformed drift keeps the DiffusionSpec contract for array t:
+    each point equals the scalar call, and the bridge estimator, which
+    passes its row of step times, runs on it."""
+    sig = lambda t, x: 1.0 + 0.1 * np.tanh(np.asarray(x, dtype=float))
+    spec = DiffusionSpec(drift=constant_drift(0.1), x0=0.0, T=1.0, sigma=sig)
+    res = lamperti_transform(spec)
+    got = res.spec_hat.drift(np.array([0.25, 0.5]), np.array([[0.0, 0.3]]))
+    assert got.shape == (1, 2)
+    assert got[0, 0] == res.spec_hat.drift(0.25, 0.0)
+    assert got[0, 1] == res.spec_hat.drift(0.5, 0.3)
+    est = bridge_density_mc(res.spec_hat, 1.0, 0.2, paths=4, steps=4)
+    assert np.isfinite(est.value) and np.isfinite(est.std_error)
 
 
 def test_lamperti_rejects_vanishing_sigma():
