@@ -130,12 +130,8 @@ def test_runner_raises_the_lowest_failing_batch(workers):
         workers(k)
         with pytest.raises(ValueError, match="batch 13"):
             run_batches(1, 400, work, lambda width: None)
-        assert run_batches(1, 41, lambda buf, b: [i for i, _, _ in b], lambda w: None,
-                           group=4) == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9, 10, 11],
-                                        [12, 13, 14, 15], [16, 17, 18, 19],
-                                        [20, 21, 22, 23], [24, 25, 26, 27],
-                                        [28, 29, 30, 31], [32, 33, 34, 35],
-                                        [36, 37, 38, 39]]
+        got = run_batches(1, 41, lambda buf, b: [i for i, _, _ in b], lambda w: None, group=4)
+        assert got == [list(range(i, i + 4)) for i in range(0, 40, 4)]
 
 
 def test_scratch_is_made_once_per_worker_in_the_calling_thread(workers):
