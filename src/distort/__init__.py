@@ -37,7 +37,6 @@ from .distortion import (
 )
 from .dynamics import (
     DriftField,
-    PhiCurve,
     build_phi_curve,
     compute_mu,
     convergence_study,
@@ -58,6 +57,7 @@ from .errors import (
 )
 from .tree import (
     DistortedTree,
+    PhiCurve,
     TreeModel,
     backward_induction,
     distort_tree,

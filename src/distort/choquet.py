@@ -53,14 +53,23 @@ class DiscreteRV:
         starts = np.flatnonzero(np.append(True, np.diff(support) > 0.0))
         return DiscreteRV(support[starts], np.add.reduceat(self.probs, starts))
 
-    def survival(self):
-        """P(eta >= x_k) for each support point."""
-        s = np.cumsum(self.probs[::-1])[::-1]
-        # the first entry is exactly 1 by construction; summation rounding must
-        # not survive here, because families with unbounded endpoint slope
-        # amplify a one-ulp deficit into a visible mass defect
-        s[0] = 1.0
-        return s
+
+def survival_sum(law, j=0):
+    """P(eta >= x_k) over the increasing states of ``law``, summed from the top.
+
+    The states at or below index j are certain, so their survival is
+    written as exactly 1: summation rounding must not survive there, because
+    families with unbounded endpoint slope amplify a one-ulp deficit into a
+    visible mass defect."""
+    surv = np.cumsum(law[::-1])[::-1]
+    surv[: j + 1] = 1.0
+    return surv
+
+
+def choquet_increments(phi_surv):
+    """phi(G_k) - phi(G_{k+1}) from the values phi(G_k); past the top state
+    G is 0, where every distortion is 0."""
+    return phi_surv - np.append(phi_surv[1:], 0.0)
 
 
 @dataclass(frozen=True)
@@ -92,12 +101,8 @@ class MonotoneGrid:
 
 def distorted_pmf(rv, d, t=0.0):
     """Distorted probability mass q_k; nonnegative, sums to 1 by telescoping."""
-    surv = rv.survival()
-    surv_next = np.append(surv[1:], 0.0)
-    phi_hi = np.asarray(d.eval(t, np.clip(surv, 0.0, 1.0)))
-    phi_lo = np.asarray(d.eval(t, np.clip(surv_next, 0.0, 1.0)))
-    q = phi_hi - phi_lo
-    return np.maximum(q, 0.0)
+    phi = np.asarray(d.eval(t, np.clip(survival_sum(rv.probs), 0.0, 1.0)))
+    return np.maximum(choquet_increments(phi), 0.0)
 
 
 def choquet_expectation_discrete(rv, d, t=0.0):

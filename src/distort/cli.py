@@ -99,7 +99,7 @@ def cmd_tree(cfg, out_dir):
 
     root = phi_at_node(dt, 0, 0, n)
     write_csv(os.path.join(out_dir, "phi_root.csv"),
-              ["p", "phi"], [root.knots_p, root.knots_q])
+              ["p", "phi"], [root.p_grid, root.values])
 
     results = {
         "n_periods": n,

@@ -5,12 +5,12 @@ any compute starts.  Unknown keys are rejected everywhere so that a typo in
 an option name fails loudly instead of silently running defaults.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import jsonschema
 
 from .errors import ConfigError
+from .report import read_json
 
 SCHEMA_VERSION = 1
 
@@ -225,18 +225,7 @@ def validate_params(command, obj):
 
 def load_config(command, path):
     """Parse and validate a config file; parse errors carry line and column."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config {path} is not valid JSON at line {exc.lineno} column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+    obj = read_json(path, "config")
     validate_params(command, obj)
     return RunConfig(command=command, params=obj,
                      seed=int(obj.get("seed", 0)), source=str(path))

@@ -8,10 +8,10 @@ varying), all vectorized over numpy arrays.
 Derivative evaluation clamps p into [EPS_P, 1-EPS_P] and counts the clamped
 elements in a module-level diagnostics counter instead of raising, because
 in every downstream use phi is composed with a survival probability that is
-interior by construction.  The ``curvature_ratio`` / ``time_ratio`` methods
-additionally accept the complement 1-p as a separately computed quantity,
-which keeps the ratios exact deep in the tails where 1-p would round to 1
-(the quantile-composition family needs this for tail drift evaluation).
+interior by construction.  ``curvature_ratio`` takes the complement 1-p as
+a separately computed quantity, which keeps the ratio exact deep in the
+tails where 1-p would round to 1 (the quantile-composition family needs
+this for tail drift evaluation).
 """
 
 import math
@@ -79,7 +79,8 @@ def _scalar_like(value, template):
 
 
 class Distortion:
-    """Base class; subclasses implement the interior formulas."""
+    """Base class; subclasses implement the interior formulas _value, _d123
+    and _curvature (dpp / dp, which curvature_ratio reads)."""
 
     time_varying = False
 
@@ -90,11 +91,6 @@ class Distortion:
     def _d123(self, p, q):
         """Return (dp, dpp, dppp) on interior arrays."""
         raise NotImplementedError
-
-    def _curvature(self, p, q):
-        dp, dpp, _ = self._d123(p, q)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return dpp / dp
 
     # -- public API ----------------------------------------------------------
     def eval(self, t, p):
@@ -135,20 +131,16 @@ class Distortion:
             dtp=_scalar_like(zero, p),
         )
 
-    def curvature_ratio(self, t, p, comp=None):
-        """d2 phi / d1 phi at (t, p); pass comp = 1-p for tail-exact values."""
-        if comp is None:
-            arr = _asarray_prob(p, type(self).__name__ + ".curvature_ratio")
-            pc = _clamp_counted(arr)
-            out = self._curvature(pc, 1.0 - pc)
-        else:
-            pa = np.asarray(p, dtype=float)
-            qa = np.asarray(comp, dtype=float)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                out = self._curvature(pa, qa)
+    def curvature_ratio(self, t, p, comp):
+        """d2 phi / d1 phi at (t, p), with comp = 1-p computed separately
+        (tail-exact where 1-p would round to 1)."""
+        pa = np.asarray(p, dtype=float)
+        qa = np.asarray(comp, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = self._curvature(pa, qa)
         return _scalar_like(out, p)
 
-    def time_ratio(self, t, p, comp=None):
+    def time_ratio(self, t, p):
         """dt phi / dp phi at (t, p); identically zero for static schedules."""
         out = np.zeros_like(np.asarray(p, dtype=float))
         return _scalar_like(out, p)
@@ -493,10 +485,10 @@ class SeparableProduct(Distortion):
     def _d123(self, p, q):
         raise NotImplementedError("time-varying schedule needs derivatives(t, p)")
 
-    def curvature_ratio(self, t, p, comp=None):
+    def curvature_ratio(self, t, p, comp):
         return self.base.curvature_ratio(t, p, comp)
 
-    def time_ratio(self, t, p, comp=None):
+    def time_ratio(self, t, p):
         arr = _asarray_prob(p, "SeparableProduct.time_ratio")
         pc = _clamp_counted(arr)
         qc = 1.0 - pc

@@ -19,7 +19,7 @@ diffusion to a binomial lattice for convergence studies against the PDE.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -46,7 +46,7 @@ from .errors import (
     NumericError,
     SingularityError,
 )
-from .tree import TreeModel, backward_induction, distort_tree
+from .tree import PhiCurve, TreeModel, backward_induction, distort_tree
 
 _DENOM_FLOOR = 1e-300
 # half-width of the usable-density window, in standard deviations: survival
@@ -214,7 +214,7 @@ def _mu_core(d, field, b_rows, sigma_sq):
                 f"(dp_phi * rho = {denom[j]:.3e}); restrict the field to cells "
                 "with usable density"
             )
-        tr = np.asarray(d.time_ratio(t, g_row, c_row), dtype=float)
+        tr = np.asarray(d.time_ratio(t, g_row), dtype=float)
         cr = np.asarray(d.curvature_ratio(t, g_row, c_row), dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             time_term = np.where(tr == 0.0, 0.0, tr / rho[i])
@@ -407,18 +407,15 @@ class QSimResult:
     std_error: float
     paths: int
     seed: int
-    survival_y: np.ndarray
-    survival: np.ndarray
     extrapolations: int
 
 
-def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
-                        y_grid=None):
+def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None):
     """Euler scheme for the distorted dynamics (unit sigma) from (s, x) to time t.
 
     Drift queries outside the field hold the nearest value and are counted.
     Returns mean and batch-means standard error of g at the terminal time
-    (identity payoff if g is None) plus the empirical survival curve.
+    (identity payoff if g is None).
 
     A DriftField is read through DriftField.table, built once per call: the
     drift rows at the step times and their slopes, 16 * steps * nx bytes
@@ -471,32 +468,23 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None,
             raise NumericError("simulate_q_dynamics: paths diverged")
         ends = np.cumsum(sizes)[:-1]
         means = [np.mean(g(part) if g is not None else part) for part in np.split(cur, ends)]
-        return cur, means, n_out
+        return means, n_out
 
     done = run_batches(
         seed, paths, work, lambda width: (np.empty((steps, width)), normals_buffer(steps)),
         group=_EULER_GROUP,
     )
-    means = np.asarray([m for _, group_means, _ in done for m in group_means], dtype=float)
+    means = np.asarray([m for group_means, _ in done for m in group_means], dtype=float)
     mean = float(np.mean(means))
     se = (
         float(np.std(means, ddof=1) / np.sqrt(len(means)))
         if len(means) > 1 else float("nan")
     )
-    allt = np.concatenate([cur for cur, _, _ in done])
-    if y_grid is None:
-        lo, hi = np.quantile(allt, [0.001, 0.999])
-        y_grid = np.linspace(lo, hi, 101)
-    else:
-        y_grid = np.asarray(y_grid, dtype=float)
-    surv = np.mean(allt[:, None] >= y_grid[None, :], axis=0)
-    n_extrap = sum(n for _, _, n in done)
+    n_extrap = sum(n for _, n in done)
     if isinstance(mu, DriftField):
         mu.extrapolations += n_extrap
-    return QSimResult(
-        mean=mean, std_error=se, paths=paths, seed=seed,
-        survival_y=y_grid, survival=surv, extrapolations=n_extrap,
-    )
+    return QSimResult(mean=mean, std_error=se, paths=paths, seed=seed,
+                      extrapolations=n_extrap)
 
 
 def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
@@ -506,17 +494,27 @@ def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
 
     Returns the table (columns s, x, pde, mc, se, gap) and the worst excess
     of a gap over its allowance.  Positive means rejected.  The standard
-    error comes from batch means, so paths must be at least 2."""
+    error comes from batch means, so paths must be at least 2.  Every probe
+    is read off sol, and must lie before t_end, before any path is
+    simulated; a DomainError names the first probe that does not."""
     if paths < 2:
         raise DomainError(
             f"pde_mc_check: paths={paths} gives no standard error; need paths >= 2"
         )
-    cols = {k: [] for k in ("s", "x", "pde", "mc", "se", "gap")}
-    worst = -float("inf")
+    read = []
     for s, x in probes:
         s, x = float(s), float(x)
+        where = f"pde_mc_check: probe (s={s}, x={x})"
+        if not s < t_end:
+            raise DomainError(f"{where} is not before t_end={t_end}")
+        try:
+            read.append((s, x, sol.u_at(s, x)))
+        except DomainError as exc:
+            raise DomainError(f"{where}: {exc}") from exc
+    cols = {k: [] for k in ("s", "x", "pde", "mc", "se", "gap")}
+    worst = -float("inf")
+    for s, x, u_val in read:
         res = simulate_q_dynamics(mu, s, x, t_end, paths=paths, steps=steps, seed=seed, g=g)
-        u_val = sol.u_at(s, x)
         gap = abs(u_val - res.mean)
         worst = max(worst, gap - (3.0 * res.std_error + 1e-3))
         for col, v in zip(cols.values(), (s, x, u_val, res.mean, res.std_error, gap)):
@@ -526,39 +524,6 @@ def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
 
 # ---------------------------------------------------------------------------
 # the dynamic distortion curve
-
-@dataclass(frozen=True)
-class PhiCurve:
-    """Phi(s, t, x; p) assembled from paired conditional survival curves."""
-
-    s: float
-    t: float
-    x: float
-    p_grid: np.ndarray
-    values: np.ndarray
-    y_grid: np.ndarray
-    surv_p: np.ndarray
-    surv_q: np.ndarray
-    meta: dict = dataclass_field(default_factory=dict)
-
-    def __post_init__(self):
-        p = np.asarray(self.p_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if p.shape != v.shape:
-            raise DomainError("PhiCurve: grid/value shape mismatch")
-        if p[0] != 0.0 or p[-1] != 1.0 or v[0] != 0.0 or v[-1] != 1.0:
-            raise ConsistencyError("PhiCurve: endpoints must be pinned to (0,0), (1,1)")
-        if np.any(np.diff(p) <= 0.0):
-            raise DomainError("PhiCurve: p_grid must be strictly increasing")
-        if np.any(np.diff(v) < -1e-9):
-            raise ConsistencyError("PhiCurve: values must be nondecreasing in p")
-        object.__setattr__(self, "p_grid", p)
-        object.__setattr__(self, "values", np.maximum.accumulate(v))
-
-    def __call__(self, p):
-        out = np.interp(np.asarray(p, dtype=float), self.p_grid, self.values)
-        return float(out) if np.isscalar(p) or np.asarray(p).ndim == 0 else out
-
 
 def _invert_decreasing(fn, lo, hi, v_lo, v_hi, target):
     """Bisection inverse of a decreasing curve to 1e-12.
@@ -724,20 +689,15 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
                                           half_m + abs(x - spec.x0))
             mu_src = "pde-field"
         mu = compute_mu(d, field, spec.drift)
+    knots_p = np.concatenate(([0.0], np.unique(p_grid[(p_grid > 0.0) & (p_grid < 1.0)]), [1.0]))
 
     # when the computed drift equals the base drift bit for bit (identity
     # schedule, any base dynamics) the distorted and undistorted survival
     # curves solve the same PDE from the same data, so the pairing is the
     # diagonal exactly; return it without a march
     if isinstance(mu, DriftField) and _field_equals_drift(mu, spec.drift):
-        knots_p = [0.0]
-        for p in np.sort(p_grid):
-            if 0.0 < p < 1.0 and p > knots_p[-1]:
-                knots_p.append(float(p))
-        knots_p.append(1.0)
-        kp = np.asarray(knots_p)
         return PhiCurve(
-            s=float(s), t=float(t), x=float(x), p_grid=kp, values=kp.copy(),
+            s=float(s), t=float(t), x=float(x), p_grid=knots_p, values=knots_p.copy(),
             y_grid=y_grid, surv_p=surv_p, surv_q=surv_p.copy(),
             meta={"distortion": d.to_dict(), "mu_source": mu_src,
                   "debias": 0.0, "identity_dynamics": True},
@@ -768,21 +728,16 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         sp_p = CubicSpline(y_grid, surv_p)
         gp = lambda yv: float(sp_p(yv))
 
-    knots_p = [0.0]
     knots_v = [0.0]
-    for p in np.sort(p_grid):
-        if p <= 0.0 or p >= 1.0 or p <= knots_p[-1]:
-            continue
+    for p in knots_p[1:-1]:
         y_star = _invert_decreasing(gp, y_grid[0], y_grid[-1],
                                     float(surv_p[0]), float(surv_p[-1]), p)
-        knots_p.append(float(p))
         knots_v.append(float(np.clip(sp_q(y_star), 0.0, 1.0)))
-    knots_p.append(1.0)
     knots_v.append(1.0)
     debias_mag = float(np.max(np.abs(surv_q - np.clip(surv_q_raw, 0.0, 1.0))))
     return PhiCurve(
         s=float(s), t=float(t), x=float(x),
-        p_grid=np.asarray(knots_p), values=np.asarray(knots_v),
+        p_grid=knots_p, values=np.asarray(knots_v),
         y_grid=y_grid, surv_p=surv_p, surv_q=surv_q,
         meta={"distortion": d.to_dict(), "mu_source": mu_src, "debias": debias_mag},
     )

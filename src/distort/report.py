@@ -3,11 +3,13 @@
 Reports must be byte-identical across runs with the same inputs, so floats
 are rendered with a fixed repr ("%.17g", which round-trips doubles), keys
 are emitted sorted, and non-finite values are rejected outright rather than
-silently becoming NaN tokens that other tools cannot parse.
+silently becoming NaN tokens that other tools cannot parse.  Config and
+model files are read back by read_json, whose errors name the file.
 """
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
@@ -82,3 +84,19 @@ def write_csv(path, header, columns):
         for row in zip(*cols):
             w.writerow([f"{v:.17g}" for v in row])
 
+
+def read_json(path, what):
+    """Parse the JSON file at path; ConfigError names it as ``what`` and gives
+    the line and column of a parse error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{what} {path} is not valid JSON at line {exc.lineno} column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc

@@ -264,7 +264,7 @@ def wang_ou_drift_excess(alpha, t, x, value, std_error, steps):
     v = -0.5 * math.expm1(-2.0 * t)
     z = x / math.sqrt(v)
     g, comp = normal.sf(z), normal.cdf(z)
-    tr = d.time_ratio(t, g, comp=comp)
+    tr = d.time_ratio(t, g)
     cr = d.curvature_ratio(t, g, comp=comp)
     mu_hat = -x + tr / value - 0.5 * cr * value
     sens = abs(-tr / value**2 - 0.5 * cr)

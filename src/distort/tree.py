@@ -19,12 +19,13 @@ construction needs the interleaving condition ("mon2")
 at every edge, which holds automatically for time-invariant schedules.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError
+from .choquet import choquet_increments, survival_sum
+from .errors import ConfigError, ConsistencyError, DomainError
+from .report import read_json
 
 # occupation masses below this underflow double precision so badly that the
 # distorted-transition quotient becomes 0/0; such edges fall back to the
@@ -102,14 +103,17 @@ class TreeModel:
 
 
 def load_tree(path):
-    with open(path, encoding="utf-8") as fh:
-        return TreeModel.from_dict(json.load(fh))
+    """Read a TreeModel from a JSON object file; ConfigError names the path."""
+    obj = read_json(path, "tree file")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"tree file {path} must hold a JSON object, not a {type(obj).__name__}")
+    return TreeModel.from_dict(obj)
 
 
 def survival_probabilities(tree):
     """G_ij = P(X_i >= x_ij) for every node, as a list of level arrays."""
     laws = _forward_laws(tree.up_prob, 0, 0, tree.n_periods)
-    return [np.array([1.0]), *(_survival(w, 0) for w in laws)]
+    return [np.array([1.0]), *(survival_sum(w) for w in laws)]
 
 
 @dataclass(frozen=True)
@@ -254,84 +258,83 @@ def _last_law(trans, i, j, n):
     return w
 
 
-def _survival(w, j):
-    surv = np.cumsum(w[::-1])[::-1]
-    surv[: j + 1] = 1.0  # states at or below the current one are certain
-    return surv
-
-
 def _conditional_survival(trans, i, j, n):
     """Survival of X_n over level-n states given node (i, j), under ``trans``."""
-    return _survival(_last_law(trans, i, j, n), j)
-
-
-def q_conditional_survival(dt, i, j, n=None):
-    """Q(X_n >= x_nk | X_i = x_ij) over k, under the distorted transitions."""
-    n = dt.n_periods if n is None else int(n)
-    if not (0 <= i < n <= dt.n_periods) or not (0 <= j <= i):
-        raise DomainError(f"q_conditional_survival: invalid indices (i={i}, j={j}, n={n})")
-    return _conditional_survival(dt.q_up, i, j, n)
-
-
-def p_conditional_survival(dt, i, j, n=None):
-    """P(X_n >= x_nk | X_i = x_ij) over k, under the base transitions."""
-    n = dt.n_periods if n is None else int(n)
-    if not (0 <= i < n <= dt.n_periods) or not (0 <= j <= i):
-        raise DomainError(f"p_conditional_survival: invalid indices (i={i}, j={j}, n={n})")
-    return _conditional_survival(dt.base.up_prob, i, j, n)
+    return survival_sum(_last_law(trans, i, j, n), j)
 
 
 @dataclass(frozen=True)
-class NodePhiTable:
-    """The node-wise distortion curve: paired conditional survivals.
+class PhiCurve:
+    """Phi(s, t, x; p), assembled from paired conditional survival curves.
 
-    The curve is uniquely determined at the attained base-measure survival
-    probabilities and extended by linear interpolation in between, with the
-    endpoints pinned to (0,0) and (1,1).
+    surv_p and surv_q are P(X_t >= y | X_s = x) and Q(X_t >= y | X_s = x) at
+    the states y_grid; the curve maps the first onto the second.  It is known
+    at the knots p_grid, strictly increasing from 0 to 1, with values pinned
+    to 0 and 1 at the ends, and read by linear interpolation in between.
     """
 
-    i: int
-    j: int
-    horizon: int
-    p_surv: np.ndarray  # base-measure conditional survival, decreasing in k
-    q_surv: np.ndarray  # distorted-measure conditional survival, decreasing in k
-    knots_p: np.ndarray = field(repr=False, default=None)
-    knots_q: np.ndarray = field(repr=False, default=None)
+    s: float
+    t: float
+    x: float
+    p_grid: np.ndarray
+    values: np.ndarray
+    y_grid: np.ndarray
+    surv_p: np.ndarray
+    surv_q: np.ndarray
+    meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        p = np.asarray(self.p_grid, dtype=float)
+        v = np.asarray(self.values, dtype=float)
+        if p.shape != v.shape:
+            raise DomainError("PhiCurve: grid/value shape mismatch")
+        if p[0] != 0.0 or p[-1] != 1.0 or v[0] != 0.0 or v[-1] != 1.0:
+            raise ConsistencyError("PhiCurve: endpoints must be pinned to (0,0), (1,1)")
+        if (p[1:] <= p[:-1]).any():
+            raise DomainError("PhiCurve: p_grid must be strictly increasing")
+        if (v[1:] - v[:-1] < -1e-9).any():
+            raise ConsistencyError("PhiCurve: values must be nondecreasing in p")
+        object.__setattr__(self, "p_grid", p)
+        object.__setattr__(self, "values", np.maximum.accumulate(v))
 
     def __call__(self, p):
-        return np.interp(p, self.knots_p, self.knots_q)
+        out = np.interp(np.asarray(p, dtype=float), self.p_grid, self.values)
+        return float(out) if np.isscalar(p) or np.asarray(p).ndim == 0 else out
 
 
 def phi_at_node(dt, i, j, n=None):
-    """Distortion curve of the consistent construction at node (i, j), horizon n.
+    """Distortion curve of the consistent construction at node (i, j), horizon n:
+    a PhiCurve with s = t_i, t = t_n, x = x_ij and y_grid the level-n states.
 
-    Reads only the transition data of the subtree rooted at (i, j)."""
+    The knots are the attained base-measure survivals.  A survival attained
+    at two states, or at 0 or 1, must map to values within 1e-9 of each
+    other or of the pinned endpoint.  Reads only the transition data of the
+    subtree rooted at (i, j)."""
     n = dt.n_periods if n is None else int(n)
-    p_surv = p_conditional_survival(dt, i, j, n)
-    q_surv = q_conditional_survival(dt, i, j, n)
-    pts = {0.0: 0.0, 1.0: 1.0}
-    for pk, qk in zip(p_surv, q_surv):
-        pk = min(max(float(pk), 0.0), 1.0)
-        qk = min(max(float(qk), 0.0), 1.0)
-        if pk in pts and abs(pts[pk] - qk) > 1e-9:
+    if not (0 <= i < n <= dt.n_periods) or not (0 <= j <= i):
+        raise DomainError(f"phi_at_node: invalid indices (i={i}, j={j}, n={n})")
+    surv_p = _conditional_survival(dt.base.up_prob, i, j, n)
+    surv_q = _conditional_survival(dt.q_up, i, j, n)
+    pts = {}  # interior knots; a pair at 0 or 1 is checked, never stored
+    for pk, qk in zip(np.clip(surv_p, 0.0, 1.0).tolist(), np.clip(surv_q, 0.0, 1.0).tolist()):
+        known = pk if pk in (0.0, 1.0) else pts.get(pk, qk)
+        if abs(known - qk) > 1e-9:
             raise ConsistencyError(
                 f"phi_at_node: node (i={i}, j={j}) maps survival {pk} to two values"
             )
-        pts[pk] = qk
-    knots_p = np.array(sorted(pts))
-    knots_q = np.array([pts[k] for k in sorted(pts)])
-    if np.any(np.diff(knots_q) < -1e-12):
-        raise ConsistencyError(f"phi_at_node: curve at (i={i}, j={j}) is not increasing")
-    return NodePhiTable(
-        i=i, j=j, horizon=n, p_surv=p_surv, q_surv=q_surv, knots_p=knots_p, knots_q=knots_q
+        if 0.0 < pk < 1.0:
+            pts[pk] = qk
+    knots = sorted(pts)
+    return PhiCurve(
+        s=float(dt.times[i]), t=float(dt.times[n]), x=float(dt.states[i][j]),
+        p_grid=[0.0, *knots, 1.0], values=[0.0, *(pts[k] for k in knots), 1.0],
+        y_grid=dt.states[n], surv_p=surv_p, surv_q=surv_q,
     )
 
 
-def _choquet_with_curve(curve, p_surv, values):
+def _choquet_with_curve(curve, values):
     """Choquet sum of an increasing payoff against a node distortion curve."""
-    w_hi = curve(np.clip(p_surv, 0.0, 1.0))
-    w_lo = np.append(w_hi[1:], 0.0)
-    return float(values @ (w_hi - w_lo))
+    return float(values @ choquet_increments(curve(np.clip(curve.surv_p, 0.0, 1.0))))
 
 
 def verify_tower(dt, terminal_values, r=0, s=None, n=None):
@@ -341,6 +344,12 @@ def verify_tower(dt, terminal_values, r=0, s=None, n=None):
     induction under the distorted transitions, and explicit Choquet sums
     against the node distortion curves (direct over [r, n], and composed over
     [r, s] of the inner values over [s, n]).
+
+    The node curves pair P with the same distorted transitions Q that the
+    induction uses, so both sides are Q-expectations: this checks the
+    Choquet-sum code and the induction code against each other, not the
+    distortion.  Transitions that do not come from the schedule pass it;
+    verify_initial_consistency is the check against phi.
     """
     n = dt.n_periods if n is None else int(n)
     s = (r + n) // 2 if s is None else int(s)
@@ -353,14 +362,14 @@ def verify_tower(dt, terminal_values, r=0, s=None, n=None):
     worst = 0.0
     for j in range(s + 1):
         curve = phi_at_node(dt, s, j, n)
-        inner = _choquet_with_curve(curve, curve.p_surv, g)
+        inner = _choquet_with_curve(curve, g)
         worst = max(worst, abs(inner - u_s[j]))
     inner_vals = u_s
     for j in range(r + 1):
         direct_curve = phi_at_node(dt, r, j, n)
-        direct = _choquet_with_curve(direct_curve, direct_curve.p_surv, g)
+        direct = _choquet_with_curve(direct_curve, g)
         outer_curve = phi_at_node(dt, r, j, s)
-        composed = _choquet_with_curve(outer_curve, outer_curve.p_surv, inner_vals)
+        composed = _choquet_with_curve(outer_curve, inner_vals)
         worst = max(worst, abs(direct - u_r[j]))
         worst = max(worst, abs(composed - direct))
     return worst
@@ -374,7 +383,7 @@ def verify_initial_consistency(dt):
     laws = _forward_laws(dt.q_up, 0, 0, dt.n_periods)
     for n, w in enumerate(laws, start=1):
         phi = _phi_level(dt.base, dt.schedule, dt.survival, n)
-        worst = max(worst, float(np.max(np.abs(phi - _survival(w, 0)))))
+        worst = max(worst, float(np.max(np.abs(phi - survival_sum(w)))))
     return worst
 
 
@@ -406,8 +415,7 @@ def static_distorted_value(tree, d, terminal_values):
     surv = _conditional_survival(tree.up_prob, 0, 0, tree.n_periods)
     t_n = float(tree.times[-1])
     w_hi = np.asarray(d.eval(t_n, np.clip(surv, 0.0, 1.0)), dtype=float)
-    w_lo = np.append(w_hi[1:], 0.0)
-    return float(g @ (w_hi - w_lo))
+    return float(g @ choquet_increments(w_hi))
 
 
 def crossing_tree_residual(p1, p2, d1, d2):

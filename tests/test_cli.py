@@ -198,6 +198,28 @@ def test_malformed_json_exits_2_with_line(tmp_path):
     assert "line 2" in r.stderr
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read tree file {path}"),
+    ('{"times": [0, 1],\n  "states": [[0], [-1, 1]\n}',
+     "tree file {path} is not valid JSON at line 3 column 1"),
+    ("[1, 2]", "tree file {path} must hold a JSON object, not a list"),
+], ids=["missing", "malformed", "list"])
+def test_bad_tree_file_exits_2_naming_it(tmp_path, text, message):
+    tree_path = tmp_path / "tree.json"
+    if text is not None:
+        tree_path.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "distortion": {"family": "power", "gamma": 2.0},
+        "tree": {"file": str(tree_path)},
+    }))
+    r = run_cli("tree", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert message.format(path=tree_path) in r.stderr
+    assert "Traceback" not in r.stderr and "unknown keys" not in r.stderr
+
+
 def test_missing_config_and_preset_exits_2(tmp_path):
     r = run_cli("dynamics", "--out", str(tmp_path / "o"))
     assert r.returncode == 2

@@ -179,7 +179,7 @@ def test_wang_curvature_ratio_formula():
     w = Wang(alpha)
     for p in [0.05, 0.3, 0.5, 0.9]:
         ref = -alpha / float(mp_pdf(mp_quantile(p)))
-        assert w.curvature_ratio(0.0, p) == pytest.approx(ref, rel=1e-12)
+        assert w.curvature_ratio(0.0, p, 1.0 - p) == pytest.approx(ref, rel=1e-12)
 
 
 def test_wang_tail_ratio_with_complement():

@@ -19,7 +19,6 @@ from distort.dynamics import (
     ConvergenceReport,
     DriftField,
     GridLookup,
-    PhiCurve,
     build_phi_curve,
     compute_mu,
     convergence_study,
@@ -34,6 +33,8 @@ from distort.dynamics import (
     wang_value_closed,
 )
 from distort._cn import march
+from distort import dynamics
+from distort.tree import PhiCurve
 from distort.dynamics import (
     _debias_smoothed,
     _smoothed_indicators,
@@ -419,6 +420,26 @@ def test_pde_mc_check_rejects_fewer_than_two_paths(value_field):
             pde_mc_check(muf, sol, smoothed_step, [(0.25, 0.0)], 1.0, paths, 10, 11)
 
 
+@pytest.mark.parametrize("probe, named", [
+    ((0.5, 20.0), "x grid"),
+    ((0.1, 0.0), "time 0.1 outside grid"),
+    ((1.0, 0.0), "t_end"),
+])
+def test_pde_mc_check_rejects_a_probe_before_simulating(value_field, monkeypatch,
+                                                        probe, named):
+    """A probe off the value solution, or not before t_end, is named in the
+    error before any path is simulated, even after a valid probe."""
+    muf = compute_mu(Wang(0.5), value_field, ZERO)
+    sol = solve_distorted_pde(muf, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=50)
+    calls = []
+    monkeypatch.setattr(dynamics, "simulate_q_dynamics", lambda *a, **k: calls.append(a))
+    with pytest.raises(DomainError) as err:
+        pde_mc_check(muf, sol, smoothed_step, [(0.5, 0.0), probe], 1.0, 100_000, 100, 11)
+    assert f"probe (s={probe[0]}, x={probe[1]})" in str(err.value)
+    assert named in str(err.value)
+    assert calls == []
+
+
 def test_sim_counts_extrapolated_drift_queries():
     narrow = DriftField(
         np.array([0.0, 1.0]), np.array([-0.2, 0.2]),
@@ -435,7 +456,7 @@ def _reference_q_dynamics(f, s, x, t, paths, steps, seed, g=None):
     sqdt = math.sqrt(dt)
     nb = min(40, paths)
     base, extra = divmod(paths, nb)
-    terminal, means, below, above = [], [], 0, 0
+    means, below, above = [], 0, 0
     for idx in range(nb):
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, idx], dtype=np.uint64)))
         z = rng.standard_normal((base + (1 if idx < extra else 0), steps))
@@ -444,15 +465,11 @@ def _reference_q_dynamics(f, s, x, t, paths, steps, seed, g=None):
             drift, lo, hi = _interp_mu_at(f, s + k * dt, cur, "hold")
             below, above = below + lo, above + hi
             cur = cur + drift * dt + 1.0 * sqdt * z[:, k]
-        terminal.append(cur)
         means.append(np.mean(g(cur) if g is not None else cur))
     means = np.asarray(means)
-    allt = np.concatenate(terminal)
-    y = np.linspace(*np.quantile(allt, [0.001, 0.999]), 101)
     return dict(
         mean=float(np.mean(means)),
         std_error=float(np.std(means, ddof=1) / np.sqrt(len(means))),
-        survival_y=y, survival=np.mean(allt[:, None] >= y[None, :], axis=0),
         below=below, above=above,
     )
 
@@ -476,8 +493,6 @@ def test_sim_equals_the_per_step_np_interp_loop(case, value_field):
     ref = _reference_q_dynamics(f, s, x, t, paths, steps, 4, g)
     res = simulate_q_dynamics(f, s, x, t, paths=paths, steps=steps, seed=4, g=g)
     assert res.mean == ref["mean"] and res.std_error == ref["std_error"]
-    assert np.array_equal(res.survival_y, ref["survival_y"])
-    assert np.array_equal(res.survival, ref["survival"])
     assert res.extrapolations == ref["below"] + ref["above"]
     if g is None:
         assert ref["below"] > 0 and ref["above"] > 0  # both edges extrapolate
@@ -564,8 +579,9 @@ def test_phi_near_zero_s_recovers_static_curve():
 
 
 def test_phi_mc_cross_check_state_dependent_drift():
-    """PDE-built distorted survival agrees with the empirical curve of the
-    simulated dynamics when both use the same drift construction."""
+    """PDE-built distorted survival agrees with the simulated dynamics'
+    mean of the indicator of X_t >= y, at five y probes, when both use the
+    same drift construction."""
     ou = DiffusionSpec(drift=lambda t, x: -0.3 * np.asarray(x, dtype=float),
                        x0=0.0, T=1.0)
     curve = build_phi_curve(Wang(0.5), ou, 0.25, 1.0, 0.2, n_steps=400)
@@ -579,9 +595,11 @@ def test_phi_mc_cross_check_state_dependent_drift():
         G_comp=full.G_comp[np.ix_(keep_t, keep_x)],
     )
     mu = compute_mu(Wang(0.5), field, ou.drift)
-    sim = simulate_q_dynamics(mu, 0.25, 0.2, 1.0, paths=40_000, steps=200,
-                              seed=3, y_grid=curve.y_grid)
-    assert np.max(np.abs(sim.survival - curve.surv_q)) <= 0.012
+    for k in np.linspace(20, 140, 5).astype(int):
+        y = curve.y_grid[k]
+        sim = simulate_q_dynamics(mu, 0.25, 0.2, 1.0, paths=40_000, steps=200, seed=3,
+                                  g=lambda v, y=y: (v >= y).astype(float))
+        assert abs(sim.mean - curve.surv_q[k]) <= 0.012
 
 
 def test_phi_rejects_time_zero_and_below_s_min():

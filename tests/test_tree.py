@@ -13,6 +13,7 @@ exact rational arithmetic done by hand:
 """
 
 import copy
+import dataclasses
 import re
 
 import numpy as np
@@ -44,9 +45,7 @@ from distort.tree import (
     distort_tree,
     load_tree,
     naive_nested_expectation,
-    p_conditional_survival,
     phi_at_node,
-    q_conditional_survival,
     random_monotone_payoff,
     random_tree,
     static_distorted_value,
@@ -254,28 +253,45 @@ def test_naive_identity_has_no_gap(two_period):
 # conditional survival under both measures
 
 def test_q_survival_matches_distorted_marginal(square_tree):
-    q2 = q_conditional_survival(square_tree, 0, 0, 2)
+    q2 = phi_at_node(square_tree, 0, 0, 2).surv_q
     assert np.allclose(q2, [1.0, 9.0 / 16.0, 1.0 / 16.0], rtol=0.0, atol=1e-15)
 
 
 def test_conditional_survival_from_interior_node(square_tree):
-    p = p_conditional_survival(square_tree, 1, 0, 2)
-    q = q_conditional_survival(square_tree, 1, 0, 2)
+    curve = phi_at_node(square_tree, 1, 0, 2)
+    p, q = curve.surv_p, curve.surv_q
+    assert (curve.s, curve.t, curve.x, curve.y_grid.tolist()) == (1.0, 2.0, -1.0, [-2.0, 0.0, 2.0])
     assert p.tolist() == [1.0, 0.5, 0.0]
     assert np.allclose(q, [1.0, 5.0 / 12.0, 0.0], rtol=0.0, atol=1e-15)
 
 
 def test_conditional_survival_index_validation(square_tree):
     with pytest.raises(DomainError):
-        q_conditional_survival(square_tree, 2, 0, 2)
+        phi_at_node(square_tree, 2, 0, 2)
     with pytest.raises(DomainError):
-        q_conditional_survival(square_tree, 0, 1, 2)
+        phi_at_node(square_tree, 0, 1, 2)
     with pytest.raises(DomainError):
-        p_conditional_survival(square_tree, 0, 0, 5)
+        phi_at_node(square_tree, 0, 0, 5)
 
 
 def test_initial_consistency_is_tight(square_tree):
     assert verify_initial_consistency(square_tree) <= 1e-15
+
+
+def test_initial_consistency_rejects_transitions_not_from_the_schedule():
+    """Uniform(0.05, 0.95) draws in place of the distorted transitions move
+    the Q-marginals off phi(G), which only the measure-flow check sees: the
+    node curves pair P with the same Q the induction uses, so verify_tower
+    still reads roundoff."""
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        dt = distort_tree(random_tree(rng, 8), Power(2.0))
+        wrong = dataclasses.replace(
+            dt, q_up=[rng.uniform(0.05, 0.95, size=i + 1) for i in range(8)])
+        g = random_monotone_payoff(rng, 9)
+        assert verify_initial_consistency(dt) <= 1e-12
+        assert verify_initial_consistency(wrong) > 0.1
+        assert verify_tower(wrong, g) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [Power(2.0), Wang(-0.7), KahnemanTversky(0.8)], ids=str)
@@ -307,6 +323,22 @@ def test_node_curves_two_period(square_tree):
         vals = curve(np.linspace(0.0, 1.0, 11))
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
+def test_node_curves_stay_pinned_on_deep_lattices(N):
+    """At (N/4, N/8) the P-survival sums past 1 and clips to p = 1 where the
+    Q-survival does not (by less than 1e-9): the pair is checked against the
+    endpoint, which stays at (1, 1)."""
+    spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
+    dt = distort_tree(lattice_from_diffusion(spec, N), Power(2.0))
+    curves = [phi_at_node(dt, i, j, N) for i, j in ((N // 4, N // 8), (N // 4, 0), (N // 2, N // 4))]
+    for curve in curves:
+        assert (curve.p_grid[0], curve.values[0]) == (0.0, 0.0)
+        assert (curve.p_grid[-1], curve.values[-1]) == (1.0, 1.0)
+        assert curve(1.0) == 1.0 and curve(0.0) == 0.0
+    at_one = np.clip(curves[0].surv_p, 0.0, 1.0) == 1.0
+    assert np.any(at_one & (curves[0].surv_q != 1.0))
 
 
 def test_root_curve_matches_initial_distortion(square_tree):
@@ -353,8 +385,8 @@ def test_node_curve_reads_only_subtree_data(square_tree):
     mutated.q_up[1][0] = 0.9
     mutated.base.up_prob[1][0] = 0.9
     after = phi_at_node(mutated, 1, 1, 3)
-    assert np.array_equal(before.knots_p, after.knots_p)
-    assert np.array_equal(before.knots_q, after.knots_q)
+    assert np.array_equal(before.p_grid, after.p_grid)
+    assert np.array_equal(before.values, after.values)
 
 
 def test_rederived_curve_depends_on_sibling_transition():
@@ -363,12 +395,12 @@ def test_rederived_curve_depends_on_sibling_transition():
     # the construction is global in P even though the curve lookup is local.
     tree = symmetric_tree(3)
     dt = distort_tree(tree, Power(2.0))
-    assert q_conditional_survival(dt, 1, 0, 3)[2] == pytest.approx(5.0 / 32.0, rel=1e-13)
+    assert phi_at_node(dt, 1, 0, 3).surv_q[2] == pytest.approx(5.0 / 32.0, rel=1e-13)
 
     bumped = symmetric_tree(3)
     bumped.up_prob[1][1] = 0.7
     dt2 = distort_tree(bumped, Power(2.0))
-    assert q_conditional_survival(dt2, 1, 0, 3)[2] == pytest.approx(15.0 / 88.0, rel=1e-13)
+    assert phi_at_node(dt2, 1, 0, 3).surv_q[2] == pytest.approx(15.0 / 88.0, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
