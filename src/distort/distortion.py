@@ -324,7 +324,9 @@ class Prelec(Distortion):
 
     def _m_cascade(self, p, q):
         g, a = self.gamma, self.alpha
-        w = -np.log(p)
+        # -ln p read off the trusted complement above 1/2, where p may have
+        # rounded to 1 (w = 0 would make w**(a-1) infinite)
+        w = np.where(p > 0.5, -np.log1p(-q), -np.log(p))
         wa1 = w ** (a - 1.0)
         val = np.exp(-g * w * wa1)
         d1 = val * g * a * wa1 / p

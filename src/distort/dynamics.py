@@ -39,6 +39,7 @@ from .density import (
     run_batches,
     solve_survival_pde,
 )
+from .distortion import SeparableProduct
 from .errors import (
     AccuracyError,
     ConsistencyError,
@@ -146,7 +147,11 @@ class DriftField:
         if self.x_grid.size < 2 or np.any(np.diff(self.x_grid) <= 0.0):
             raise DomainError("DriftField: x_grid must be increasing with >= 2 points")
         if not np.all(np.isfinite(self.mu)):
-            raise NumericError("DriftField: non-finite drift values")
+            i, j = np.unravel_index(int(np.argmax(~np.isfinite(self.mu))), self.mu.shape)
+            raise NumericError(
+                f"DriftField: non-finite drift {self.mu[i, j]} at t={self.t_grid[i]}, "
+                f"x={self.x_grid[j]} (the first such cell)"
+            )
         self._lookup = GridLookup(self.x_grid)
 
     def row_at(self, t):
@@ -200,6 +205,15 @@ def _mu_core(d, field, b_rows, sigma_sq):
     density; a clamped evaluation would zero the drift out there.
     """
     t_grid = field.t_grid
+    if isinstance(d, SeparableProduct):
+        for t in t_grid:
+            f = d.time_weight.value(t)
+            if f < 1.0:
+                raise DomainError(
+                    f"distorted drift: SeparableProduct jumps at p = 1 at t={t}: "
+                    f"phi_t(1-) = f(t) = {f} < 1 puts mass {1.0 - f:.3g} at -inf, "
+                    "which no finite grid can carry"
+                )
     rho = field.rho
     mu = np.empty_like(rho)
     for i, t in enumerate(t_grid):
@@ -525,25 +539,27 @@ def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
 # ---------------------------------------------------------------------------
 # the dynamic distortion curve
 
-def _invert_decreasing(fn, lo, hi, v_lo, v_hi, target):
-    """Bisection inverse of a decreasing curve to 1e-12.
+def _invert_decreasing(fn, lo, hi, v_lo, v_hi, targets):
+    """Bisection inverses of a decreasing curve to 1e-12, all targets at once.
 
+    fn maps an array of y to its values.  Each target runs its own bisection
+    on [lo, hi] (v_lo and v_hi the values there), with its own stop and at
+    most 200 halvings; a target at or past v_lo or v_hi returns lo or hi.
     Equal values form a flat stretch; the tie goes to the smaller y, so
     equality at the midpoint pulls the right bracket in."""
-    if target >= v_lo:
-        return float(lo)
-    if target <= v_hi:
-        return float(hi)
-    lo, hi = float(lo), float(hi)
+    targets = np.asarray(targets, dtype=float)
+    lo = np.full(targets.shape, float(lo))
+    hi = np.full(targets.shape, float(hi))
+    run = (targets < v_lo) & (targets > v_hi)
     for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+        run &= hi - lo > 1e-12 * np.maximum(np.maximum(1.0, np.abs(lo)), np.abs(hi))
+        if not run.any():
             break
         mid = 0.5 * (lo + hi)
-        if fn(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+        above = fn(mid) > targets
+        lo = np.where(run & above, mid, lo)
+        hi = np.where(run & ~above, mid, hi)
+    return np.where(targets >= v_lo, lo, hi)
 
 
 def _sqrt_graded(s, t, n):
@@ -721,23 +737,18 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
 
     # cubic interpolants keep the curve pairing from reintroducing the
     # O(dy^2) kink error of piecewise-linear reads
-    sp_q = CubicSpline(y_grid, surv_q)
     if drift_const is not None:
-        gp = lambda yv: float(normal.sf((yv - center) / sq_gap))
+        gp = lambda yv: normal.sf((yv - center) / sq_gap)
     else:
-        sp_p = CubicSpline(y_grid, surv_p)
-        gp = lambda yv: float(sp_p(yv))
-
-    knots_v = [0.0]
-    for p in knots_p[1:-1]:
-        y_star = _invert_decreasing(gp, y_grid[0], y_grid[-1],
-                                    float(surv_p[0]), float(surv_p[-1]), p)
-        knots_v.append(float(np.clip(sp_q(y_star), 0.0, 1.0)))
-    knots_v.append(1.0)
+        gp = CubicSpline(y_grid, surv_p)
+    y_star = _invert_decreasing(gp, y_grid[0], y_grid[-1],
+                                float(surv_p[0]), float(surv_p[-1]), knots_p[1:-1])
+    knots_v = np.concatenate(([0.0], np.clip(CubicSpline(y_grid, surv_q)(y_star), 0.0, 1.0),
+                              [1.0]))
     debias_mag = float(np.max(np.abs(surv_q - np.clip(surv_q_raw, 0.0, 1.0))))
     return PhiCurve(
         s=float(s), t=float(t), x=float(x),
-        p_grid=knots_p, values=np.asarray(knots_v),
+        p_grid=knots_p, values=knots_v,
         y_grid=y_grid, surv_p=surv_p, surv_q=surv_q,
         meta={"distortion": d.to_dict(), "mu_source": mu_src, "debias": debias_mag},
     )

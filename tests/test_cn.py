@@ -1,9 +1,18 @@
-"""Tests for the adjoint of the theta-scheme march."""
+"""Tests for the theta-scheme step and march, and the adjoint march."""
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from distort._cn import _transposed_bands, march, march_adjoint, operator_bands
+from distort import _cn
+from distort._cn import (
+    _transposed_bands,
+    apply_operator,
+    march,
+    march_adjoint,
+    operator_bands,
+    theta_step,
+)
 from distort.dynamics import _sqrt_graded
 from distort.errors import DomainError
 
@@ -83,3 +92,87 @@ def test_adjoint_guards():
         march_adjoint(np.zeros(X.size), X, UNIFORM[::-1], 0.5)
     with pytest.raises(DomainError):
         march_adjoint(np.zeros(X.size), X, UNIFORM, 0.5, bc="periodic")
+
+
+def _banded_reference(u, bands, dt, theta, bc_values=None):
+    """theta_step as the banded LAPACK route of scipy.linalg.solve_banded."""
+    lower, diag, upper = bands
+    rhs = u + ((1.0 - theta) * dt) * apply_operator(u, bands) if theta < 1.0 else u.copy()
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = -theta * dt * upper[:-1]
+    ab[1, :] = 1.0 - theta * dt * diag
+    ab[2, :-1] = -theta * dt * lower[1:]
+    out = solve_banded((1, 1), ab, rhs.T).T
+    if bc_values is not None:
+        out[..., 0] = bc_values[0]
+        out[..., -1] = bc_values[1]
+    return out
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("shape", [(X.size,), (3, X.size)], ids=["one", "three"])
+def test_theta_step_equals_the_banded_solve_bit_for_bit(theta, bc, shape):
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=shape)
+    bands = operator_bands(X, 0.5, strong_velocity(0.4), bc)
+    pins = (1.0, 0.0) if bc == "dirichlet" else None
+    for dt in (0.01, 0.37):
+        got = theta_step(u, bands, dt, theta=theta, bc_values=pins)
+        assert got.shape == shape
+        assert np.array_equal(got, _banded_reference(u, bands, dt, theta, pins))
+
+
+def test_theta_step_leaves_its_input_alone():
+    u = np.linspace(0.0, 1.0, X.size)
+    keep = u.copy()
+    theta_step(u, operator_bands(X, 0.5), 0.1, theta=1.0)
+    assert np.array_equal(u, keep)
+
+
+def test_singular_step_raises_linalg_error():
+    n = X.size
+    # I - dt L vanishes on the diagonal and L has no off-diagonal entries
+    bands = (np.zeros(n), np.ones(n), np.zeros(n))
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        theta_step(np.ones(n), bands, 1.0, theta=1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        theta_step(np.ones((3, n)), bands, 1.0, theta=1.0)
+
+
+@pytest.mark.parametrize("velocity", [None, strong_velocity], ids=["none", "callable"])
+def test_march_rejects_a_non_uniform_grid(velocity):
+    bent = X + 0.01 * X**2
+    with pytest.raises(DomainError, match="uniform"):
+        march(np.ones(X.size), bent, UNIFORM, 0.5, velocity)
+    with pytest.raises(DomainError, match="uniform"):
+        march_adjoint(_unit(3), bent, UNIFORM, 0.5, velocity)
+
+
+@pytest.mark.parametrize("velocity", [None, strong_velocity], ids=["none", "callable"])
+def test_march_checks_the_grid_once(velocity, monkeypatch):
+    calls = []
+    real = _cn.uniform_spacing
+
+    def counting(x):
+        calls.append(1)
+        return real(x)
+
+    monkeypatch.setattr(_cn, "uniform_spacing", counting)
+    march(np.ones(X.size), X, GRADED, 0.5, velocity, rannacher=2)
+    march_adjoint(_unit(3), X, GRADED, 0.5, velocity, rannacher=2)
+    assert len(calls) == 2
+
+
+def test_march_rejects_non_finite_data():
+    bad = np.ones(X.size)
+    bad[7] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        march(bad, X, UNIFORM, 0.5)
+    with pytest.raises(DomainError, match="non-finite"):
+        march_adjoint(bad, X, UNIFORM, 0.5)
+    with pytest.raises(DomainError, match="times"):
+        march(np.ones(X.size), X, np.array([0.0, np.nan, 1.0]), 0.5)
+    for d in (np.nan, np.inf, 0.0):
+        with pytest.raises(DomainError, match="diffusion"):
+            march(np.ones(X.size), X, UNIFORM, d)

@@ -14,7 +14,9 @@ from distort.density import (
     gaussian_field,
     solve_survival_pde,
 )
-from distort.distortion import Identity, Power, SeparableProduct, TimeWeight, Wang
+from scipy.interpolate import CubicSpline
+
+from distort.distortion import Identity, Power, Prelec, SeparableProduct, TimeWeight, Wang
 from distort.dynamics import (
     ConvergenceReport,
     DriftField,
@@ -37,6 +39,7 @@ from distort import dynamics
 from distort.tree import PhiCurve
 from distort.dynamics import (
     _debias_smoothed,
+    _invert_decreasing,
     _smoothed_indicators,
     _sqrt_graded,
     _trimmed_pde_field,
@@ -121,6 +124,36 @@ def test_drift_field_validation():
         DriftField(np.array([0.1, 0.2]), np.array([0.0, 1.0]), np.zeros((3, 2)))
     with pytest.raises(NumericError):
         DriftField(np.array([0.1]), np.array([0.0, 1.0]), np.array([[np.nan, 0.0]]))
+
+
+def test_drift_field_names_the_first_non_finite_cell():
+    mu = np.zeros((3, 4))
+    mu[1, 2] = np.inf
+    mu[2, 0] = np.nan
+    with pytest.raises(NumericError, match=r"non-finite drift inf at t=0.2, x=2.0 "):
+        DriftField(np.array([0.1, 0.2, 0.3]), np.arange(4.0), mu)
+
+
+def test_prelec_drift_is_finite_where_the_survival_rounds_to_one():
+    """w = -ln G is 0 where G rounds to 1; read off the complement it is not.
+    There the drift follows the lower-tail asymptote -(1 - a) rho / (2 (1 - G))."""
+    field = gaussian_field(0.0, np.linspace(0.1, 1.0, 46), np.linspace(-7.0, 7.0, 281))
+    saturated = field.G == 1.0
+    assert np.any(saturated)
+    mu = compute_mu(Prelec(0.8, 0.9), field, ZERO)
+    assert np.all(np.isfinite(mu.mu))
+    tail = -0.5 * (1.0 - 0.9) * field.rho[saturated] / field.G_comp[saturated]
+    assert np.max(np.abs(mu.mu[saturated] / tail - 1.0)) <= 1e-6
+
+
+def test_compute_mu_rejects_a_separable_schedule_with_a_jump_at_one(wang_field):
+    """f(t) < 1 leaves mass 1 - f(t) at -inf, which no finite grid carries."""
+    sched = SeparableProduct(TimeWeight("exp", rate=-0.5, anchor=0.0), Power(1.5))
+    with pytest.raises(DomainError, match=r"jumps at p = 1 at t=0.1: phi_t\(1-\) = f\(t\) = 0.951"):
+        compute_mu(sched, wang_field, ZERO)
+    flat = SeparableProduct(TimeWeight("constant"), Power(1.5))
+    assert np.array_equal(compute_mu(flat, wang_field, ZERO).mu,
+                          compute_mu(Power(1.5), wang_field, ZERO).mu)
 
 
 def test_drift_field_interpolation_and_extension():
@@ -647,6 +680,63 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field):
     assert np.array_equal(curve.y_grid, y_grid)
     assert np.max(np.abs(curve.surv_q - ref)) <= 1e-12
     assert mu.extrapolations == ref_mu.extrapolations > 0
+
+
+def _scalar_bisection(fn, lo, hi, v_lo, v_hi, target):
+    """One knot at a time, as build_phi_curve inverted its knots before."""
+    if target >= v_lo:
+        return float(lo)
+    if target <= v_hi:
+        return float(hi)
+    lo, hi = float(lo), float(hi)
+    for _ in range(200):
+        if hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi)):
+            break
+        mid = 0.5 * (lo + hi)
+        if fn(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _flat_middle(y):
+    """Decreasing, with the value 0.6 on all of [0.4, 0.6]."""
+    y = np.asarray(y, dtype=float)
+    return np.where(y < 0.4, 1.0 - y, np.where(y < 0.6, 0.6, 1.2 - y))
+
+
+def _inversion_cases():
+    sq_gap = math.sqrt(0.75)
+    center = 0.13
+    y_gauss = np.linspace(center - 7.5 * sq_gap, center + 7.5 * sq_gap, 161)
+    y_spline = np.linspace(-4.0, 4.0, 161)
+    spline = CubicSpline(y_spline, normal.sf(y_spline / 0.9) ** 1.1)
+    return {
+        "normal_sf": (lambda yv: normal.sf((yv - center) / sq_gap), y_gauss,
+                      normal.sf((y_gauss - center) / sq_gap)),
+        "cubic_spline": (spline, y_spline, spline(y_spline)),
+        "flat_stretch": (_flat_middle, np.linspace(0.0, 1.0, 11),
+                         _flat_middle(np.linspace(0.0, 1.0, 11))),
+    }
+
+
+@pytest.mark.parametrize("case", ["normal_sf", "cubic_spline", "flat_stretch"])
+def test_batched_inversion_equals_the_scalar_bisection(case):
+    fn, y, surv = _inversion_cases()[case]
+    v_lo, v_hi = float(surv[0]), float(surv[-1])
+    targets = np.concatenate([
+        np.linspace(0.002, 0.998, 499), surv[::7], [v_lo, v_hi, 1.0, 0.0, 0.6],
+        [np.nextafter(v_lo, 0.0), np.nextafter(v_hi, 1.0)],
+    ])
+    got = _invert_decreasing(fn, y[0], y[-1], v_lo, v_hi, targets)
+    ref = [_scalar_bisection(lambda yv: float(fn(yv)), y[0], y[-1], v_lo, v_hi, p)
+           for p in targets]
+    assert got.shape == targets.shape
+    assert got.tobytes() == np.asarray(ref).tobytes()
+    if case == "flat_stretch":
+        # the tie at the flat value goes to the smaller y
+        assert abs(got[targets == 0.6][0] - 0.4) <= 1e-12
 
 
 def test_phi_curve_is_nondecreasing(wang_curve):
