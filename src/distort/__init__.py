@@ -41,7 +41,6 @@ from .dynamics import (
     compute_mu,
     convergence_study,
     general_sigma_mu,
-    lamperti_transform,
     lattice_from_diffusion,
     simulate_q_dynamics,
     solve_distorted_pde,
@@ -105,7 +104,6 @@ __all__ = [
     "distortion_from_dict",
     "gaussian_field",
     "general_sigma_mu",
-    "lamperti_transform",
     "lattice_from_diffusion",
     "naive_nested_expectation",
     "phi_at_node",

@@ -37,23 +37,18 @@ _BINARY_VERSION = 1
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Coefficients of dX = b(t, X) dt + sigma(t, X) dB from (x0, 0) to T.
+    """dX = b(t, X) dt + dB from (x0, 0) to T, with unit diffusion coefficient.
 
-    drift and sigma must accept (t, x) with array x and broadcast; sigma=None
-    means the unit coefficient (the solvers below require exactly that; use
-    lamperti_transform to reduce a general sigma first).
+    drift must accept (t, x) with array x and broadcast.
     """
 
     drift: object
     x0: float
     T: float
-    sigma: object = None
 
     def __post_init__(self):
         if not callable(self.drift):
             raise DomainError("DiffusionSpec: drift must be callable")
-        if self.sigma is not None and not callable(self.sigma):
-            raise DomainError("DiffusionSpec: sigma must be callable or None")
         if not (np.isfinite(self.T) and self.T > 0.0):
             raise DomainError("DiffusionSpec: T must be positive")
         if not np.isfinite(self.x0):
@@ -61,10 +56,6 @@ class DiffusionSpec:
         b0 = np.asarray(self.drift(0.0, np.array([self.x0])), dtype=float)
         if not np.all(np.isfinite(b0)):
             raise DomainError("DiffusionSpec: drift is not finite at (0, x0)")
-
-    @property
-    def unit_sigma(self):
-        return self.sigma is None
 
 
 def constant_drift(c):
@@ -132,8 +123,12 @@ class DensityField:
         x = np.asarray(self.x_grid, dtype=float)
         rho = np.asarray(self.rho, dtype=float)
         G = np.asarray(self.G, dtype=float)
-        if t.ndim != 1 or x.ndim != 1 or np.any(np.diff(t) <= 0) or np.any(np.diff(x) <= 0):
-            raise DomainError("DensityField: grids must be 1-D increasing")
+        if t.ndim != 1 or x.ndim != 1:
+            raise DomainError("DensityField: grids must be 1-D")
+        if not (np.isfinite(t).all() and np.isfinite(x).all()):
+            raise DomainError("DensityField: grids must be finite")
+        if not (np.all(np.diff(t) > 0) and np.all(np.diff(x) > 0)):
+            raise DomainError("DensityField: grids must be increasing")
         if rho.shape != (t.size, x.size) or G.shape != rho.shape:
             raise DomainError("DensityField: field shapes do not match the grids")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(G))):
@@ -175,8 +170,6 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
     (mean, variance) pair supports conditional restarts from later states.
     rho comes from centered differencing of G.
     """
-    if not spec.unit_sigma:
-        raise DomainError("solve_survival_pde: requires sigma = 1; apply lamperti_transform")
     t = np.asarray(t_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
@@ -368,8 +361,6 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0):
     the (steps,) row of left-point times, so it must be a pure elementwise
     function.
     """
-    if not spec.unit_sigma:
-        raise DomainError("bridge_density_mc: requires sigma = 1")
     if not (0.0 < t <= spec.T):
         raise DomainError(f"bridge_density_mc: t={t} outside (0, T]")
     if paths < 1 or steps < 2:

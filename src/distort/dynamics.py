@@ -13,23 +13,20 @@ dynamics, assembles the dynamic distortion curve
 
     Phi(s, t, x; p) = Gq(Gp^{-1}(p))
 
-from the paired conditional survival curves, reduces general diffusion
-coefficients to the unit case by a space change, and discretizes the
-diffusion to a binomial lattice for convergence studies against the PDE.
+from the paired conditional survival curves, and discretizes the diffusion
+to a binomial lattice for convergence studies against the PDE.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from . import normal
 from ._cn import march, march_adjoint, uniform_spacing
 from .density import (
     DensityField,
-    DiffusionSpec,
     blend_rows,
     bounded_read,
     bounded_rows,
@@ -55,8 +52,6 @@ _DENOM_FLOOR = 1e-300
 _Z_USABLE = 34.0
 # half-width of the y probes of build_phi_curve, in sqrt(t - s)
 _Y_WIDTH = 3.9
-# lamperti_transform rejects sigma below this on its probe grid
-_SIGMA_FLOOR = 1e-8
 # the Euler engine steps this many consecutive batches as one row: a step is
 # about 22 small numpy calls whatever the row's width, so a wider row spreads
 # their dispatch cost over more paths
@@ -269,8 +264,8 @@ def general_sigma_mu(d, field, b, sigma, sigma_check):
     b_rows = rows(b)
     sig = rows(sigma)
     sig_c = rows(sigma_check)
-    if np.any(sig <= 0.0) or np.any(sig_c <= 0.0):
-        raise DomainError("general_sigma_mu: diffusion coefficients must be positive")
+    if not all((np.isfinite(s) & (s > 0.0)).all() for s in (sig, sig_c)):
+        raise DomainError("general_sigma_mu: diffusion coefficients must be positive and finite")
     core = _mu_core(d, field, b_rows, sig_c**2)
     dsig = np.gradient(sig, x, axis=1)
     dsig_c = np.gradient(sig_c, x, axis=1)
@@ -783,101 +778,6 @@ def wang_value_closed(alpha, g, s, t_end, x):
 
 
 # ---------------------------------------------------------------------------
-# general diffusion coefficient: space change to the unit case
-
-@dataclass(frozen=True)
-class LampertiResult:
-    spec_hat: DiffusionSpec
-    psi: object
-    psi_inv: object
-
-
-def lamperti_transform(spec):
-    """Reduce dX = b dt + sigma dB to unit diffusion by the space change
-    psi(t, x) = integral_0^x dy / sigma(t, y).
-
-    Returns the transformed spec and both coordinate maps; the transformed
-    drift is bhat = [dt_psi + b/sigma - 1/2 dx_sigma] at psi_inv, with the
-    derivatives taken by central differences of step 1e-6 (dt_psi forward
-    below t = 1e-6, so sigma is never read at a negative time).  bhat
-    broadcasts t against x, as DiffusionSpec asks, and evaluates each point
-    on its own (a bisection of quad calls, some milliseconds a point).  The
-    survival identities G(t, x) = Ghat(t, psi(t, x)) and rho(t, x) =
-    rhohat(t, psi(t, x)) / sigma(t, x) pull densities back to the original
-    coordinates."""
-    if spec.sigma is None:
-        ident = lambda t, xq: np.asarray(xq, dtype=float) + 0.0
-        return LampertiResult(spec_hat=spec, psi=ident, psi_inv=ident)
-    sigma = spec.sigma
-    span = 8.0 * math.sqrt(spec.T)
-    probes = np.linspace(spec.x0 - span, spec.x0 + span, 81)
-    vals = np.asarray(sigma(0.0, probes), dtype=float)
-    if np.any(vals < _SIGMA_FLOOR):
-        raise DomainError(
-            f"lamperti_transform: sigma drops below {_SIGMA_FLOOR} on the probe grid; "
-            "the space change is not invertible there"
-        )
-
-    def sig_scalar(t, xv):
-        return float(np.asarray(sigma(t, np.asarray([xv], dtype=float)))[0])
-
-    def psi_scalar(t, xv):
-        val, _ = quad(lambda y: 1.0 / sig_scalar(t, y), 0.0, xv, limit=200)
-        return val
-
-    def psi(t, xq):
-        xs = np.atleast_1d(np.asarray(xq, dtype=float))
-        out = np.array([psi_scalar(t, v) for v in xs])
-        return float(out[0]) if np.isscalar(xq) or np.asarray(xq).ndim == 0 else out
-
-    def psi_inv(t, zq):
-        zs = np.atleast_1d(np.asarray(zq, dtype=float))
-        out = np.empty_like(zs)
-        for i, z in enumerate(zs):
-            lo, hi = -1.0, 1.0
-            while psi_scalar(t, lo) > z:
-                lo *= 2.0
-                if lo < -1e12:
-                    raise NumericError("lamperti_transform: inverse bracket failed")
-            while psi_scalar(t, hi) < z:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise NumericError("lamperti_transform: inverse bracket failed")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if hi - lo <= 1e-12 * max(1.0, abs(mid)):
-                    break
-                if psi_scalar(t, mid) < z:
-                    lo = mid
-                else:
-                    hi = mid
-            out[i] = 0.5 * (lo + hi)
-        return float(out[0]) if np.isscalar(zq) or np.asarray(zq).ndim == 0 else out
-
-    h = 1e-6
-
-    def b_hat_at(t, z):
-        xv = float(psi_inv(t, z))
-        b_val = np.broadcast_to(np.asarray(spec.drift(t, np.array([xv])), dtype=float), (1,))[0]
-        ds_dx = (sig_scalar(t, xv + h) - sig_scalar(t, xv - h)) / (2.0 * h)
-        t_lo = t - h if t >= h else t
-        dpsi_dt = (psi_scalar(t + h, xv) - psi_scalar(t_lo, xv)) / (t + h - t_lo)
-        return b_val / sig_scalar(t, xv) - 0.5 * ds_dx + dpsi_dt
-
-    def b_hat(t, zq):
-        # t broadcasts against z (the bridge passes a row of step times), and
-        # each point is evaluated on its own
-        tb, zb = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(zq, dtype=float))
-        out = np.array(
-            [b_hat_at(float(ti), float(zi)) for ti, zi in zip(tb.ravel(), zb.ravel())]
-        ).reshape(zb.shape)
-        return float(out) if out.ndim == 0 else out
-
-    spec_hat = DiffusionSpec(drift=b_hat, x0=float(psi(0.0, spec.x0)), T=spec.T)
-    return LampertiResult(spec_hat=spec_hat, psi=psi, psi_inv=psi_inv)
-
-
-# ---------------------------------------------------------------------------
 # lattice discretization and convergence
 
 def lattice_from_diffusion(spec, N):
@@ -886,8 +786,6 @@ def lattice_from_diffusion(spec, N):
 
     The one-step mean is b h exactly and the raw second moment is h, so the
     variance is h - (b h)^2."""
-    if not spec.unit_sigma:
-        raise DomainError("lattice_from_diffusion: requires unit sigma")
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
     h = spec.T / N
@@ -900,7 +798,14 @@ def lattice_from_diffusion(spec, N):
             np.asarray(spec.drift(times[i], states[i]), dtype=float), states[i].shape
         )
         p = 0.5 + 0.5 * b_row * sq
-        if np.any((p <= 0.0) | (p >= 1.0)):
+        if not np.all((p > 0.0) & (p < 1.0)):
+            bad = ~np.isfinite(b_row)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise DomainError(
+                    f"lattice_from_diffusion: drift {b_row[j]} at level {i}, "
+                    f"state {states[i][j]} is not finite"
+                )
             worst = float(np.max(np.abs(b_row)))
             n_min = int(math.ceil(spec.T * worst**2)) + 1
             raise DomainError(

@@ -56,8 +56,8 @@ class TreeModel:
         n = times.size - 1
         if n < 1:
             raise DomainError("TreeModel: need at least two time points")
-        if np.any(np.diff(times) <= 0.0):
-            raise DomainError("TreeModel: times must be strictly increasing")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
+            raise DomainError("TreeModel: times must be finite and strictly increasing")
         if len(states) != n + 1 or len(up_prob) != n:
             raise DomainError(
                 f"TreeModel: expected {n + 1} state levels and {n} transition levels, "
@@ -66,19 +66,22 @@ class TreeModel:
         for i, s in enumerate(states):
             if s.shape != (i + 1,):
                 raise DomainError(f"TreeModel: level {i} must hold {i + 1} states")
-            if np.any(np.diff(s) <= 0.0):
+            if not np.all(np.diff(s) > 0.0):
                 raise DomainError(f"TreeModel: states at level {i} not strictly increasing")
         for i, p in enumerate(up_prob):
             if p.shape != (i + 1,):
                 raise DomainError(f"TreeModel: up_prob at level {i} must hold {i + 1} entries")
-            if np.any((p <= 0.0) | (p >= 1.0)):
+            if not np.all((p > 0.0) & (p < 1.0)):
                 raise DomainError(f"TreeModel: up_prob at level {i} must lie strictly in (0, 1)")
         for i in range(n):
             lo, hi = states[i + 1][:-1], states[i + 1][1:]
-            if np.any(lo > states[i]) or np.any(hi < states[i]):
+            if not (np.all(lo <= states[i]) and np.all(states[i] <= hi)):
                 raise DomainError(
                     f"TreeModel: children at level {i + 1} must straddle their parent states"
                 )
+        # straddling puts every state within the last level's end states
+        if not np.isfinite(states[n][[0, -1]]).all():
+            raise DomainError(f"TreeModel: states at level {n} must be finite")
 
     @property
     def n_periods(self):

@@ -45,8 +45,9 @@ def test_spec_validation():
         DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=0.0)
     with pytest.raises(DomainError):
         DiffusionSpec(drift=lambda t, x: x * np.nan, x0=0.0, T=1.0)
-    spec = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
-    assert spec.unit_sigma
+    # the diffusion coefficient is 1: there is no field to set it
+    with pytest.raises(TypeError):
+        DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0, sigma=ZERO_DRIFT)
 
 
 def test_field_shape_and_value_checks():
@@ -60,6 +61,22 @@ def test_field_shape_and_value_checks():
         DensityField(t, x, good * np.nan, G)
     with pytest.raises(NumericError):
         DensityField(t, x, good - 1.0, G)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("offset", [1, 3 + 16], ids=["t", "x"])
+def test_binary_reader_rejects_a_non_finite_grid(tmp_path, offset, bad):
+    """A non-finite grid entry in a field file (after the 16-byte header,
+    3 times, then 17 states) raises instead of reading back as a field whose
+    rho_at returns nan."""
+    path = tmp_path / "field.dfld"
+    field_to_binary(small_field(), path)
+    raw = bytearray(path.read_bytes())
+    at = 16 + 8 * offset
+    raw[at:at + 8] = np.array([bad], dtype="<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DomainError, match="grids must be finite"):
+        field_from_binary(path)
 
 
 def test_field_monotone_projection_recorded():
@@ -183,9 +200,6 @@ def test_pde_guards():
         solve_survival_pde(spec, np.linspace(0.1, 1, 50), np.linspace(-8, 8, 401), initial=(0.0, -1.0))
     with pytest.raises(AccuracyError):
         solve_survival_pde(spec, np.linspace(0.001, 1, 200), np.linspace(-2, 2, 401))
-    bad = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0, sigma=lambda t, x: 2.0 * np.ones_like(x))
-    with pytest.raises(DomainError):
-        solve_survival_pde(bad, np.linspace(0.001, 1, 50), np.linspace(-8, 8, 401))
 
 
 # ---------------------------------------------------------------------------

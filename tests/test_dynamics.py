@@ -25,7 +25,6 @@ from distort.dynamics import (
     compute_mu,
     convergence_study,
     general_sigma_mu,
-    lamperti_transform,
     lattice_from_diffusion,
     pde_mc_check,
     simulate_q_dynamics,
@@ -314,9 +313,11 @@ def test_general_sigma_density_ratio_term():
 
 
 def test_general_sigma_rejects_nonpositive_sigma(wang_field):
-    bad = lambda t, x: np.zeros_like(np.asarray(x, dtype=float))
-    with pytest.raises(DomainError):
-        general_sigma_mu(Identity(), wang_field, ZERO, ones_sigma, bad)
+    for value in (0.0, -1.0, math.nan, math.inf):
+        bad = lambda t, x: np.full_like(np.asarray(x, dtype=float), value)
+        for sigma, sigma_check in [(ones_sigma, bad), (bad, ones_sigma)]:
+            with pytest.raises(DomainError, match="must be positive and finite"):
+                general_sigma_mu(Identity(), wang_field, ZERO, sigma, sigma_check)
 
 
 # ---------------------------------------------------------------------------
@@ -756,105 +757,6 @@ def test_value_oracle_gaussian_payload():
 
 
 # ---------------------------------------------------------------------------
-# space change for general diffusion coefficients
-
-def test_lamperti_unit_sigma_is_identity():
-    res = lamperti_transform(SPEC0)
-    assert res.spec_hat is SPEC0
-    assert res.psi(0.3, 1.7) == 1.7
-
-
-def test_lamperti_constant_sigma_scales():
-    spec = DiffusionSpec(drift=ZERO, x0=1.0, T=1.0,
-                         sigma=lambda t, x: 2.0 * np.ones_like(np.asarray(x, dtype=float)))
-    res = lamperti_transform(spec)
-    assert abs(res.psi(0.0, 3.0) - 1.5) <= 1e-10
-    assert abs(res.spec_hat.x0 - 0.5) <= 1e-10
-    assert abs(res.spec_hat.drift(0.3, np.array([1.1]))[0]) <= 1e-8
-
-
-def test_lamperti_survival_identity_constant_sigma():
-    """G(t, x) = Ghat(t, psi(x)) for X = x0 + 2 B: both sides are explicit."""
-    spec = DiffusionSpec(drift=ZERO, x0=1.0, T=1.0,
-                         sigma=lambda t, x: 2.0 * np.ones_like(np.asarray(x, dtype=float)))
-    res = lamperti_transform(spec)
-    xs = np.linspace(-3.0, 5.0, 17)
-    t = 0.7
-    g_orig = normal.sf((xs - 1.0) / (2.0 * math.sqrt(t)))
-    z = np.asarray(res.psi(0.0, xs))
-    g_hat = normal.sf((z - res.spec_hat.x0) / math.sqrt(t))
-    assert np.max(np.abs(g_orig - g_hat)) <= 1e-10
-
-
-def test_lamperti_round_trip_state_dependent_sigma():
-    spec = DiffusionSpec(
-        drift=constant_drift(0.1), x0=0.0, T=1.0,
-        sigma=lambda t, x: 1.0 + 0.1 * np.tanh(np.asarray(x, dtype=float)),
-    )
-    res = lamperti_transform(spec)
-    xs = np.array([-2.0, -0.3, 0.0, 0.7, 2.5])
-    back = np.asarray(res.psi_inv(0.0, res.psi(0.0, xs)))
-    assert np.max(np.abs(back - xs)) <= 1e-10
-
-
-@pytest.mark.parametrize("t", [0.0, 0.8])
-def test_lamperti_drift_carries_the_time_derivative(t):
-    """sigma = 1 + 0.5 t, b = 0: psi = x / (1 + 0.5 t), so the unit-sigma
-    drift is d_t psi = -0.5 z / (1 + 0.5 t) at z = psi; at t = 0 the time
-    difference runs forward, reading no negative time."""
-    seen = []
-
-    def sigma(tq, x):
-        seen.append(float(tq))
-        return (1.0 + 0.5 * tq) * np.ones_like(np.asarray(x, dtype=float))
-
-    spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0, sigma=sigma)
-    res = lamperti_transform(spec)
-    z = np.array([-1.5, 0.0, 1.0])
-    got = np.asarray(res.spec_hat.drift(t, z))
-    assert np.max(np.abs(got - (-0.5 * z / (1.0 + 0.5 * t)))) <= 1e-6
-    if t == 0.8:
-        assert got[2] == pytest.approx(-0.357142857, abs=1e-6)
-    assert min(seen) >= 0.0
-
-
-def test_lamperti_time_invariant_sigma_has_no_time_term():
-    """A sigma that ignores t gives the same psi at every time, so the time
-    difference adds exactly zero: the drift is b / sigma - sigma' / 2 at psi_inv."""
-    sig = lambda t, x: 1.0 + 0.1 * np.tanh(np.asarray(x, dtype=float))
-    spec = DiffusionSpec(drift=constant_drift(0.1), x0=0.0, T=1.0, sigma=sig)
-    res = lamperti_transform(spec)
-    z = np.linspace(-2.0, 2.0, 9)
-    h = 1e-6
-    for t in (0.0, 0.3, 1.0):
-        s = lambda v: float(sig(t, np.array([v]))[0])
-        ref = [0.1 / s(v) - 0.5 * (s(v + h) - s(v - h)) / (2.0 * h) for v in res.psi_inv(t, z)]
-        assert np.array_equal(np.asarray(res.spec_hat.drift(t, z)), ref)
-
-
-def test_lamperti_drift_broadcasts_time_against_the_state():
-    """The transformed drift keeps the DiffusionSpec contract for array t:
-    each point equals the scalar call, and the bridge estimator, which
-    passes its row of step times, runs on it."""
-    sig = lambda t, x: 1.0 + 0.1 * np.tanh(np.asarray(x, dtype=float))
-    spec = DiffusionSpec(drift=constant_drift(0.1), x0=0.0, T=1.0, sigma=sig)
-    res = lamperti_transform(spec)
-    got = res.spec_hat.drift(np.array([0.25, 0.5]), np.array([[0.0, 0.3]]))
-    assert got.shape == (1, 2)
-    assert got[0, 0] == res.spec_hat.drift(0.25, 0.0)
-    assert got[0, 1] == res.spec_hat.drift(0.5, 0.3)
-    est = bridge_density_mc(res.spec_hat, 1.0, 0.2, paths=4, steps=4)
-    assert np.isfinite(est.value) and np.isfinite(est.std_error)
-
-
-def test_lamperti_rejects_vanishing_sigma():
-    spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0,
-                         sigma=lambda t, x: np.abs(np.asarray(x, dtype=float)) * 0.1)
-    with pytest.raises(DomainError, match="sigma drops below"):
-        lamperti_transform(spec)
-
-
-# ---------------------------------------------------------------------------
 # lattice discretization
 
 def test_lattice_reproduces_symmetric_tree():
@@ -908,10 +810,16 @@ def test_lattice_resolution_error_suggests_minimal_n():
         lattice_from_diffusion(spec, 4)
 
 
-def test_lattice_rejects_general_sigma():
-    spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0,
-                         sigma=lambda t, x: np.ones_like(np.asarray(x, dtype=float)))
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lattice_names_a_non_finite_drift(bad):
+    """A drift that turns non-finite at one node is named by level and
+    state, before the resolution hint reads max |b|."""
+    def drift(t, x):
+        x = np.asarray(x, dtype=float)
+        return np.where((t == 0.5) & (x == 1.0), bad, 0.1)
+
+    spec = DiffusionSpec(drift=drift, x0=0.0, T=1.0)
+    with pytest.raises(DomainError, match=r"drift (nan|inf|-inf) at level 2, state 1\.0 is not finite"):
         lattice_from_diffusion(spec, 4)
 
 

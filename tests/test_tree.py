@@ -100,6 +100,37 @@ def test_model_rejects_bad_input():
         TreeModel([0.0, 1.0], [[0.0], [1.0, 2.0]], [[0.5]])
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize("times, states, up_prob, message", [
+    ([0.0, 1.0], [[0.0], [-1.0, 1.0]], [[NAN]], "up_prob at level 0"),
+    ([0.0, 1.0, 2.0], [[0.0], [-1.0, 1.0], [-2.0, 0.0, 2.0]], [[0.5], [0.5, NAN]],
+     "up_prob at level 1"),
+    ([0.0, 1.0], [[NAN], [-1.0, 1.0]], [[0.5]], "children at level 1"),
+    ([0.0, 1.0], [[0.0], [-1.0, NAN]], [[0.5]], "states at level 1"),
+    ([0.0, 1.0], [[0.0], [-1.0, INF]], [[0.5]], "states at level 1 must be finite"),
+    ([0.0, 1.0, 2.0], [[0.0], [-1.0, 1.0], [-INF, 0.0, 2.0]], [[0.5], [0.5, 0.5]],
+     "states at level 2 must be finite"),
+    ([0.0, NAN], [[0.0], [-1.0, 1.0]], [[0.5]], "times"),
+    ([NAN, 1.0], [[0.0], [-1.0, 1.0]], [[0.5]], "times"),
+    ([0.0, INF], [[0.0], [-1.0, 1.0]], [[0.5]], "times must be finite"),
+], ids=["p0", "p1", "x0", "state", "inf-state", "inf-bottom", "time", "time0", "inf-time"])
+def test_model_rejects_non_finite_entries(times, states, up_prob, message):
+    with pytest.raises(DomainError, match=message):
+        TreeModel(times, states, up_prob)
+
+
+def test_load_tree_rejects_nan_in_the_file(tmp_path):
+    """Python's json reads NaN; the model names the level instead of a
+    later probability error in the distortion."""
+    path = tmp_path / "tree.json"
+    path.write_text('{"times": [0, 1], "states": [[0], [-1, 1]], "up_prob": [[NaN]]}')
+    with pytest.raises(DomainError, match="up_prob at level 0"):
+        load_tree(path)
+
+
 def test_model_round_trip(two_period, tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(canonical_json(two_period.to_dict()))
