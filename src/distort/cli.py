@@ -41,6 +41,7 @@ from .presets import get_preset, preset_names
 from .report import canonical_json, write_csv
 from .tree import (
     TreeModel,
+    _grid_levels,
     backward_induction,
     crossing_tree_residual,
     distort_tree,
@@ -48,6 +49,7 @@ from .tree import (
     naive_nested_expectation,
     phi_at_node,
     static_distorted_value,
+    survival_probabilities,
     verify_initial_consistency,
     verify_tower,
 )
@@ -64,9 +66,8 @@ def _tree_from_config(block):
     x0 = float(block.get("x0", 0.0))
     step = float(block.get("step", 1.0))
     times = np.linspace(0.0, T, N + 1)
-    states = [x0 + step * (2.0 * np.arange(i + 1) - i) for i in range(N + 1)]
     up_prob = [np.full(i + 1, p) for i in range(N)]
-    return TreeModel(times, states, up_prob)
+    return TreeModel(times, _grid_levels(x0, step, N), up_prob)
 
 
 def cmd_tree(cfg, out_dir):
@@ -77,7 +78,7 @@ def cmd_tree(cfg, out_dir):
     n = tree.n_periods
 
     lev, idx, xs, gs = [], [], [], []
-    for i, row in enumerate(dt.survival):
+    for i, row in enumerate(survival_probabilities(tree)):
         for j, gval in enumerate(row):
             lev.append(i)
             idx.append(j)

@@ -44,7 +44,7 @@ from .errors import (
     NumericError,
     SingularityError,
 )
-from .tree import PhiCurve, TreeModel, backward_induction, distort_tree
+from .tree import PhiCurve, TreeModel, _grid_levels, backward_induction, distort_tree
 
 _DENOM_FLOOR = 1e-300
 # half-width of the usable-density window, in standard deviations: survival
@@ -785,13 +785,14 @@ def lattice_from_diffusion(spec, N):
     states x0 + (2j - i) sqrt(h), up-probability 1/2 + 1/2 b sqrt(h).
 
     The one-step mean is b h exactly and the raw second moment is h, so the
-    variance is h - (b h)^2."""
+    variance is h - (b h)^2.  Every level is a read-only strided view of the
+    one grid x0 + k sqrt(h), k = -N..N."""
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
     h = spec.T / N
     sq = math.sqrt(h)
     times = np.linspace(0.0, spec.T, N + 1)
-    states = [spec.x0 + (2.0 * np.arange(i + 1) - i) * sq for i in range(N + 1)]
+    states = _grid_levels(spec.x0, sq, N)
     up_prob = []
     for i in range(N):
         b_row = np.broadcast_to(

@@ -113,6 +113,14 @@ def load_tree(path):
     return TreeModel.from_dict(obj)
 
 
+def _grid_levels(x0, step, n):
+    """States x0 + (2j - i) step of levels i = 0..n: read-only views of the one
+    grid x0 + k step, k = -n..n, level i every second point of its middle 2i + 1."""
+    grid = x0 + np.arange(-n, n + 1) * step
+    grid.flags.writeable = False
+    return [grid[n - i : n + i + 1 : 2] for i in range(n + 1)]
+
+
 def survival_probabilities(tree):
     """G_ij = P(X_i >= x_ij) for every node, as a list of level arrays."""
     laws = _forward_laws(tree.up_prob, 0, 0, tree.n_periods)
@@ -121,13 +129,13 @@ def survival_probabilities(tree):
 
 @dataclass(frozen=True)
 class DistortedTree:
-    """A TreeModel together with its distorted transition data."""
+    """A TreeModel with its distorted transitions; ``violations`` lists the nodes
+    (i, j) that failed the interleaving condition, clipped in a non-strict build.
+    No survival weights are kept: survival_probabilities(base) gives them."""
 
     base: TreeModel
     schedule: object
-    survival: list
     q_up: list
-    mon2_ok: list
     violations: list
     degenerate_edges: int
 
@@ -144,29 +152,22 @@ class DistortedTree:
         return self.base.n_periods
 
 
-def _phi_level(tree, schedule, survival, i):
-    """phi_{t_i}(G_i) on level i >= 1.  The root level is {1} under every
-    schedule (G there is {1}, where every schedule is pinned)."""
-    return np.asarray(schedule.eval(tree.times[i], np.clip(survival[i], 0.0, 1.0)))
-
-
 def distort_tree(tree, schedule, strict=True):
     """Build the distorted transitions q_ij from the marginal survival weights.
 
-    phi is evaluated one level at a time, so a strict rejection stops at the
-    failing level.  In strict mode an interleaving violation raises
-    ConsistencyError naming the first offending node; otherwise the quotient
-    is clamped into [1e-9, 1 - 1e-9] and the node is recorded in
-    ``violations``.
+    One forward pass of the base law streams the levels: each q_i reads
+    phi_{t_i}(G_i) and phi_{t_{i+1}}(G_{i+1}) only, so two levels are held
+    at a time and a strict rejection stops at the failing level.  In strict
+    mode an interleaving violation raises ConsistencyError naming the first
+    offending node; otherwise the quotient is clamped into [1e-9, 1 - 1e-9]
+    and the node is recorded in ``violations``.
     """
-    survival = survival_probabilities(tree)
     q_up = []
-    mon2_ok = []
     violations = []
     degenerate = 0
-    hi = np.array([1.0])                 # phi_{t_i}(G_ij), j = 0..i
-    for i in range(tree.n_periods):
-        nxt = _phi_level(tree, schedule, survival, i + 1)
+    hi = np.array([1.0])  # phi_{t_i}(G_ij), j = 0..i; G = {1} at the root pins every phi
+    for i, w in enumerate(_forward_laws(tree.up_prob, 0, 0, tree.n_periods)):
+        nxt = np.asarray(schedule.eval(tree.times[i + 1], np.clip(survival_sum(w), 0.0, 1.0)))
         lo = np.append(hi[1:], 0.0)      # phi_{t_i}(G_{i,j+1}), convention G_{i,i+1} = 0
         mid = nxt[1:]                    # phi_{t_{i+1}}(G_{i+1,j+1})
         den = hi - lo
@@ -197,17 +198,9 @@ def distort_tree(tree, schedule, strict=True):
             violations.extend((i, int(j)) for j in np.nonzero(bad)[0])
             q = np.clip(q, _PERMISSIVE_EPS, 1.0 - _PERMISSIVE_EPS)
         q_up.append(q)
-        mon2_ok.append(ok)
         hi = nxt
-    return DistortedTree(
-        base=tree,
-        schedule=schedule,
-        survival=survival,
-        q_up=q_up,
-        mon2_ok=mon2_ok,
-        violations=violations,
-        degenerate_edges=degenerate,
-    )
+    return DistortedTree(base=tree, schedule=schedule, q_up=q_up,
+                         violations=violations, degenerate_edges=degenerate)
 
 
 def _check_increasing(values, where, tol=1e-12):
@@ -381,12 +374,13 @@ def verify_tower(dt, terminal_values, r=0, s=None, n=None):
 def verify_initial_consistency(dt):
     """Max over all levels and states of |phi_{t_n}(G_nk) - Q(X_n >= x_nk)|.
 
-    One forward pass of the distorted law from the root reads every level."""
-    worst = 0.0
-    laws = _forward_laws(dt.q_up, 0, 0, dt.n_periods)
-    for n, w in enumerate(laws, start=1):
-        phi = _phi_level(dt.base, dt.schedule, dt.survival, n)
-        worst = max(worst, float(np.max(np.abs(phi - survival_sum(w)))))
+    One forward pass walks the base law and the distorted law from the root
+    in lockstep, so one level of each is held at a time."""
+    worst, n = 0.0, dt.n_periods
+    laws = zip(_forward_laws(dt.base.up_prob, 0, 0, n), _forward_laws(dt.q_up, 0, 0, n))
+    for k, (w_p, w_q) in enumerate(laws, start=1):
+        phi = dt.schedule.eval(dt.times[k], np.clip(survival_sum(w_p), 0.0, 1.0))
+        worst = max(worst, float(np.max(np.abs(phi - survival_sum(w_q)))))
     return worst
 
 

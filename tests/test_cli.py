@@ -44,6 +44,21 @@ def test_example3_3_report_values(tmp_path):
     validate_params("tree", rep["config"])
 
 
+def test_survival_csv_rows_are_the_survival_probabilities(tmp_path):
+    from distort.cli import _tree_from_config
+    from distort.presets import get_preset
+    from distort.tree import survival_probabilities
+
+    out = tmp_path / "run"
+    assert run_cli("tree", "--preset", "example3_3", "--out", str(out)).returncode == 0
+    header, cols = read_csv(out / "survival.csv")
+    assert header == ["level", "k", "state", "G"]
+    tree = _tree_from_config(get_preset("tree", "example3_3")["tree"])
+    rows = [(i, j, tree.states[i][j], g)
+            for i, level in enumerate(survival_probabilities(tree)) for j, g in enumerate(level)]
+    assert list(zip(*(c.tolist() for c in cols))) == rows
+
+
 def test_identity_tree_preset_naive_gap_zero(tmp_path):
     out = tmp_path / "run"
     r = run_cli("tree", "--preset", "identity", "--out", str(out))

@@ -14,7 +14,9 @@ exact rational arithmetic done by hand:
 
 import copy
 import dataclasses
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,11 +177,17 @@ def test_survival_leftmost_is_exactly_one():
 # ---------------------------------------------------------------------------
 # distorted transitions
 
-def test_square_distortion_transitions_exact(square_tree):
+def test_square_distortion_transitions_exact(two_period, square_tree):
     assert square_tree.q_up[0][0] == pytest.approx(0.25, rel=1e-15)
     assert square_tree.q_up[1][0] == pytest.approx(5.0 / 12.0, rel=1e-15)
     assert square_tree.q_up[1][1] == pytest.approx(0.25, rel=1e-15)
-    assert all(np.all(ok) for ok in square_tree.mon2_ok)
+    # every edge interleaves strictly: phi(G_0, G_1, G_2) = (1), (1, 1/4), (1, 9/16, 1/16)
+    phi = [Power(2.0).eval(t, g)
+           for t, g in zip(two_period.times, survival_probabilities(two_period))]
+    assert [v.tolist() for v in phi] == [[1.0], [1.0, 0.25], [1.0, 0.5625, 0.0625]]
+    for hi, nxt in zip(phi, phi[1:]):
+        lo, mid = np.append(hi[1:], 0.0), nxt[1:]
+        assert np.all((lo < mid) & (mid < hi))
     assert square_tree.violations == []
     assert square_tree.degenerate_edges == 0
 
@@ -332,9 +340,10 @@ def test_initial_consistency_single_pass_matches_per_level_loop(d):
     rng = np.random.default_rng(21)
     for _ in range(8):
         dt = distort_tree(random_tree(rng, int(rng.integers(1, 13))), d, strict=False)
+        survival = survival_probabilities(dt.base)
         per_level = 0.0
         for n in range(1, dt.n_periods + 1):
-            phi = d.eval(dt.times[n], np.clip(dt.survival[n], 0.0, 1.0))
+            phi = d.eval(dt.times[n], np.clip(survival[n], 0.0, 1.0))
             q_surv = _conditional_survival(dt.q_up, 0, 0, n)
             per_level = max(per_level, float(np.max(np.abs(phi - q_surv))))
         assert verify_initial_consistency(dt) == per_level
@@ -559,7 +568,8 @@ def test_distort_tree_per_level_phi_matches_eager_route():
         ref = _eager_distort_tree(tree, d, strict=False)
         dt = distort_tree(tree, d, strict=False)
         assert [q.tobytes() for q in dt.q_up] == [q.tobytes() for q in ref[0]]
-        assert [ok.tolist() for ok in dt.mon2_ok] == [ok.tolist() for ok in ref[1]]
+        assert dt.violations == [(i, int(j)) for i, ok in enumerate(ref[1])
+                                 for j in np.nonzero(~ok)[0]]
         assert (dt.violations, dt.degenerate_edges) == (ref[2], ref[3])
         clipped += bool(ref[2])
         try:
@@ -594,3 +604,47 @@ def test_last_level_reads_match_the_occupation_list_route():
         w_hi = np.asarray(d.eval(float(tree.times[-1]), np.clip(surv[-1], 0.0, 1.0)))
         assert static_distorted_value(tree, d, g) == float(g @ (w_hi - np.append(w_hi[1:], 0.0)))
         assert _last_law(tree.up_prob, 0, 0, tree.n_periods).tobytes() == occ[-1].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# memory: the tree layer keeps only what its results need
+
+def _traced_peak(fn, *args):
+    """(result, peak bytes traced by tracemalloc while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _unit_lattice(N):
+    return lattice_from_diffusion(DiffusionSpec(constant_drift(0.0), 0.0, 1.0), N)
+
+
+def test_distort_tree_peak_stays_near_its_transitions():
+    """Streaming the survival levels leaves q_up as the only list the build
+    allocates (a stored survival list would double the peak)."""
+    dt, peak = _traced_peak(distort_tree, _unit_lattice(1024), Power(2.0))
+    assert peak < 1.5 * sum(q.nbytes for q in dt.q_up)
+
+
+def test_initial_consistency_peak_stays_below_a_megabyte():
+    """The P and Q laws are walked in lockstep, one level of each at a time."""
+    dt = distort_tree(_unit_lattice(1024), Power(2.0))
+    _, peak = _traced_peak(verify_initial_consistency, dt)
+    assert peak < 1_000_000
+
+
+def test_lattice_states_are_read_only_views_of_one_grid():
+    spec = DiffusionSpec(constant_drift(0.3), 0.2, 1.5)
+    N = 64
+    tree = lattice_from_diffusion(spec, N)
+    assert np.shares_memory(tree.states[0], tree.states[-1])
+    with pytest.raises(ValueError):
+        tree.states[5][2] = 0.0
+    # the views hold the per-level formula's states bit for bit
+    sq = math.sqrt(spec.T / N)
+    ref = [spec.x0 + (2.0 * np.arange(i + 1) - i) * sq for i in range(N + 1)]
+    assert [s.tobytes() for s in tree.states] == [s.tobytes() for s in ref]

@@ -82,10 +82,13 @@ def test_property_identity_distortion_is_neutral(params):
 def test_property_transitions_are_probabilities(params, d):
     tree, _ = params
     dt = distort_tree(tree, d)
-    for q, ok in zip(dt.q_up, dt.mon2_ok):
-        assert np.all(ok)
+    for q in dt.q_up:
         assert np.all((q > 0.0) & (q < 1.0))
     assert dt.violations == []
+    # no edge is flagged either when the build may clip
+    lax = distort_tree(tree, d, strict=False)
+    assert lax.violations == []
+    assert [q.tobytes() for q in lax.q_up] == [q.tobytes() for q in dt.q_up]
 
 
 @given(tree_strategy(), family_strategy())
