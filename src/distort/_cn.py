@@ -17,7 +17,10 @@ A march checks its grid and its data once and rebuilds the bands of each
 step from the spacing, checking only that step's diffusion and velocity;
 each step is one direct LAPACK gtsv solve.  No band or velocity tables are
 built for all steps at once: on the Phi curve that was no faster than the
-per-step route and raised peak memory from 211 to 246 MB.
+per-step route and raised peak memory from 211 to 246 MB.  A history
+(keep_all) is one (nt, nx) array allocated up front and filled a row per
+step; no per-step copies are kept and joined at the end, so a march holds
+the history and a few rows, not the history twice.
 """
 
 import numpy as np
@@ -151,7 +154,8 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
     velocity: None, a fixed array over x, or a callable t -> array over x
     (evaluated at interval midpoints).  The first ``rannacher`` intervals are
     integrated with two fully implicit half steps to damp rough payloads.
-    Returns the final slice, or the full (nt, nx) history when keep_all.
+    Returns the final slice, or the full (nt, nx) history when keep_all,
+    written step by step into one preallocated array.
     """
     times = _checked_times(times)
     u = np.array(u0, dtype=float)
@@ -161,7 +165,9 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
         raise DomainError("keep_all supports a single payload")
     _check_finite(u)
     bands_at = _step_bands(x, diffusion, velocity, bc)
-    history = [u.copy()] if keep_all else None
+    if keep_all:
+        history = np.empty((times.size, u.size))
+        history[0] = u
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         bands = bands_at(0.5 * (times[k] + times[k + 1]))
@@ -171,8 +177,8 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
         else:
             u = theta_step(u, bands, dt, theta=theta, bc_values=bc_values)
         if keep_all:
-            history.append(u.copy())
-    return np.vstack(history) if keep_all else u
+            history[k + 1] = u
+    return history if keep_all else u
 
 
 def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", theta=0.5,

@@ -36,7 +36,7 @@ from .dynamics import (
     smoothed_step_payload,
     solve_distorted_pde,
 )
-from .errors import ConfigError, DistortError, DomainError
+from .errors import AccuracyError, ConfigError, DistortError, DomainError
 from .presets import get_preset, preset_names
 from .report import canonical_json, write_csv
 from .tree import (
@@ -196,7 +196,14 @@ def cmd_dynamics(cfg, out_dir):
             float(vb.get("payload_center", 0.2)), float(vb.get("payload_width", 0.25))
         )
         wide = np.linspace(x0 - 8.0 * np.sqrt(T), x0 + 8.0 * np.sqrt(T), 1601)
-        sol = solve_distorted_pde(mu, g, s_min, T, wide, n_steps=400)
+        try:
+            sol = solve_distorted_pde(mu, g, s_min, T, wide, n_steps=400)
+        except AccuracyError as exc:
+            raise AccuracyError(
+                f"distort dynamics: the value PDE reaches the edge of its grid, which "
+                f"is fixed at x0 +- 8 sqrt(T) = [{wide[0]:g}, {wide[-1]:g}] with "
+                f"{wide.size} nodes and has no config key ({exc})"
+            ) from exc
         picks = np.unique(np.linspace(0, sol.s_grid.size - 1, 5).round().astype(int))
         ss, xs, us = [], [], []
         for i in picks:

@@ -33,6 +33,9 @@ _MAX_BATCHES = 40
 DRAW_ROWS = 128
 _MAGIC = b"DFLD"
 _BINARY_VERSION = 1
+# fields are clipped, projected and differenced in place this many rows at a
+# time, so no step allocates a second array the size of the field
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,22 @@ def bounded_rows(grid, t, *stacks):
     return blend_rows(grid, t, *stacks)
 
 
+def row_blocks(a):
+    """Views of consecutive blocks of _BLOCK_ROWS rows of a.
+
+    Row-wise work done in place block by block allocates at most one block:
+    numpy copies the whole input of an accumulate whose output overlaps it,
+    and np.gradient builds several arrays the size of its input."""
+    return (a[i:i + _BLOCK_ROWS] for i in range(0, a.shape[0], _BLOCK_ROWS))
+
+
+def owned(a):
+    """a as a float array a constructor may overwrite: a itself when it is a
+    writeable float64 array, else a copy."""
+    a = np.asarray(a, dtype=float)
+    return a if a.flags.writeable else a.copy()
+
+
 def bounded_read(x_grid, row, x):
     """np.interp of row at x (scalar in, scalar out); DomainError for x more
     than 1e-12 outside the grid."""
@@ -109,6 +128,10 @@ class DensityField:
     G_comp holds 1 - G computed by whatever accurate route the producer had
     available (the complement loses all precision near G = 1 if formed by
     subtraction, which is exactly where the drift's ratio evaluation needs it).
+
+    The field takes over the arrays it is given: writeable float64 rho, G
+    and G_comp are clipped and projected in place (others are copied first),
+    so building a field allocates no second array of its size.
     """
 
     t_grid: np.ndarray
@@ -121,8 +144,8 @@ class DensityField:
     def __post_init__(self):
         t = np.asarray(self.t_grid, dtype=float)
         x = np.asarray(self.x_grid, dtype=float)
-        rho = np.asarray(self.rho, dtype=float)
-        G = np.asarray(self.G, dtype=float)
+        rho = owned(self.rho)
+        G = owned(self.G)
         if t.ndim != 1 or x.ndim != 1:
             raise DomainError("DensityField: grids must be 1-D")
         if not (np.isfinite(t).all() and np.isfinite(x).all()):
@@ -133,17 +156,31 @@ class DensityField:
             raise DomainError("DensityField: field shapes do not match the grids")
         if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(G))):
             raise NumericError("DensityField: non-finite field values")
-        if np.any(rho < -1e-9):
+        comp = None if self.G_comp is None else owned(self.G_comp)
+        if comp is not None and comp.shape != rho.shape:
+            raise DomainError(
+                f"DensityField: G_comp shape {comp.shape} does not match the "
+                f"field shape {rho.shape}"
+            )
+        if comp is not None and not np.all(np.isfinite(comp)):
+            raise NumericError("DensityField: non-finite G_comp values")
+        if np.min(rho) < -1e-9:
             raise NumericError("DensityField: density has significant negative values")
-        rho = np.maximum(rho, 0.0)
-        proj = np.minimum.accumulate(np.clip(G, 0.0, 1.0), axis=1)
-        object.__setattr__(self, "projection", float(np.max(np.abs(proj - G))))
-        comp = self.G_comp if self.G_comp is not None else 1.0 - proj
-        comp = np.clip(np.asarray(comp, dtype=float), 0.0, 1.0)
+        np.maximum(rho, 0.0, out=rho)
+        projection = 0.0
+        for blk in row_blocks(G):
+            raw = blk.copy()
+            np.clip(blk, 0.0, 1.0, out=blk)
+            np.minimum.accumulate(blk, axis=1, out=blk)
+            projection = max(projection, float(np.max(np.abs(blk - raw))))
+        if comp is None:
+            comp = 1.0 - G
+        np.clip(comp, 0.0, 1.0, out=comp)
+        object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "t_grid", t)
         object.__setattr__(self, "x_grid", x)
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "G", proj)
+        object.__setattr__(self, "G", G)
         object.__setattr__(self, "G_comp", comp)
 
     def rho_at(self, t, x):
@@ -168,7 +205,7 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
     The march starts at t_grid[0] from a Gaussian bump: by default the
     driftless kernel at t_grid[0] shifted by b(0, x0) * t_grid[0]; a custom
     (mean, variance) pair supports conditional restarts from later states.
-    rho comes from centered differencing of G.
+    rho comes from centered differencing of G, a block of rows at a time.
     """
     t = np.asarray(t_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
@@ -201,8 +238,10 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
         g0, x, t, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0),
         rannacher=2, keep_all=True,
     )
-    G = np.clip(G, 0.0, 1.0)
-    rho = -np.gradient(G, x, axis=1)
+    np.clip(G, 0.0, 1.0, out=G)
+    rho = np.empty_like(G)
+    for g_blk, rho_blk in zip(row_blocks(G), row_blocks(rho)):
+        np.negative(np.gradient(g_blk, x, axis=1), out=rho_blk)
     # mass conservation is automatic with pinned boundary values (the density
     # integral telescopes to G_left - G_right), so a leak shows up as the
     # solution visibly touching the boundary instead
@@ -466,7 +505,7 @@ def field_from_binary(path):
             raise ConfigError(f"field_from_binary: bad magic {magic!r}")
         if version != _BINARY_VERSION:
             raise ConfigError(f"field_from_binary: unsupported version {version}")
-        body = np.frombuffer(fh.read(), dtype="<f8")
+        body = np.fromfile(fh, dtype="<f8")
     want = nt + nx + 2 * nt * nx
     if body.size != want:
         raise ConfigError(f"field_from_binary: expected {want} doubles, found {body.size}")

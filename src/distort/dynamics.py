@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import normal
 from ._cn import march, march_adjoint, uniform_spacing
@@ -33,6 +32,8 @@ from .density import (
     draw_normals,
     gaussian_field,
     normals_buffer,
+    owned,
+    row_blocks,
     run_batches,
     solve_survival_pde,
 )
@@ -311,7 +312,10 @@ def wang_mu_closed(alpha):
 
 @dataclass(frozen=True)
 class PDESolution:
-    """u(s, x) with u(t_end, .) = g; increasing slices, maximum principle."""
+    """u(s, x) with u(t_end, .) = g; increasing slices, maximum principle.
+
+    Like DensityField, the solution takes over the u it is given and clips
+    and projects it in place."""
 
     s_grid: np.ndarray
     x_grid: np.ndarray
@@ -323,7 +327,7 @@ class PDESolution:
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=float)
         x = np.asarray(self.x_grid, dtype=float)
-        u = np.asarray(self.u, dtype=float)
+        u = owned(self.u)
         if u.shape != (s.size, x.size):
             raise DomainError("PDESolution: shape mismatch")
         if not np.all(np.isfinite(u)):
@@ -334,13 +338,17 @@ class PDESolution:
             raise NumericError(
                 f"PDESolution: maximum principle violated by {defect:.2e}"
             )
-        u = np.clip(u, lo, hi)
-        proj = np.maximum.accumulate(u, axis=1)
-        object.__setattr__(self, "projection", float(np.max(np.abs(proj - u))))
+        np.clip(u, lo, hi, out=u)
+        projection = 0.0
+        for blk in row_blocks(u):
+            clipped = blk.copy()
+            np.maximum.accumulate(blk, axis=1, out=blk)
+            projection = max(projection, float(np.max(np.abs(blk - clipped))))
+        object.__setattr__(self, "projection", projection)
         object.__setattr__(self, "max_principle_defect", defect)
         object.__setattr__(self, "s_grid", s)
         object.__setattr__(self, "x_grid", x)
-        object.__setattr__(self, "u", proj)
+        object.__setattr__(self, "u", u)
 
     def u_at(self, s, x):
         """u(s, x), blended linearly in s and interpolated in x; DomainError
@@ -677,8 +685,11 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         half_c = (_Y_WIDTH + 5.0) * sq_gap
         xg_c = np.linspace(x - half_c, x + half_c, max(n_march, 2401))
         tg_c = np.linspace(s, t, 401)
+        # only the last row is read: the conditional field is dropped here,
+        # before the drift's own survival solve
         cond = solve_survival_pde(spec, tg_c, xg_c, initial=(x + b_sx * 1e-4, 1e-4))
         surv_p = np.interp(y_grid, xg_c, cond.G[-1])
+        del cond
 
     # march domain for the distorted survival sweep, centered on the anchor
     # so the evaluation point is an exact node
@@ -731,7 +742,10 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     surv_q = np.minimum.accumulate(surv_q)
 
     # cubic interpolants keep the curve pairing from reintroducing the
-    # O(dy^2) kink error of piecewise-linear reads
+    # O(dy^2) kink error of piecewise-linear reads; scipy.interpolate is
+    # imported here, its only use, so importing the package does not load it
+    from scipy.interpolate import CubicSpline
+
     if drift_const is not None:
         gp = lambda yv: normal.sf((yv - center) / sq_gap)
     else:

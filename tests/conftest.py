@@ -2,10 +2,12 @@
 
 The mpmath oracles use the erfc route so they keep full relative precision
 arbitrarily deep in the tails, independently of the scipy implementations
-used inside the package.  read_csv reads back the CSVs the package writes.
+used inside the package.  read_csv reads back the CSVs the package writes;
+traced_peak measures the memory a call allocates.
 """
 
 import csv
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -80,3 +82,13 @@ def read_csv(path):
         return header, [np.array([]) for _ in header]
     arr = np.asarray(rows, dtype=float)
     return header, [arr[:, k] for k in range(arr.shape[1])]
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(result, peak bytes traced by tracemalloc while fn ran)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

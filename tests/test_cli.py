@@ -255,6 +255,24 @@ def test_singular_drift_field_exits_3(tmp_path):
     assert "singular" in r.stderr
 
 
+def test_value_grid_failure_names_the_fixed_grid(tmp_path):
+    """The value PDE runs on a grid the config cannot set, so its boundary
+    failure names that grid instead of only asking for a wider one."""
+    cfg = {
+        "schema_version": 1,
+        "distortion": {"family": "power", "gamma": 2.0},
+        "model": {"b": 0.0, "x0": 0.0, "T": 1.0},
+        "value": {},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("dynamics", "--config", str(path), "--out", str(tmp_path / "o"))
+    assert r.returncode == 3
+    assert ("grid, which is fixed at x0 +- 8 sqrt(T) = [-8, 8] with 1601 nodes "
+            "and has no config key") in r.stderr
+    assert "boundary gradient 8.82e-04" in r.stderr
+
+
 def test_strict_mon2_flag_exits_4(tmp_path):
     cfg = {
         "schema_version": 1,

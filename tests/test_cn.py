@@ -76,6 +76,25 @@ def test_adjoint_evaluates_velocity_at_the_forward_midpoints():
     assert seen_adj == seen_fwd[::-1]
 
 
+@pytest.mark.parametrize("bc_values", [None, (1.0, 0.0)], ids=["free", "pinned"])
+@pytest.mark.parametrize("rannacher", [0, 2])
+@pytest.mark.parametrize("velocity", [1.5 * np.cos(X), strong_velocity],
+                         ids=["fixed", "callable"])
+def test_history_rows_are_the_final_slices_of_shorter_marches(velocity, rannacher,
+                                                              bc_values):
+    """Row k of the kept history is, bit for bit, what a march over the
+    first k + 1 times returns."""
+    u0 = 0.5 * (1.0 - np.tanh(X))
+    history = march(u0, X, GRADED, 0.5, velocity, bc_values=bc_values,
+                    rannacher=rannacher, keep_all=True)
+    assert history.shape == (GRADED.size, X.size)
+    assert history[0].tobytes() == u0.tobytes()
+    for k in range(1, GRADED.size):
+        last = march(u0, X, GRADED[:k + 1], 0.5, velocity, bc_values=bc_values,
+                     rannacher=rannacher)
+        assert history[k].tobytes() == last.tobytes()
+
+
 def test_transposed_bands_match_the_dense_transpose():
     def dense(bands):
         lower, diag, upper = bands

@@ -24,7 +24,7 @@ from distort.density import (
 from distort.errors import AccuracyError, ConfigError, DomainError, NumericError
 from distort.selftest import ou_bridge_excess, ou_density, wang_ou_drift_excess
 
-from conftest import mp_cdf, read_csv
+from conftest import mp_cdf, read_csv, traced_peak
 
 ZERO_DRIFT = constant_drift(0.0)
 
@@ -88,6 +88,60 @@ def test_field_monotone_projection_recorded():
     assert field.projection == pytest.approx(0.02, abs=1e-15)
     assert np.all(np.diff(field.G, axis=1) <= 0.0)
     assert np.allclose(field.G_comp, 1.0 - field.G)
+
+
+def test_field_built_in_blocks_equals_the_whole_array_formulas():
+    """Clipped and projected in place a block of rows at a time, a field holds
+    the whole-array results bit for bit, across block boundaries: rho
+    clipped at 0 (-0.0 included), G clipped to [0, 1] and made
+    nonincreasing, the projection its largest change, and 1 - G clipped."""
+    rng = np.random.default_rng(5)
+    nt, nx = 150, 40  # three blocks of rows, the last one short
+    t = np.linspace(0.1, 1.0, nt)
+    x = np.linspace(-2.0, 2.0, nx)
+    rho = rng.uniform(-1e-10, 1.0, size=(nt, nx))
+    rho[::7, ::3] = -0.0
+    G = np.sort(rng.uniform(-0.1, 1.1, size=(nt, nx)), axis=1)[:, ::-1]
+    G = G + rng.normal(scale=1e-3, size=(nt, nx))
+    G[140, 20] += 0.5  # the largest change falls in the last block
+    want_rho = np.maximum(rho, 0.0)
+    want_G = np.minimum.accumulate(np.clip(G, 0.0, 1.0), axis=1)
+    want_projection = float(np.max(np.abs(want_G - G)))
+    want_comp = np.clip(1.0 - want_G, 0.0, 1.0)
+    field = DensityField(t, x, rho, G)
+    assert field.rho.tobytes() == want_rho.tobytes()
+    assert field.G.tobytes() == want_G.tobytes()
+    assert field.G_comp.tobytes() == want_comp.tobytes()
+    assert field.projection == want_projection > 0.4
+
+
+def test_field_takes_over_writeable_arrays_and_copies_read_only_ones():
+    t = np.array([0.5, 1.0])
+    x = np.linspace(-1.0, 1.0, 5)
+    raw = np.tile(np.array([1.0, 0.7, 0.72, 0.3, 0.0]), (2, 1))
+    rho, G = np.full((2, 5), 0.1), raw.copy()
+    field = DensityField(t, x, rho, G)
+    assert field.rho is rho and field.G is G
+    assert G[0, 2] == 0.7
+    frozen = raw.copy()
+    frozen.flags.writeable = False
+    field = DensityField(t, x, np.full((2, 5), 0.1), frozen)
+    assert frozen[0, 2] == 0.72 and field.G[0, 2] == 0.7
+
+
+@pytest.mark.parametrize("comp, error, message", [
+    (np.full(3, 0.5), DomainError, r"G_comp shape \(3,\) does not match the field shape \(2, 5\)"),
+    (np.full((2, 5), np.nan), NumericError, "non-finite G_comp"),
+], ids=["shape", "nan"])
+def test_field_rejects_a_bad_complement(comp, error, message):
+    """A complement of the wrong shape or with non-finite entries is named at
+    construction, not found later by compute_mu as an IndexError or a
+    non-finite drift."""
+    t = np.array([0.5, 1.0])
+    x = np.linspace(-1.0, 1.0, 5)
+    G = np.tile(np.linspace(1.0, 0.0, 5), (2, 1))
+    with pytest.raises(error, match=message):
+        DensityField(t, x, np.full((2, 5), 0.1), G, G_comp=comp)
 
 
 def test_field_interpolation():
@@ -190,6 +244,18 @@ def test_pde_conditional_restart():
     field = solve_survival_pde(spec, t_grid, x_grid, initial=(1.0, 1e-4))
     ref = normal.sf((x_grid - 1.0) / np.sqrt(0.5))
     assert float(np.max(np.abs(field.G[-1] - ref))) <= 1e-3
+
+
+def test_survival_solve_peak_stays_below_five_and_a_half_fields():
+    """The march history is filled in place and rho, the clip, the projection
+    and the complement are built in place or by row blocks, so the traced
+    peak of an 801 x 1601 solve stays below 5.5 arrays of the field's size
+    (6.0 when each of these steps allocated a field of its own)."""
+    spec = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
+    t_grid, x_grid = default_grids(spec, nt=801)
+    field, peak = traced_peak(solve_survival_pde, spec, t_grid, x_grid)
+    assert field.G.shape == (801, 1601)
+    assert peak < 5.5 * field.G.nbytes
 
 
 def test_pde_guards():

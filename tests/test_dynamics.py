@@ -52,6 +52,8 @@ from distort.errors import (
     SingularityError,
 )
 
+from conftest import traced_peak
+
 ZERO = constant_drift(0.0)
 
 
@@ -387,6 +389,41 @@ def test_pde_composition_matches_direct_solve():
     assert np.max(np.abs(outer.u[0] - direct.u[0])[m]) <= 1e-5
 
 
+def test_pde_solution_built_in_blocks_equals_the_whole_array_formulas():
+    """Clipped and projected in place a block of rows at a time, a solution
+    holds the whole-array results bit for bit: u clipped to the payload
+    range and made nondecreasing, the projection its largest change after
+    the clip, the defect the largest excursion past the range."""
+    rng = np.random.default_rng(6)
+    ns, nx = 150, 40  # three blocks of rows, the last one short
+    u = np.sort(rng.uniform(0.0, 1.0, size=(ns, nx)), axis=1)
+    u += rng.normal(scale=1e-4, size=(ns, nx)) * (rng.random((ns, nx)) < 0.1)
+    u = np.clip(u, 0.0, 1.0)
+    u[3, -1], u[70, 0] = 1.0 + 4e-10, -3e-10  # past the range, within the defect gate
+    u[145, 20] -= 0.3  # the largest change falls in the last block
+    clipped = np.clip(u, 0.0, 1.0)
+    want_u = np.maximum.accumulate(clipped, axis=1)
+    want_projection = float(np.max(np.abs(want_u - clipped)))
+    want_defect = float(max(np.max(u) - 1.0, -np.min(u), 0.0))
+    sol = dynamics.PDESolution(np.linspace(0.0, 1.0, ns), np.linspace(-1.0, 1.0, nx),
+                               u, g_range=(0.0, 1.0))
+    assert sol.u.tobytes() == want_u.tobytes()
+    assert sol.projection == want_projection > 0.2
+    assert sol.max_principle_defect == want_defect > 0.0
+
+
+def test_value_solve_peak_stays_below_four_fields():
+    """The history is marched into one array and clipped and projected in
+    place: an n_steps = 400 solve on 1601 nodes peaks below 4 arrays of the
+    (401, 1601) solution (5.0 with a copy per step, a stacked history and a
+    clipped and a projected copy)."""
+    xg = np.linspace(-8.0, 8.0, 1601)
+    sol, peak = traced_peak(solve_distorted_pde, wang_mu_closed(0.5), smoothed_step,
+                            0.1, 1.0, xg, n_steps=400)
+    assert sol.u.shape == (401, 1601)
+    assert peak < 4.0 * sol.u.nbytes
+
+
 def test_pde_solution_guards():
     xg = np.linspace(-6.0, 6.0, 601)
     sol = solve_distorted_pde(lambda t, x: np.zeros_like(x), smoothed_step,
@@ -634,6 +671,19 @@ def test_phi_mc_cross_check_state_dependent_drift():
         sim = simulate_q_dynamics(mu, 0.25, 0.2, 1.0, paths=40_000, steps=200, seed=3,
                                   g=lambda v, y=y: (v >= y).astype(float))
         assert abs(sim.mean - curve.surv_q[k]) <= 0.012
+
+
+def test_phi_survival_route_peak_stays_below_six_fields():
+    """The Power(2) curve on the survival-PDE route, at the default sizes,
+    peaks below 6 arrays of the (801, 1601) drift field: the fields are
+    built in place and the conditional field is dropped before the drift's
+    own survival solve (8.3 when it was kept and each step of a field build
+    allocated a field of its own)."""
+    spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0)
+    curve, peak = traced_peak(build_phi_curve, Power(2.0), spec, 0.25, 1.0, 0.0,
+                              drift_const=None)
+    assert curve.meta["mu_source"] == "pde-field"
+    assert peak < 6.0 * 801 * 1601 * 8
 
 
 def test_phi_rejects_time_zero_and_below_s_min():

@@ -16,7 +16,6 @@ import copy
 import dataclasses
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +54,8 @@ from distort.tree import (
     verify_initial_consistency,
     verify_tower,
 )
+
+from conftest import traced_peak
 
 G_PAYOFF = np.array([0.0, 1.0, 2.0])
 
@@ -609,16 +610,6 @@ def test_last_level_reads_match_the_occupation_list_route():
 # ---------------------------------------------------------------------------
 # memory: the tree layer keeps only what its results need
 
-def _traced_peak(fn, *args):
-    """(result, peak bytes traced by tracemalloc while fn ran)."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _unit_lattice(N):
     return lattice_from_diffusion(DiffusionSpec(constant_drift(0.0), 0.0, 1.0), N)
 
@@ -626,14 +617,14 @@ def _unit_lattice(N):
 def test_distort_tree_peak_stays_near_its_transitions():
     """Streaming the survival levels leaves q_up as the only list the build
     allocates (a stored survival list would double the peak)."""
-    dt, peak = _traced_peak(distort_tree, _unit_lattice(1024), Power(2.0))
+    dt, peak = traced_peak(distort_tree, _unit_lattice(1024), Power(2.0))
     assert peak < 1.5 * sum(q.nbytes for q in dt.q_up)
 
 
 def test_initial_consistency_peak_stays_below_a_megabyte():
     """The P and Q laws are walked in lockstep, one level of each at a time."""
     dt = distort_tree(_unit_lattice(1024), Power(2.0))
-    _, peak = _traced_peak(verify_initial_consistency, dt)
+    _, peak = traced_peak(verify_initial_consistency, dt)
     assert peak < 1_000_000
 
 
