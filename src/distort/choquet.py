@@ -57,12 +57,14 @@ class DiscreteRV:
 def survival_sum(law, j=0):
     """P(eta >= x_k) over the increasing states of ``law``, summed from the top.
 
-    The states at or below index j are certain, so their survival is
-    written as exactly 1: summation rounding must not survive there, because
-    families with unbounded endpoint slope amplify a one-ulp deficit into a
-    visible mass defect."""
-    surv = np.cumsum(law[::-1])[::-1]
-    surv[: j + 1] = 1.0
+    A 2-D ``law`` holds one law per row, zero-padded past its top state; the
+    padding sums to survival 0 and leaves each row's sum bit for bit that of
+    the row alone.  The states at or below index j are certain, so their
+    survival is written as exactly 1: summation rounding must not survive
+    there, because families with unbounded endpoint slope amplify a one-ulp
+    deficit into a visible mass defect."""
+    surv = np.cumsum(law[..., ::-1], axis=-1)[..., ::-1]
+    surv[..., : j + 1] = 1.0
     return surv
 
 

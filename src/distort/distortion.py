@@ -96,11 +96,13 @@ class Distortion:
     def eval(self, t, p):
         """phi_t(p) with the endpoints pinned exactly.
 
-        The formula runs only on the p strictly inside (0, 1); 0 and 1 are
-        written as such.  An interior p maps strictly inside (0, 1): a value
-        that rounds to 0 (p**2 at a subnormal p) or to 1 is moved by at most
-        one ulp to the nearest interior double, so the order against the
-        endpoints is kept.
+        t is one time, or an array of times that broadcasts against p, one
+        per point (a (K, 1) column against a (K, w) block holds one time a
+        row); time-invariant families ignore it.  The formula runs only on
+        the p strictly inside (0, 1); 0 and 1 are written as such.  An
+        interior p maps strictly inside (0, 1): a value that rounds to 0
+        (p**2 at a subnormal p) or to 1 is moved by at most one ulp to the
+        nearest interior double, so the order against the endpoints is kept.
         """
         arr = _asarray_prob(p, type(self).__name__ + ".eval")
         out = np.asarray(arr == 1.0, dtype=float)
@@ -111,10 +113,13 @@ class Distortion:
         # called even with no interior point left, so a schedule that is not
         # a distortion at t (a SeparableProduct weight above 1) still raises
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out[interior] = np.clip(self._value_t(t, inner, 1.0 - inner), _TINY, _BELOW_ONE)
+            value = self._value_t(t, inner, 1.0 - inner, interior)
+            out[interior] = np.clip(value, _TINY, _BELOW_ONE)
         return _scalar_like(out, p)
 
-    def _value_t(self, t, p, q):
+    def _value_t(self, t, p, q, interior):
+        """phi_t at the interior points p (the entries of the block where
+        ``interior`` is set); t as eval takes it."""
         return self._value(p, q)
 
     def derivatives(self, t, p):
@@ -462,8 +467,18 @@ class SeparableProduct(Distortion):
             )
         return min(f, 1.0)
 
-    def _value_t(self, t, p, q):
-        return self._weight_checked(t) * self.base._value(p, q)
+    def _value_t(self, t, p, q, interior):
+        if np.ndim(t) == 0:
+            return self._weight_checked(t) * self.base._value(p, q)
+        # f is read once per run of equal times through the scalar
+        # TimeWeight.value, so each weight is bit for bit that of a scalar-t
+        # call, and checked even where the run holds no interior point
+        t = np.broadcast_to(t, interior.shape).ravel()
+        run = np.ones(t.size, dtype=bool)
+        run[1:] = t[1:] != t[:-1]
+        start = np.flatnonzero(run)
+        f = np.repeat([self._weight_checked(s) for s in t[start]], np.diff(start, append=t.size))
+        return f[interior.ravel()] * self.base._value(p, q)
 
     def _value(self, p, q):
         return self.base._value(p, q)

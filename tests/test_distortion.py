@@ -96,8 +96,9 @@ def _eval_overwrite(d, t, p):
     overwritten afterwards: eval's result, with the work it now skips."""
     arr = np.asarray(p, dtype=float)
     inner = np.clip(arr, _TINY, _BELOW_ONE)
+    every = np.ones(arr.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = np.clip(d._value_t(t, inner, 1.0 - inner), _TINY, _BELOW_ONE)
+        raw = np.clip(d._value_t(t, inner, 1.0 - inner, every), _TINY, _BELOW_ONE)
     out = np.where(arr == 0.0, 0.0, np.where(arr == 1.0, 1.0, raw))
     return float(out) if np.ndim(p) == 0 else out
 
@@ -125,6 +126,34 @@ def test_eval_skips_endpoints_bit_identically(d):
                 got = d.eval(t, scalar)
                 assert type(got) is float
                 assert np.float64(got).tobytes() == np.float64(_eval_overwrite(d, t, scalar)).tobytes()
+
+
+@pytest.mark.parametrize("d", EVAL_FAMILIES, ids=lambda d: repr(d))
+def test_eval_on_a_block_with_a_column_of_times_matches_each_row(d):
+    """A (K, 1) column of times against a (K, w) block gives, row by row,
+    the scalar-t result bit for bit; time-varying weights are read per row."""
+    p = _eval_points()[:1230].reshape(6, 205)
+    t = np.array([0.0, 0.1, 0.7, 1.3, 2.0, 4.5])[:, None]
+    got = d.eval(t, p)
+    assert got.shape == p.shape
+    for r in range(p.shape[0]):
+        assert got[r].tobytes() == d.eval(t[r, 0], p[r]).tobytes()
+    # one time per point, as the tree sweeps pass the values of several levels
+    assert d.eval(np.repeat(t[:, 0], p.shape[1]), p.ravel()).tobytes() == got.tobytes()
+
+
+def test_eval_on_a_block_names_the_first_row_time_where_the_weight_leaves_the_unit_interval():
+    """f(t) = 1 - 0.2 t is below 0 from t = 5 on: the first such row raises
+    the scalar-t call's error, although that row holds only endpoints."""
+    d = SeparableProduct(TimeWeight("linear", rate=-0.2), Power(2.0))
+    p = np.array([[0.3, 0.6, 1.0], [0.2, 0.4, 0.9], [0.0, 1.0, 0.0], [0.5, 0.5, 0.5]])
+    t = np.array([[0.0], [1.0], [6.0], [7.0]])
+    with pytest.raises(DomainError) as block:
+        d.eval(t, p)
+    with pytest.raises(DomainError) as row:
+        d.eval(6.0, p[2])
+    assert "f(6.0)" in str(row.value)
+    assert str(block.value) == str(row.value)
 
 
 def test_eval_rejects_out_of_range():

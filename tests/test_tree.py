@@ -37,6 +37,7 @@ from distort.dynamics import lattice_from_diffusion
 from distort.report import canonical_json
 from distort.tree import (
     DistortedTree,
+    _blocks,
     _conditional_survival,
     _forward_laws,
     _last_law,
@@ -123,6 +124,70 @@ INF = float("inf")
 def test_model_rejects_non_finite_entries(times, states, up_prob, message):
     with pytest.raises(DomainError, match=message):
         TreeModel(times, states, up_prob)
+
+
+def _defect(level_list, level, value):
+    out = list(level_list)
+    out[level] = value(out[level].copy())
+    return out
+
+
+def _set(index, x):
+    def put(level):
+        level[index] = x
+        return level
+    return put
+
+
+# each defect sits in a level past the first block of _blocks (levels 0 .. 89)
+LATE_DEFECTS = {
+    "shape": ("states", 150, lambda s: np.zeros(3), "level 150 must hold 151 states"),
+    "increasing": ("states", 150, _set(7, -150.0), "states at level 150 not strictly increasing"),
+    "block-start": ("states", 90, _set(1, -90.0), "states at level 90 not strictly increasing"),
+    "p-shape": ("up_prob", 200, lambda p: p[:-1], "up_prob at level 200 must hold 201 entries"),
+    "p-range": ("up_prob", 200, _set(5, 1.0), "up_prob at level 200 must lie strictly in (0, 1)"),
+    "p-nan": ("up_prob", 145, _set(0, NAN), "up_prob at level 145 must lie strictly in (0, 1)"),
+    "straddle": ("states", 200, lambda s: s + 1.5, "children at level 200 must straddle"),
+    "last-finite": ("states", 300, _set(-1, INF), "states at level 300 must be finite"),
+}
+
+
+@pytest.mark.parametrize("kind", LATE_DEFECTS)
+def test_model_names_the_level_of_a_defect_in_a_later_block(kind):
+    """The checks run on blocks of levels; the message and the level it
+    names are those of the level-by-level checks."""
+    tree = symmetric_tree(300)
+    field_name, level, change, message = LATE_DEFECTS[kind]
+    parts = {"states": tree.states, "up_prob": tree.up_prob}
+    parts[field_name] = _defect(parts[field_name], level, change)
+    with pytest.raises(DomainError, match=re.escape("TreeModel: " + message)):
+        TreeModel(tree.times, parts["states"], parts["up_prob"])
+
+
+@pytest.mark.parametrize("defects, message", [
+    ([("states", 120, lambda s: s + 1.5), ("states", 250, _set(3, -250.0))],
+     "states at level 250 not strictly increasing"),
+    ([("states", 250, lambda s: np.zeros(2)), ("states", 200, _set(3, -200.0))],
+     "states at level 200 not strictly increasing"),
+    ([("states", 130, lambda s: np.zeros(2)), ("states", 250, _set(3, -250.0))],
+     "level 130 must hold 131 states"),
+    ([("up_prob", 120, _set(0, 0.0)), ("up_prob", 200, lambda p: p[:-1])],
+     "up_prob at level 120 must lie strictly in (0, 1)"),
+    ([("up_prob", 220, _set(0, 0.0)), ("up_prob", 200, lambda p: p[:-1])],
+     "up_prob at level 200 must hold 201 entries"),
+    ([("states", 100, lambda s: s + 1.5), ("up_prob", 280, _set(0, 2.0))],
+     "up_prob at level 280 must lie strictly in (0, 1)"),
+], ids=["straddle+increasing", "shape+increasing", "shape-first", "range-first",
+        "p-shape-first", "straddle+range"])
+def test_model_reports_the_defect_that_comes_first_in_check_order(defects, message):
+    """All states (shape and order, level by level), then all up_prob, then
+    the straddling: a later kind waits for every level of the earlier ones."""
+    tree = symmetric_tree(300)
+    parts = {"states": tree.states, "up_prob": tree.up_prob}
+    for field_name, level, change in defects:
+        parts[field_name] = _defect(parts[field_name], level, change)
+    with pytest.raises(DomainError, match=re.escape("TreeModel: " + message)):
+        TreeModel(tree.times, parts["states"], parts["up_prob"])
 
 
 def test_load_tree_rejects_nan_in_the_file(tmp_path):
@@ -339,8 +404,10 @@ def test_initial_consistency_single_pass_matches_per_level_loop(d):
     """The forward pass reads each level exactly as re-propagating from the
     root to that level does, so the result is bit-identical."""
     rng = np.random.default_rng(21)
-    for _ in range(8):
-        dt = distort_tree(random_tree(rng, int(rng.integers(1, 13))), d, strict=False)
+    trees = [random_tree(rng, int(rng.integers(1, 13))) for _ in range(8)]
+    trees.append(_unit_lattice(256))  # four blocks of levels
+    for tree in trees:
+        dt = distort_tree(tree, d, strict=False)
         survival = survival_probabilities(dt.base)
         per_level = 0.0
         for n in range(1, dt.n_periods + 1):
@@ -557,16 +624,37 @@ def _tree_cases():
     spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
     cases.append((lattice_from_diffusion(spec, 64), KahnemanTversky(0.6)))
     cases.append((lattice_from_diffusion(spec, 200), Wang(0.5)))
+    # lattices of several blocks under time-varying weights
+    lattice = lattice_from_diffusion(spec, 256)
+    cases.append((lattice, SeparableProduct(TimeWeight("exp", rate=-0.5), Power(1.5))))
+    cases.append((lattice, SeparableProduct(TimeWeight("linear", rate=-0.3), Wang(0.4))))
+    cases.append((_late_violation_tree(), SeparableProduct(TimeWeight("exp", rate=-0.5),
+                                                             Power(2.0))))
     return cases
 
 
+def _late_violation_tree():
+    """130 periods whose first 90 times lie within 1e-18 of 0, where
+    exp(-0.5 t) rounds to 1: a time-varying weight first moves at level 91,
+    so the first interleaving failure is at i = 90, the first row of the
+    second block."""
+    n = 130
+    times = np.concatenate([np.arange(91) * 1e-20, 1.0 + 0.01 * np.arange(n - 90)])
+    rng = np.random.default_rng(4)
+    states = [np.arange(-i, i + 1, 2, dtype=float) for i in range(n + 1)]
+    return TreeModel(times, states, [rng.uniform(0.3, 0.7, i + 1) for i in range(n)])
+
+
 def test_distort_tree_per_level_phi_matches_eager_route():
-    """phi one level at a time gives the eager route's transitions bit for
-    bit in both modes, the non-strict clip and the strict rejection
-    included."""
-    clipped = rejected = 0
+    """phi a block of levels at a time gives the eager route's transitions
+    bit for bit in both modes, the non-strict clip and the strict rejection
+    included, on trees of one block and of several."""
+    clipped = rejected = multi_block = late_first = 0
     for tree, d in _tree_cases():
+        starts = [a for a, _ in _blocks(tree.n_periods)]
         ref = _eager_distort_tree(tree, d, strict=False)
+        multi_block += len(starts) > 1
+        late_first += bool(ref[2]) and ref[2][0][0] in starts[1:]
         dt = distort_tree(tree, d, strict=False)
         assert [q.tobytes() for q in dt.q_up] == [q.tobytes() for q in ref[0]]
         assert dt.violations == [(i, int(j)) for i, ok in enumerate(ref[1])
@@ -584,6 +672,19 @@ def test_distort_tree_per_level_phi_matches_eager_route():
             assert [q.tobytes() for q in dt.q_up] == [q.tobytes() for q in strict_ref[0]]
             assert (dt.violations, dt.degenerate_edges) == ([], strict_ref[3])
     assert clipped >= 5 and rejected >= 5  # both the clip and the rejection ran
+    assert multi_block >= 4 and late_first >= 1
+
+
+def test_strict_rejection_comes_before_a_later_weight_outside_the_unit_interval():
+    """f(t) = 1 - 1.2 t fails the interleaving condition at level 2 and
+    leaves (0, 1] at t = 1, level 5, of the same block: strict mode names
+    the node, as a level-by-level sweep does; non-strict mode names t."""
+    d = SeparableProduct(TimeWeight("linear", rate=-1.2), Power(2.0))
+    tree = _unit_lattice(5)
+    with pytest.raises(ConsistencyError, match=re.escape("node (i=2, j=0)")):
+        distort_tree(tree, d)
+    with pytest.raises(DomainError, match=re.escape("weight f(1.0)")):
+        distort_tree(tree, d, strict=False)
 
 
 def test_kahneman_tversky_lattice_rejected_at_level_58():
