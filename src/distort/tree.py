@@ -221,7 +221,8 @@ def distort_tree(tree, schedule, strict=True):
     otherwise the quotients of every level holding a violation are clamped
     into [1e-9, 1 - 1e-9] and the nodes are recorded in ``violations``.
     """
-    q_up, violations = [], []
+    q_up = []
+    violations = []
     degenerate = 0
     phi = np.array([1.0])  # phi_{t_0}(G_0): G = {1} at the root pins every phi
     for a, laws in _law_blocks(tree.up_prob, tree.n_periods):
@@ -502,7 +503,8 @@ def verify_initial_consistency(dt):
     for (a, w_p), (_, w_q) in blocks:
         point, times = _level_points(dt.times, a, w_p.shape)
         phi = dt.schedule.eval(times, np.clip(survival_sum(w_p)[point], 0.0, 1.0))
-        worst = max(worst, float(np.max(np.abs(phi - survival_sum(w_q)[point]))))
+        # np.maximum keeps a NaN gap (a NaN transition), where max() drops it
+        worst = float(np.maximum(worst, np.max(np.abs(phi - survival_sum(w_q)[point]))))
     return worst
 
 

@@ -399,6 +399,15 @@ def test_initial_consistency_rejects_transitions_not_from_the_schedule():
         assert verify_tower(wrong, g) <= 1e-12
 
 
+def test_initial_consistency_fails_on_a_nan_transition():
+    """A NaN transition makes every later Q-survival NaN; the gap is NaN, so
+    a check `gap <= tol` fails (Python's max() used to drop it and read 0)."""
+    dt = distort_tree(random_tree(np.random.default_rng(1), 8), Power(2.0))
+    q_up = [q.copy() for q in dt.q_up]
+    q_up[3][1] = np.nan
+    assert math.isnan(verify_initial_consistency(dataclasses.replace(dt, q_up=q_up)))
+
+
 @pytest.mark.parametrize("d", [Power(2.0), Wang(-0.7), KahnemanTversky(0.8)], ids=str)
 def test_initial_consistency_single_pass_matches_per_level_loop(d):
     """The forward pass reads each level exactly as re-propagating from the
