@@ -401,7 +401,7 @@ def test_initial_consistency_rejects_transitions_not_from_the_schedule():
 
 def test_initial_consistency_fails_on_a_nan_transition():
     """A NaN transition makes every later Q-survival NaN; the gap is NaN, so
-    a check `gap <= tol` fails (Python's max() used to drop it and read 0)."""
+    a check `gap <= tol` fails (Python's max() would drop a NaN and read 0)."""
     dt = distort_tree(random_tree(np.random.default_rng(1), 8), Power(2.0))
     q_up = [q.copy() for q in dt.q_up]
     q_up[3][1] = np.nan
@@ -643,10 +643,10 @@ def _tree_cases():
 
 
 def _late_violation_tree():
-    """130 periods whose first 90 times lie within 1e-18 of 0, where
-    exp(-0.5 t) rounds to 1: a time-varying weight first moves at level 91,
-    so the first interleaving failure is at i = 90, the first row of the
-    second block."""
+    """130 periods whose first 91 times (levels 0 .. 90) lie below 1e-18,
+    where exp(-0.5 t) rounds to 1: a time-varying weight first moves at
+    level 91, so the first interleaving failure is at i = 90, the first row
+    of the second block."""
     n = 130
     times = np.concatenate([np.arange(91) * 1e-20, 1.0 + 0.01 * np.arange(n - 90)])
     rng = np.random.default_rng(4)
