@@ -45,7 +45,14 @@ from .errors import (
     NumericError,
     SingularityError,
 )
-from .tree import PhiCurve, TreeModel, _grid_levels, backward_induction, distort_tree
+from .tree import (
+    PhiCurve,
+    TreeModel,
+    _grid_levels,
+    _triangle_levels,
+    backward_induction,
+    distort_tree,
+)
 
 _DENOM_FLOOR = 1e-300
 # half-width of the usable-density window, in standard deviations: survival
@@ -800,19 +807,20 @@ def lattice_from_diffusion(spec, N):
 
     The one-step mean is b h exactly and the raw second moment is h, so the
     variance is h - (b h)^2.  Every level is a read-only strided view of the
-    one grid x0 + k sqrt(h), k = -N..N."""
+    one grid x0 + k sqrt(h), k = -N..N, and up_prob a list of views of one
+    buffer that holds level i at offset i (i + 1) / 2."""
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
     h = spec.T / N
     sq = math.sqrt(h)
     times = np.linspace(0.0, spec.T, N + 1)
     states = _grid_levels(spec.x0, sq, N)
-    up_prob = []
-    for i in range(N):
+    up_prob = _triangle_levels(np.empty(N * (N + 1) // 2), N)
+    for i, p in enumerate(up_prob):
         b_row = np.broadcast_to(
             np.asarray(spec.drift(times[i], states[i]), dtype=float), states[i].shape
         )
-        p = 0.5 + 0.5 * b_row * sq
+        p[:] = 0.5 + 0.5 * b_row * sq
         if not np.all((p > 0.0) & (p < 1.0)):
             bad = ~np.isfinite(b_row)
             if bad.any():
@@ -827,7 +835,6 @@ def lattice_from_diffusion(spec, N):
                 f"lattice_from_diffusion: |b| sqrt(h) >= 1 at level {i}; "
                 f"this drift needs N > {n_min}"
             )
-        up_prob.append(np.asarray(p, dtype=float))
     return TreeModel(times, states, up_prob)
 
 
@@ -847,9 +854,11 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None, strict=Tru
     with the drift computed on the trimmed survival-PDE field
     (_trimmed_pde_field) from eval_t on.  Each N gets its own survival
     weights and distorted transitions; the value is read at (eval_t,
-    eval_x), interpolated across the level when the state is off-lattice.  Lattices whose transitions violate the
-    interleaving condition are skipped and reported.  The slope is the
-    least-squares fit of log error against log N."""
+    eval_x), interpolated across the level when the state is off-lattice,
+    and backward induction keeps that level only.  Lattices whose
+    transitions violate the interleaving condition are skipped and
+    reported.  The slope is the least-squares fit of log error against
+    log N."""
     if u_ref is None:
         trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)
         mu = compute_mu(d, trimmed, spec.drift)
@@ -865,8 +874,6 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None, strict=Tru
         except ConsistencyError:
             skipped.append(int(N))
             continue
-        g_term = _payload_on_grid(g, tree.states[-1])
-        levels = backward_induction(dt_tree, g_term)
         i_float = eval_t / (spec.T / int(N))
         i = int(round(i_float))
         if abs(i_float - i) > 1e-9:
@@ -874,7 +881,8 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None, strict=Tru
                 f"convergence_study: eval_t={eval_t} is not a lattice level "
                 f"for N={N}"
             )
-        val = float(np.interp(eval_x, tree.states[i], levels[i]))
+        u_i = backward_induction(dt_tree, _payload_on_grid(g, tree.states[-1]), levels=(i,))[i]
+        val = float(np.interp(eval_x, tree.states[i], u_i))
         errors.append(abs(val - u_ref))
         used.append(int(N))
     slope = float("nan")

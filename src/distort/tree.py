@@ -216,27 +216,38 @@ def distort_tree(tree, schedule, strict=True):
     quotients are one round of numpy calls; each q_i reads
     phi_{t_i}(G_i) and phi_{t_{i+1}}(G_{i+1}) only.  Besides q_up the build
     holds about one block: its traced peak at N = 1024 is 1.21 times the
-    bytes of q_up.  In strict mode an interleaving violation raises
+    bytes of q_up.  q_up is a list of views of one buffer that holds level
+    i at offset i (i + 1) / 2, each block written in one assignment: no
+    per-level array is left between the build's temporaries to fragment
+    the heap.  In strict mode an interleaving violation raises
     ConsistencyError naming the first offending node in level order;
     otherwise the quotients of every level holding a violation are clamped
     into [1e-9, 1 - 1e-9] and the nodes are recorded in ``violations``.
     """
-    q_up = []
+    n = tree.n_periods
+    flat = np.empty(n * (n + 1) // 2)
     violations = []
     degenerate = 0
     phi = np.array([1.0])  # phi_{t_0}(G_0): G = {1} at the root pins every phi
-    for a, laws in _law_blocks(tree.up_prob, tree.n_periods):
+    for a, laws in _law_blocks(tree.up_prob, n):
         dead, phi = _distort_block(tree, schedule, strict, a, phi, survival_sum(laws),
-                                   q_up, violations)
+                                   flat, violations)
         degenerate += dead
-    return DistortedTree(base=tree, schedule=schedule, q_up=q_up,
+    return DistortedTree(base=tree, schedule=schedule, q_up=_triangle_levels(flat, n),
                          violations=violations, degenerate_edges=degenerate)
 
 
-def _distort_block(tree, schedule, strict, a, phi_a, surv, q_up, violations):
-    """Append q_i, i = a .. a + K - 1, to q_up from phi_{t_a}(G_a) = phi_a
-    and the zero-padded survival rows surv (K, w) of levels a + 1 .. a + K;
-    return the block's degenerate-edge count and its last phi row."""
+def _triangle_levels(flat, n):
+    """Levels 0 .. n - 1 of i + 1 entries each, as views of the one buffer
+    flat that holds level i at offset i (i + 1) / 2."""
+    return [flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2] for i in range(n)]
+
+
+def _distort_block(tree, schedule, strict, a, phi_a, surv, flat, violations):
+    """Write q_i, i = a .. a + K - 1, into their slice of the triangular
+    buffer flat from phi_{t_a}(G_a) = phi_a and the zero-padded survival
+    rows surv (K, w) of levels a + 1 .. a + K; return the block's
+    degenerate-edge count and its last phi row."""
     k, w = surv.shape
     point, times = _level_points(tree.times, a, surv.shape)
     try:
@@ -249,9 +260,9 @@ def _distort_block(tree, schedule, strict, a, phi_a, surv, q_up, violations):
         # level is still the error reported
         h = k // 2
         first, phi_mid = _distort_block(tree, schedule, strict, a, phi_a, surv[:h],
-                                        q_up, violations)
+                                        flat, violations)
         rest, phi_end = _distort_block(tree, schedule, strict, a + h, phi_mid, surv[h:],
-                                       q_up, violations)
+                                       flat, violations)
         return first + rest, phi_end
     levels = np.zeros((k + 1, w))  # phi of levels a .. a + k, zero past each top state
     levels[0, : phi_a.size] = phi_a
@@ -292,8 +303,7 @@ def _distort_block(tree, schedule, strict, a, phi_a, surv, q_up, violations):
         violations.extend((a + int(r), int(j)) for r, j in np.argwhere(bad))
         clip = np.repeat(bad.any(axis=1), sizes)
         q = np.where(clip, np.clip(q, _PERMISSIVE_EPS, 1.0 - _PERMISSIVE_EPS), q)
-    ends = np.cumsum(sizes).tolist()
-    q_up.extend(q[end - size : end] for size, end in zip(sizes.tolist(), ends))
+    flat[a * (a + 1) // 2 : (a + k) * (a + k + 1) // 2] = q
     return n_dead, levels[-1]
 
 
@@ -311,28 +321,56 @@ def _check_increasing(values, where, tol=1e-12):
         raise DomainError(f"{where}: values must be nondecreasing")
 
 
-def backward_induction(dt, terminal_values, horizon=None):
+def backward_induction(dt, terminal_values, horizon=None, levels=(0,)):
     """Linear backward induction under the distorted transitions.
 
     terminal_values: payoff at every level-``horizon`` state, nondecreasing
-    and nonnegative.  Returns the value arrays u_i for i = 0 .. horizon; each
-    level is a convex combination of the next, so monotonicity propagates.
+    and nonnegative.  Returns {i: u_i} for the requested levels, each in
+    0 .. horizon.  The walk from the horizon to level 0 keeps one
+    node-budgeted block of levels (_blocks) at a time, so its traced
+    peak at N = 1024 is under 0.05 times the bytes of q_up, where a list of
+    every level would hold as many bytes as q_up.  Each level is a convex
+    combination of the next, so monotonicity propagates; a transition
+    outside [0, 1] can break it, and the guard, run once per block, names
+    the highest level that decreases, the first one the walk forms.
     """
     n = dt.n_periods if horizon is None else int(horizon)
+    keep = {int(i) for i in levels}
+    if keep and not 0 <= min(keep) <= max(keep) <= n:
+        raise DomainError(f"backward_induction: levels {sorted(keep)} must lie in 0..{n}")
     g = np.asarray(terminal_values, dtype=float)
     if g.shape != (n + 1,):
         raise DomainError(f"backward_induction: expected {n + 1} terminal values")
     _check_increasing(g, "backward_induction terminal payoff")
     if np.any(g < 0.0):
         raise DomainError("backward_induction: terminal payoff must be nonnegative")
-    levels = [None] * (n + 1)
-    levels[n] = g.copy()
-    for i in range(n - 1, -1, -1):
-        q = dt.q_up[i]
-        nxt = levels[i + 1]
-        levels[i] = (1.0 - q) * nxt[: i + 1] + q * nxt[1:]
-        _check_increasing(levels[i], f"backward_induction level {i}")
-    return levels
+    u = g.copy()
+    kept = {n: u}
+    for a, b in reversed(list(_blocks(n))):
+        base = a * (a + 1) // 2
+        block = np.empty(b * (b + 1) // 2 - base)  # levels a .. b - 1 in level order
+        for i in range(b - 1, a - 1, -1):
+            q = dt.q_up[i]
+            start = i * (i + 1) // 2 - base
+            block[start : start + i + 1] = (1.0 - q) * u[: i + 1] + q * u[1:]
+            u = block[start : start + i + 1]
+            if i in keep:
+                kept[i] = u.copy()
+        _check_block_increasing(block, a, b)
+    return {i: kept[i] for i in sorted(keep)}
+
+
+def _check_block_increasing(values, a, b):
+    """Raise naming the highest of levels a .. b - 1, laid out in level
+    order in values, whose values decrease by more than 1e-12, the
+    tolerance of _check_increasing."""
+    bad = np.diff(values) < -1e-12
+    ends = np.cumsum(np.arange(a + 1, b + 1))
+    bad[ends[:-1] - 1] = False  # the pairs that straddle two levels
+    if np.any(bad):
+        last = bad.size - 1 - int(np.argmax(bad[::-1]))
+        i = a + int(np.searchsorted(ends, last, side="right"))
+        raise DomainError(f"backward_induction level {i}: values must be nondecreasing")
 
 
 def _forward_laws(trans, i, j, n):
@@ -472,7 +510,7 @@ def verify_tower(dt, terminal_values, r=0, s=None, n=None):
     if not (0 <= r < s < n <= dt.n_periods):
         raise DomainError(f"verify_tower: need r < s < n, got ({r}, {s}, {n})")
     g = np.asarray(terminal_values, dtype=float)
-    levels = backward_induction(dt, g, horizon=n)
+    levels = backward_induction(dt, g, horizon=n, levels=(r, s))
     u_r, u_s = levels[r], levels[s]
 
     worst = 0.0

@@ -15,7 +15,11 @@ exact rational arithmetic done by hand:
 import copy
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +63,7 @@ from distort.tree import (
 from conftest import traced_peak
 
 G_PAYOFF = np.array([0.0, 1.0, 2.0])
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def symmetric_tree(n, p=0.5):
@@ -305,7 +310,7 @@ def test_deep_lattice_roundoff_ties_pass_strict_mode():
 # backward induction and the static value
 
 def test_backward_induction_exact_values(square_tree):
-    levels = backward_induction(square_tree, G_PAYOFF)
+    levels = backward_induction(square_tree, G_PAYOFF, levels=(0, 1))
     assert levels[1][0] == pytest.approx(5.0 / 12.0, rel=1e-14)
     assert levels[1][1] == pytest.approx(1.25, rel=1e-14)
     assert levels[0][0] == pytest.approx(0.625, rel=1e-14)
@@ -335,6 +340,71 @@ def test_backward_induction_input_checks(square_tree):
         backward_induction(square_tree, [0.0, 2.0, 1.0])
     with pytest.raises(DomainError):
         backward_induction(square_tree, [-1.0, 0.0, 1.0])
+
+
+def _decreasing_at(n, bad_levels):
+    """An n-period tree under the identity whose q at each of bad_levels is
+    -2j at node j: on the payoff g_j = j every value level has slope 1, so
+    that level has slope -1 and decreases."""
+    tree = symmetric_tree(n)
+    q_up = [q.copy() for q in distort_tree(tree, Identity()).q_up]
+    for i in bad_levels:
+        q_up[i] = -2.0 * np.arange(i + 1)
+    return DistortedTree(base=tree, schedule=Identity(), q_up=q_up, violations=[],
+                         degenerate_edges=0)
+
+
+@pytest.mark.parametrize("n, bad_levels, named", [
+    (8, [5], 5),
+    (200, [199], 199),      # the first level the walk forms
+    (200, [160, 150], 160), # the higher of two in one block
+    (200, [145], 145),      # the lowest level of a block
+    (200, [89], 89),        # the top level of the lowest block of several
+    (200, [1], 1),
+    (200, [30, 170], 170),  # two blocks apart
+])
+def test_backward_induction_names_the_highest_decreasing_level(n, bad_levels, named):
+    """Transitions outside [0, 1] make a level decrease; the guard names the
+    highest such level, the first one a walk from the horizon forms."""
+    dt = _decreasing_at(n, bad_levels)
+    with pytest.raises(DomainError, match=rf"^backward_induction level {named}: values"):
+        backward_induction(dt, np.arange(n + 1.0))
+
+
+def _every_level(dt, g, n):
+    """The full level list of a plain horizon-to-root loop."""
+    levels = [None] * (n + 1)
+    levels[n] = np.array(g, dtype=float)
+    for i in range(n - 1, -1, -1):
+        q, nxt = dt.q_up[i], levels[i + 1]
+        levels[i] = (1.0 - q) * nxt[: i + 1] + q * nxt[1:]
+    return levels
+
+
+def test_backward_induction_keeps_the_requested_levels_bit_for_bit():
+    """The blocked walk that keeps only the requested levels gives those of
+    the full level list byte for byte, below a shorter horizon too."""
+    rng = np.random.default_rng(1616)
+    cases = [distort_tree(random_tree(rng, int(rng.integers(1, 40))), d)
+             for d in (Power(2.0), Wang(0.5), KahnemanTversky(0.8)) for _ in range(6)]
+    cases.append(distort_tree(_unit_lattice(1024), Power(2.0)))
+    for dt in cases:
+        n = int(rng.integers(1, dt.n_periods + 1))
+        g = random_monotone_payoff(rng, n + 1)
+        ref = _every_level(dt, g, n)
+        r, s = sorted(int(k) for k in rng.integers(0, n + 1, size=2))
+        got = backward_induction(dt, g, horizon=n, levels=(s, r))
+        assert list(got) == sorted({r, s})
+        assert [got[i].tobytes() for i in (r, s)] == [ref[i].tobytes() for i in (r, s)]
+        assert backward_induction(dt, g, horizon=n)[0].tobytes() == ref[0].tobytes()
+
+
+def test_backward_induction_rejects_levels_past_the_horizon(square_tree):
+    for levels in ((3,), (-1,), (0, 2, 3)):
+        with pytest.raises(DomainError, match=re.escape("must lie in 0..2")):
+            backward_induction(square_tree, G_PAYOFF, levels=levels)
+    with pytest.raises(DomainError, match=re.escape("must lie in 0..1")):
+        backward_induction(square_tree, [0.0, 1.0], horizon=1, levels=(2,))
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +806,71 @@ def test_initial_consistency_peak_stays_below_a_megabyte():
     dt = distort_tree(_unit_lattice(1024), Power(2.0))
     _, peak = traced_peak(verify_initial_consistency, dt)
     assert peak < 1_000_000
+
+
+def test_backward_induction_peak_stays_near_one_block():
+    """The walk keeps one block of levels and the requested level 0, where
+    the full level list would hold as many bytes as q_up."""
+    tree = _unit_lattice(1024)
+    dt = distort_tree(tree, Power(2.0))
+    _, peak = traced_peak(backward_induction, dt, np.maximum(tree.states[-1], 0.0))
+    assert peak < 0.05 * sum(q.nbytes for q in dt.q_up)
+
+
+def _base_and_offsets(levels):
+    return {id(x.base) for x in levels}, [
+        (x.__array_interface__["data"][0] - levels[0].__array_interface__["data"][0]) // 8
+        for x in levels]
+
+
+def test_lattice_transitions_are_views_of_one_buffer():
+    """up_prob and q_up each hold level i at offset i (i + 1) / 2 of one
+    buffer; up_prob holds the per-level formula's values bit for bit."""
+    spec = DiffusionSpec(lambda t, x: 0.4 - 0.3 * x + 0.1 * t, 0.2, 1.5)
+    N = 300  # four blocks of levels
+    tree = lattice_from_diffusion(spec, N)
+    dt = distort_tree(tree, Wang(0.5))
+    triangle = [i * (i + 1) // 2 for i in range(N)]
+    for levels in (tree.up_prob, dt.q_up):
+        bases, offsets = _base_and_offsets(levels)
+        assert len(bases) == 1 and levels[0].base.size == N * (N + 1) // 2
+        assert offsets == triangle
+    sq = math.sqrt(spec.T / N)
+    ref = [0.5 + 0.5 * spec.drift(t, x) * sq for t, x in zip(tree.times, tree.states[:-1])]
+    assert [p.tobytes() for p in tree.up_prob] == [p.tobytes() for p in ref]
+
+
+FRAGMENTATION_PROBE = """
+import resource
+import numpy as np
+from distort import Power, backward_induction, distort_tree
+from distort.density import DiffusionSpec, constant_drift
+from distort.dynamics import lattice_from_diffusion
+
+def run(N):
+    tree = lattice_from_diffusion(DiffusionSpec(constant_drift(0.0), 0.0, 1.0), N)
+    dt = distort_tree(tree, Power(2.0))
+    backward_induction(dt, np.maximum(tree.states[-1], 0.0))
+    return tree, dt
+
+run(64)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+tree, dt = run(2048)
+grown = 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(grown / sum(x.nbytes for x in [*tree.up_prob, *dt.q_up]))
+"""
+
+
+def test_lattice_path_resident_growth_stays_near_its_transitions():
+    """A fresh process grows by little more than the bytes of up_prob and
+    q_up at N = 2048 (1.5 times them when each level was its own array
+    between the builds' temporaries, which fragments the heap).
+    tracemalloc cannot see fragmentation, so this reads ru_maxrss."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", FRAGMENTATION_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) <= 1.15
 
 
 def test_lattice_states_are_read_only_views_of_one_grid():
