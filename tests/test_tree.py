@@ -817,12 +817,6 @@ def test_backward_induction_peak_stays_near_one_block():
     assert peak < 0.05 * sum(q.nbytes for q in dt.q_up)
 
 
-def _base_and_offsets(levels):
-    return {id(x.base) for x in levels}, [
-        (x.__array_interface__["data"][0] - levels[0].__array_interface__["data"][0]) // 8
-        for x in levels]
-
-
 def test_lattice_transitions_are_views_of_one_buffer():
     """up_prob and q_up each hold level i at offset i (i + 1) / 2 of one
     buffer; up_prob holds the per-level formula's values bit for bit."""
@@ -832,20 +826,24 @@ def test_lattice_transitions_are_views_of_one_buffer():
     dt = distort_tree(tree, Wang(0.5))
     triangle = [i * (i + 1) // 2 for i in range(N)]
     for levels in (tree.up_prob, dt.q_up):
-        bases, offsets = _base_and_offsets(levels)
-        assert len(bases) == 1 and levels[0].base.size == N * (N + 1) // 2
-        assert offsets == triangle
+        flat = levels[0].base
+        assert flat.size == N * (N + 1) // 2 and all(x.base is flat for x in levels)
+        start = flat.__array_interface__["data"][0]
+        assert [(x.__array_interface__["data"][0] - start) // 8 for x in levels] == triangle
     sq = math.sqrt(spec.T / N)
     ref = [0.5 + 0.5 * spec.drift(t, x) * sq for t, x in zip(tree.times, tree.states[:-1])]
     assert [p.tobytes() for p in tree.up_prob] == [p.tobytes() for p in ref]
 
 
 FRAGMENTATION_PROBE = """
-import resource
 import numpy as np
 from distort import Power, backward_induction, distort_tree
 from distort.density import DiffusionSpec, constant_drift
 from distort.dynamics import lattice_from_diffusion
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 def run(N):
     tree = lattice_from_diffusion(DiffusionSpec(constant_drift(0.0), 0.0, 1.0), N)
@@ -854,18 +852,21 @@ def run(N):
     return tree, dt
 
 run(64)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 tree, dt = run(2048)
-grown = 1024 * (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+grown = 1024 * (peak_kb() - before)
 print(grown / sum(x.nbytes for x in [*tree.up_prob, *dt.q_up]))
 """
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
 def test_lattice_path_resident_growth_stays_near_its_transitions():
-    """A fresh process grows by little more than the bytes of up_prob and
-    q_up at N = 2048 (1.5 times them when each level was its own array
-    between the builds' temporaries, which fragments the heap).
-    tracemalloc cannot see fragmentation, so this reads ru_maxrss."""
+    """A fresh process's peak resident set grows by little more than the
+    bytes of up_prob and q_up at N = 2048 (1.5 times them when each level
+    was its own array between the builds' temporaries, which fragments the
+    heap).  tracemalloc cannot see fragmentation, and a spawned process's
+    ru_maxrss starts at its parent's peak on Linux (a child of this test
+    process would read no growth), so the probe reads its own VmHWM."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", FRAGMENTATION_PROBE], env=env,
