@@ -33,7 +33,6 @@ from .distortion import (
     TverskyFox,
     Wang,
     distortion_from_dict,
-    validate_distortion,
 )
 from .dynamics import (
     DriftField,
@@ -111,7 +110,6 @@ __all__ = [
     "solve_distorted_pde",
     "solve_survival_pde",
     "static_distorted_value",
-    "validate_distortion",
     "verify_initial_consistency",
     "verify_tower",
 ]

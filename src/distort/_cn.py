@@ -17,10 +17,10 @@ A march checks its grid and its data once and rebuilds the bands of each
 step from the spacing, checking only that step's diffusion and velocity;
 each step is one direct LAPACK gtsv solve.  No band or velocity tables are
 built for all steps at once: on the Phi curve that was no faster than the
-per-step route and raised peak memory from 211 to 246 MB.  A history
-(keep_all) is one (nt, nx) array allocated up front and filled a row per
-step; no per-step copies are kept and joined at the end, so a march holds
-the history and a few rows, not the history twice.
+per-step route and raised peak memory from 211 to 246 MB.  A march returns
+its whole history: one (nt,) + u0.shape array allocated up front and filled
+a slice per step; no per-step copies are kept and joined at the end, so a
+march holds the history and a few slices, not the history twice.
 """
 
 import numpy as np
@@ -148,26 +148,23 @@ def _transposed_bands(bands):
 
 
 def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None,
-          theta=0.5, rannacher=0, keep_all=False):
+          theta=0.5, rannacher=0):
     """March u0 across ``times``.
 
     velocity: None, a fixed array over x, or a callable t -> array over x
     (evaluated at interval midpoints).  The first ``rannacher`` intervals are
     integrated with two fully implicit half steps to damp rough payloads.
-    Returns the final slice, or the full (nt, nx) history when keep_all,
-    written step by step into one preallocated array.
+    Returns the history, one (nt,) + u0.shape array written step by step;
+    its last slice [-1] is the state at times[-1].
     """
     times = _checked_times(times)
     u = np.array(u0, dtype=float)
     if u.shape[-1] != np.asarray(x).size:
         raise DomainError("initial data does not match the grid")
-    if keep_all and u.ndim != 1:
-        raise DomainError("keep_all supports a single payload")
     _check_finite(u)
     bands_at = _step_bands(x, diffusion, velocity, bc)
-    if keep_all:
-        history = np.empty((times.size, u.size))
-        history[0] = u
+    history = np.empty((times.size,) + u.shape)
+    history[0] = u
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         bands = bands_at(0.5 * (times[k] + times[k + 1]))
@@ -176,9 +173,8 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
             u = theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
         else:
             u = theta_step(u, bands, dt, theta=theta, bc_values=bc_values)
-        if keep_all:
-            history[k + 1] = u
-    return history if keep_all else u
+        history[k + 1] = u
+    return history
 
 
 def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", theta=0.5,

@@ -238,7 +238,8 @@ def cmd_dynamics(cfg, out_dir):
         write_csv(os.path.join(out_dir, "convergence.csv"), ["N", "error"],
                   [np.asarray(rep.N_list, dtype=float), rep.errors])
         results["convergence"] = {
-            "slope": rep.slope,
+            # no fit below two lattices (the study's slope is NaN there)
+            "slope": rep.slope if len(rep.N_list) >= 2 else None,
             "skipped": rep.skipped,
             "reference": rep.reference,
             "monotone": bool(

@@ -235,8 +235,7 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
     # two implicit start steps damp the high frequencies of the initial bump
     # (it can sit on just a few cells after a conditional restart)
     G = march(
-        g0, x, t, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0),
-        rannacher=2, keep_all=True,
+        g0, x, t, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0), rannacher=2,
     )
     np.clip(G, 0.0, 1.0, out=G)
     rho = np.empty_like(G)

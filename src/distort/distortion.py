@@ -1,9 +1,11 @@
 """Parametric probability distortion families.
 
 A distortion is a continuous, strictly increasing map of [0,1] onto itself
-with fixed endpoints.  Every family here evaluates phi_t(p), its first three
-p-derivatives, and the time derivatives (zero unless the schedule is time
-varying), all vectorized over numpy arrays.
+with fixed endpoints.  Every family here evaluates phi_t(p) and the three
+derivative quantities the distorted drift reads: dp phi, the time ratio
+dt phi / dp phi (zero unless the schedule is time varying) and the curvature
+ratio dpp phi / dp phi, all vectorized over numpy arrays.  Each family has
+one formula per quantity; dpp phi is dp * curvature_ratio.
 
 Derivative evaluation clamps p into [EPS_P, 1-EPS_P] and counts the clamped
 elements in a module-level diagnostics counter instead of raising, because
@@ -51,10 +53,7 @@ class DistortionDerivatives:
     """Partial derivatives of phi_t(p) at one point or one array of points."""
 
     dp: object
-    dpp: object
-    dppp: object
     dt: object
-    dtp: object
 
 
 def _asarray_prob(p, where):
@@ -79,8 +78,8 @@ def _scalar_like(value, template):
 
 
 class Distortion:
-    """Base class; subclasses implement the interior formulas _value, _d123
-    and _curvature (dpp / dp, which curvature_ratio reads)."""
+    """Base class; subclasses implement the interior formulas _value, _d1
+    (dp) and _curvature (dpp / dp, which curvature_ratio reads)."""
 
     time_varying = False
 
@@ -88,8 +87,8 @@ class Distortion:
     def _value(self, p, q):
         raise NotImplementedError
 
-    def _d123(self, p, q):
-        """Return (dp, dpp, dppp) on interior arrays."""
+    def _d1(self, p, q):
+        """dp phi on interior arrays."""
         raise NotImplementedError
 
     # -- public API ----------------------------------------------------------
@@ -126,14 +125,9 @@ class Distortion:
         arr = _asarray_prob(p, type(self).__name__ + ".derivatives")
         pc = _clamp_counted(arr)
         qc = 1.0 - pc
-        dp, dpp, dppp = self._d123(pc, qc)
-        zero = np.zeros_like(pc)
         return DistortionDerivatives(
-            dp=_scalar_like(dp, p),
-            dpp=_scalar_like(dpp, p),
-            dppp=_scalar_like(dppp, p),
-            dt=_scalar_like(zero, p),
-            dtp=_scalar_like(zero, p),
+            dp=_scalar_like(self._d1(pc, qc), p),
+            dt=_scalar_like(np.zeros_like(pc), p),
         )
 
     def curvature_ratio(self, t, p, comp):
@@ -170,10 +164,8 @@ class Identity(Distortion):
     def _value(self, p, q):
         return p
 
-    def _d123(self, p, q):
-        one = np.ones_like(p)
-        zero = np.zeros_like(p)
-        return one, zero, zero
+    def _d1(self, p, q):
+        return np.ones_like(p)
 
     def _curvature(self, p, q):
         return np.zeros_like(p)
@@ -194,12 +186,9 @@ class Power(Distortion):
     def _value(self, p, q):
         return p**self.gamma
 
-    def _d123(self, p, q):
+    def _d1(self, p, q):
         g = self.gamma
-        d1 = g * p ** (g - 1.0)
-        d2 = g * (g - 1.0) * p ** (g - 2.0)
-        d3 = g * (g - 1.0) * (g - 2.0) * p ** (g - 3.0)
-        return d1, d2, d3
+        return g * p ** (g - 1.0)
 
     def _curvature(self, p, q):
         return (self.gamma - 1.0) / p
@@ -231,35 +220,25 @@ class KahnemanTversky(Distortion):
         return p**g / (p**g + q**g) ** (1.0 / g)
 
     def _log_cascade(self, p, q):
-        """(value, L1, L1', L1'') where L1 = phi'/phi."""
+        """(value, L1, D, D1) where L1 = phi'/phi and D = p**g + q**g."""
         g = self.gamma
         pg1 = p ** (g - 1.0)
         qg1 = q ** (g - 1.0)
-        pg2 = p ** (g - 2.0)
-        qg2 = q ** (g - 2.0)
-        pg3 = p ** (g - 3.0)
-        qg3 = q ** (g - 3.0)
         D = p * pg1 + q * qg1
         D1 = g * (pg1 - qg1)
-        D2 = g * (g - 1.0) * (pg2 + qg2)
-        D3 = g * (g - 1.0) * (g - 2.0) * (pg3 - qg3)
         val = (p * pg1) * D ** (-1.0 / g)
         L1 = g / p - D1 / (g * D)
-        N = D2 * D - D1 * D1
-        L1p = -g / p**2 - N / (g * D * D)
-        Np = D3 * D - D1 * D2
-        L1pp = 2.0 * g / p**3 - (Np / (D * D) - 2.0 * N * D1 / D**3) / g
-        return val, L1, L1p, L1pp
+        return val, L1, D, D1
 
-    def _d123(self, p, q):
-        val, L1, L1p, L1pp = self._log_cascade(p, q)
-        d1 = val * L1
-        d2 = val * (L1 * L1 + L1p)
-        d3 = val * (L1**3 + 3.0 * L1 * L1p + L1pp)
-        return d1, d2, d3
+    def _d1(self, p, q):
+        val, L1, _, _ = self._log_cascade(p, q)
+        return val * L1
 
     def _curvature(self, p, q):
-        _, L1, L1p, _ = self._log_cascade(p, q)
+        g = self.gamma
+        _, L1, D, D1 = self._log_cascade(p, q)
+        D2 = g * (g - 1.0) * (p ** (g - 2.0) + q ** (g - 2.0))
+        L1p = -g / p**2 - (D2 * D - D1 * D1) / (g * D * D)
         return L1 + L1p / L1
 
     def to_dict(self):
@@ -285,25 +264,21 @@ class TverskyFox(Distortion):
         return apg / (apg + q**g)
 
     def _m_cascade(self, p, q):
-        """(d1, M, M') where M = phi''/phi'."""
+        """(d1, M) where M = phi''/phi'."""
         a, g = self.alpha, self.gamma
         pg1 = p ** (g - 1.0)
         qg1 = q ** (g - 1.0)
         S = a * p * pg1 + q * qg1
         S1 = a * g * pg1 - g * qg1
-        S2 = a * g * (g - 1.0) * pg1 / p + g * (g - 1.0) * qg1 / q
         d1 = a * g * (p * q) ** (g - 1.0) / (S * S)
         M = (g - 1.0) * (1.0 / p - 1.0 / q) - 2.0 * S1 / S
-        Mp = (g - 1.0) * (-1.0 / p**2 - 1.0 / q**2) - 2.0 * (S2 * S - S1 * S1) / (S * S)
-        return d1, M, Mp
+        return d1, M
 
-    def _d123(self, p, q):
-        d1, M, Mp = self._m_cascade(p, q)
-        return d1, d1 * M, d1 * (M * M + Mp)
+    def _d1(self, p, q):
+        return self._m_cascade(p, q)[0]
 
     def _curvature(self, p, q):
-        _, M, _ = self._m_cascade(p, q)
-        return M
+        return self._m_cascade(p, q)[1]
 
     def to_dict(self):
         return {"family": "tversky_fox", "alpha": self.alpha, "gamma": self.gamma}
@@ -328,6 +303,7 @@ class Prelec(Distortion):
         return np.exp(-g * w**a)
 
     def _m_cascade(self, p, q):
+        """(d1, M) where M = phi''/phi'."""
         g, a = self.gamma, self.alpha
         # -ln p read off the trusted complement above 1/2, where p may have
         # rounded to 1 (w = 0 would make w**(a-1) infinite)
@@ -336,20 +312,13 @@ class Prelec(Distortion):
         val = np.exp(-g * w * wa1)
         d1 = val * g * a * wa1 / p
         M = g * a * wa1 / p - (a - 1.0) / (w * p) - 1.0 / p
-        Mp = (
-            -g * a * ((a - 1.0) * wa1 / w + wa1) / p**2
-            + (a - 1.0) * (w - 1.0) / (w * w * p * p)
-            + 1.0 / p**2
-        )
-        return d1, M, Mp
+        return d1, M
 
-    def _d123(self, p, q):
-        d1, M, Mp = self._m_cascade(p, q)
-        return d1, d1 * M, d1 * (M * M + Mp)
+    def _d1(self, p, q):
+        return self._m_cascade(p, q)[0]
 
     def _curvature(self, p, q):
-        _, M, _ = self._m_cascade(p, q)
-        return M
+        return self._m_cascade(p, q)[1]
 
     def to_dict(self):
         return {"family": "prelec", "gamma": self.gamma, "alpha": self.alpha}
@@ -374,15 +343,10 @@ class Wang(Distortion):
     def _value(self, p, q):
         return normal.cdf(self._z(p, q) + self.alpha)
 
-    def _d123(self, p, q):
+    def _d1(self, p, q):
         a = self.alpha
         z = self._z(p, q)
-        d1 = np.exp(a * (-z - 0.5 * a))  # pdf(z + a) / pdf(z) without underflow
-        fz = normal.pdf(z)
-        with np.errstate(divide="ignore", over="ignore"):
-            d2 = d1 * (-a / fz)
-            d3 = d1 * (a * (a - z) / (fz * fz))
-        return d1, d2, d3
+        return np.exp(a * (-z - 0.5 * a))  # pdf(z + a) / pdf(z) without underflow
 
     def _curvature(self, p, q):
         z = self._z(p, q)
@@ -489,18 +453,10 @@ class SeparableProduct(Distortion):
         qc = 1.0 - pc
         f = self._weight_checked(t)
         fdot = self.time_weight.derivative(t)
-        d1, d2, d3 = self.base._d123(pc, qc)
-        val = self.base._value(pc, qc)
         return DistortionDerivatives(
-            dp=_scalar_like(f * d1, p),
-            dpp=_scalar_like(f * d2, p),
-            dppp=_scalar_like(f * d3, p),
-            dt=_scalar_like(fdot * val, p),
-            dtp=_scalar_like(fdot * d1, p),
+            dp=_scalar_like(f * self.base._d1(pc, qc), p),
+            dt=_scalar_like(fdot * self.base._value(pc, qc), p),
         )
-
-    def _d123(self, p, q):
-        raise NotImplementedError("time-varying schedule needs derivatives(t, p)")
 
     def curvature_ratio(self, t, p, comp):
         return self.base.curvature_ratio(t, p, comp)
@@ -511,8 +467,7 @@ class SeparableProduct(Distortion):
         qc = 1.0 - pc
         f = self._weight_checked(t)
         fdot = self.time_weight.derivative(t)
-        d1, _, _ = self.base._d123(pc, qc)
-        out = (fdot / f) * self.base._value(pc, qc) / d1
+        out = (fdot / f) * self.base._value(pc, qc) / self.base._d1(pc, qc)
         return _scalar_like(out, p)
 
     def to_dict(self):
@@ -524,63 +479,7 @@ class SeparableProduct(Distortion):
 
 
 # ---------------------------------------------------------------------------
-# validation and serialization
-
-@dataclass(frozen=True)
-class DistortionValidation:
-    """Grid maxima of the regularity ratio statistics plus shape checks."""
-
-    curvature_stat: float  # max |dpp/dp| * p(1-p)
-    third_stat: float      # max |dppp/dp| * p^2 (1-p)^2
-    time_stat: float       # max |dt/dp| / (p(1-p))
-    mixed_stat: float      # max |dtp/dp|
-    monotone_ok: bool
-    endpoints_ok: bool
-    bound: float
-    passed: bool
-
-
-def validate_distortion(d, t_grid, p_grid, bound=10.0):
-    """Evaluate the boundedness statistics of the regularity assumptions on a grid."""
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    p_grid = np.sort(np.asarray(p_grid, dtype=float))
-    if t_grid.size == 0 or p_grid.size == 0:
-        raise DomainError("validate_distortion: empty grid")
-    if np.any(p_grid <= 0.0) or np.any(p_grid >= 1.0):
-        raise DomainError("validate_distortion: p_grid must lie inside (0, 1)")
-
-    curvature = third = time_stat = mixed = 0.0
-    monotone_ok = True
-    endpoints_ok = True
-    pq = p_grid * (1.0 - p_grid)
-    for t in t_grid:
-        der = d.derivatives(t, p_grid)
-        dp = np.asarray(der.dp)
-        curvature = max(curvature, float(np.max(np.abs(der.dpp) / dp * pq)))
-        third = max(third, float(np.max(np.abs(der.dppp) / dp * pq**2)))
-        time_stat = max(time_stat, float(np.max(np.abs(der.dt) / dp / pq)))
-        mixed = max(mixed, float(np.max(np.abs(der.dtp) / dp)))
-        vals = np.asarray(d.eval(t, p_grid))
-        if np.any(np.diff(vals) <= 0.0) or np.any(dp <= 0.0):
-            monotone_ok = False
-        if d.eval(t, 0.0) != 0.0 or d.eval(t, 1.0) != 1.0:
-            endpoints_ok = False
-    passed = bool(
-        monotone_ok
-        and endpoints_ok
-        and max(curvature, third, time_stat, mixed) <= bound
-    )
-    return DistortionValidation(
-        curvature_stat=curvature,
-        third_stat=third,
-        time_stat=time_stat,
-        mixed_stat=mixed,
-        monotone_ok=monotone_ok,
-        endpoints_ok=endpoints_ok,
-        bound=float(bound),
-        passed=passed,
-    )
-
+# serialization
 
 _FAMILY_KEYS = {
     "identity": set(),

@@ -402,7 +402,7 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
 
     u_tau = march(
         g_vals, x, tau, 0.5, lambda tm: vel(t_end - tm),
-        bc="neumann", theta=0.5, rannacher=2, keep_all=True,
+        bc="neumann", theta=0.5, rannacher=2,
     )
     u = u_tau[::-1]
     dx = x[1] - x[0]

@@ -334,7 +334,8 @@ def _criterion_invariants():
         ok = False
     msgs.append(f"sigma reduction gap={red:.1e}")
 
-    # derivatives against central differences for every family
+    # derivatives against central differences for every family; phi'' is
+    # dp * curvature_ratio, the formula the drift reads
     pool = [
         Power(2.0), Wang(0.7), KahnemanTversky(0.5), Prelec(0.8, 0.9),
         TverskyFox(0.9, 0.6),
@@ -350,7 +351,8 @@ def _criterion_invariants():
             worst_fd = max(worst_fd, abs(fd1 - der.dp) / max(1.0, abs(der.dp)))
             h = 1e-4
             fd2 = (d.eval(t, p + h) - 2 * d.eval(t, p) + d.eval(t, p - h)) / h**2
-            worst_fd = max(worst_fd, abs(fd2 - der.dpp) / max(1.0, abs(der.dpp)))
+            dpp = der.dp * d.curvature_ratio(t, p, 1.0 - p)
+            worst_fd = max(worst_fd, abs(fd2 - dpp) / max(1.0, abs(dpp)))
             h = 1e-6
             fdt = (d.eval(t + h, p) - d.eval(t - h, p)) / (2 * h)
             worst_fd = max(worst_fd, abs(fdt - der.dt) / max(1.0, abs(der.dt)))

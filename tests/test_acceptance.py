@@ -50,3 +50,19 @@ def test_total_runtime_under_budget(suite):
     total = sum(r.seconds for r in results.values())
     assert total < 180.0, f"suite took {total:.1f}s"
     assert code == 0
+
+
+def test_invariants_criterion_fails_on_a_wrong_curvature(monkeypatch):
+    """Criterion 10's phi'' check reads the curvature formula the drift
+    uses, so a one-percent error in one family's formula fails it."""
+    import re
+
+    from distort.distortion import Power
+    from distort.selftest import _criterion_invariants
+
+    curvature = Power._curvature
+    monkeypatch.setattr(Power, "_curvature", lambda self, p, q: 1.01 * curvature(self, p, q))
+    passed, detail = _criterion_invariants()
+    assert not passed
+    gap = float(re.search(r"derivative fd gap=(\S+)", detail).group(1))
+    assert gap > 1e-5, detail

@@ -173,6 +173,33 @@ def test_dynamics_mc_with_one_path_exits_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("distortion, n_list, skipped", [
+    ({"family": "wang", "alpha": 0.5}, [64], []),
+    ({"family": "kahneman_tversky", "gamma": 0.6}, [16, 64], [64]),
+], ids=["one-lattice", "one-kept"])
+def test_dynamics_convergence_below_two_lattices_has_no_slope(tmp_path, distortion,
+                                                              n_list, skipped):
+    # one kept lattice fits no slope: the report says null instead of
+    # failing on a non-finite value (KahnemanTversky skips N = 64, strict)
+    cfg = {
+        "schema_version": 1,
+        "distortion": distortion,
+        "model": {"b": 0.0, "x0": 0.0, "T": 1.0},
+        "mu_grid": {"t_min": 0.2, "t_max": 1.0, "nt": 9, "x_half": 6.0, "nx": 241},
+        "convergence": {"N_list": n_list, "eval_t": 0.5, "eval_x": 0.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    r = run_cli("dynamics", "--config", str(path), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    conv = json.loads((out / "report.json").read_text())["results"]["convergence"]
+    assert conv["slope"] is None
+    assert conv["skipped"] == skipped
+    header, cols = read_csv(out / "convergence.csv")
+    assert cols[0].tolist() == [float(n_list[0])]
+
+
 def test_density_bridge_with_one_path_exits_2(tmp_path):
     # one path gives one batch and no standard error: rejected before any
     # estimate is made, instead of writing nan into bridge.csv

@@ -1,5 +1,6 @@
-"""Distortion families: values, derivative cascades, validation, serialization."""
+"""Distortion families: values, derivatives, curvature ratios, serialization."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,6 @@ from distort import (
     TverskyFox,
     Wang,
     distortion_from_dict,
-    validate_distortion,
 )
 from distort.distortion import CLAMP_DIAGNOSTICS
 
@@ -178,28 +178,36 @@ SPOT = [
 ]
 
 
+def _dpp(d, t, p):
+    """phi'' as the drift reads it: dp times the curvature ratio."""
+    return d.derivatives(t, p).dp * d.curvature_ratio(t, p, 1.0 - p)
+
+
 @pytest.mark.parametrize("d,val,d1,d2,d3", SPOT, ids=lambda x: repr(x) if hasattr(x, "eval") else "")
 def test_derivative_cascades_at_tenth(d, val, d1, d2, d3):
     assert d.eval(0.0, 0.1) == pytest.approx(val, rel=1e-14)
     der = d.derivatives(0.0, 0.1)
     assert der.dp == pytest.approx(d1, rel=1e-13)
-    assert der.dpp == pytest.approx(d2, rel=1e-13)
-    assert der.dppp == pytest.approx(d3, rel=1e-12)
+    assert _dpp(d, 0.0, 0.1) == pytest.approx(d2, rel=1e-13)
+    # the oracle's phi''' is the slope of that phi'': a central difference
+    # of it at h = 1e-5 reads gaps of about 1.5e-8
+    h = 1e-5
+    fd3 = (_dpp(d, 0.0, 0.1 + h) - _dpp(d, 0.0, 0.1 - h)) / (2 * h)
+    assert fd3 == pytest.approx(d3, rel=1e-7)
     assert der.dt == 0.0
-    assert der.dtp == 0.0
 
 
 def test_power_two_derivatives_at_half():
     der = Power(2.0).derivatives(0.0, 0.5)
     assert der.dp == pytest.approx(1.0, abs=1e-15)
-    assert der.dpp == pytest.approx(2.0, abs=1e-15)
-    assert der.dppp == 0.0
+    assert _dpp(Power(2.0), 0.0, 0.5) == pytest.approx(2.0, abs=1e-15)
     assert der.dt == 0.0
 
 
 def test_identity_derivatives():
-    der = Identity().derivatives(0.0, 0.3)
-    assert (der.dp, der.dpp, der.dppp, der.dt, der.dtp) == (1.0, 0.0, 0.0, 0.0, 0.0)
+    d = Identity()
+    der = d.derivatives(0.0, 0.3)
+    assert (der.dp, der.dt, d.curvature_ratio(0.0, 0.3, 0.7)) == (1.0, 0.0, 0.0)
 
 
 def test_wang_curvature_ratio_formula():
@@ -225,6 +233,25 @@ def test_wang_tail_ratio_with_complement():
     assert rc_left == pytest.approx(ref_left, rel=1e-12)
 
 
+def _mp_curvature(d, p):
+    """phi''/phi' of the 40-digit oracle, by mpmath differentiation."""
+    f = lambda x: mp_phi(d, x)
+    return mp.diff(f, mp.mpf(p), 2) / mp.diff(f, mp.mpf(p), 1)
+
+
+@pytest.mark.parametrize("d", [Power(2.0), Power(0.5), KahnemanTversky(0.61), KahnemanTversky(0.3),
+                               TverskyFox(0.77, 0.69), Prelec(1.0, 0.65), Prelec(0.8, 0.9)],
+                         ids=lambda d: repr(d))
+def test_curvature_ratio_against_mpmath(d):
+    """The ratio _mu_core reads, inside and in both tails; near 1 the
+    complement is handed over, as the drift hands over 1 - G."""
+    points = [(p, 1.0 - p) for p in (0.05, 0.3, 0.5, 0.9)]
+    points += [(1e-12, 1.0 - 1e-12), (1.0 - 2.0**-30, 2.0**-30)]
+    for p, comp in points:
+        ref = float(_mp_curvature(d, p))
+        assert d.curvature_ratio(0.0, p, comp) == pytest.approx(ref, rel=1e-12)
+
+
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
 def test_first_derivative_vs_central_difference(d):
     h = 1e-5
@@ -241,18 +268,7 @@ def test_second_derivative_vs_central_difference(d):
     t = 0.4
     for p in np.linspace(0.1, 0.9, 9):
         fd = (d.eval(t, p + h) - 2 * d.eval(t, p) + d.eval(t, p - h)) / h**2
-        der = d.derivatives(t, p)
-        assert der.dpp == pytest.approx(fd, rel=2e-5, abs=1e-7)
-
-
-def test_third_derivative_vs_central_difference():
-    h = 2e-3
-    d = KahnemanTversky(0.61)
-    for p in [0.2, 0.5, 0.8]:
-        fd = (
-            d.eval(0, p + 2 * h) - 2 * d.eval(0, p + h) + 2 * d.eval(0, p - h) - d.eval(0, p - 2 * h)
-        ) / (2 * h**3)
-        assert d.derivatives(0.0, p).dppp == pytest.approx(fd, rel=5e-4)
+        assert _dpp(d, t, p) == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
 def test_clamp_counter_counts_endpoint_calls():
@@ -273,7 +289,6 @@ def test_separable_time_derivatives():
     der = d.derivatives(t, p)
     assert der.dp == pytest.approx(f * 2 * p, rel=1e-13)
     assert der.dt == pytest.approx(-0.5 * f * p**2, rel=1e-13)
-    assert der.dtp == pytest.approx(-0.5 * f * 2 * p, rel=1e-13)
     h = 1e-6
     fd_t = (d.eval(t + h, p) - d.eval(t - h, p)) / (2 * h)
     assert der.dt == pytest.approx(fd_t, rel=1e-7)
@@ -333,41 +348,6 @@ def test_kt_gamma_floor():
 def test_bad_parameters_rejected_at_construction(build):
     with pytest.raises(ConfigError):
         build()
-
-
-# ---------------------------------------------------------------------------
-# validation report
-
-def test_validate_power_two_statistic():
-    # |dpp/dp| * p(1-p) = (1/p) * p(1-p) = 1-p, maximized at the grid minimum
-    p_grid = np.arange(0.1, 0.95, 0.1)
-    rep = validate_distortion(Power(2.0), [0.0], p_grid, bound=1.0)
-    assert rep.curvature_stat == pytest.approx(1.0 - p_grid.min(), rel=1e-12)
-    assert rep.passed
-    assert rep.monotone_ok and rep.endpoints_ok
-
-
-def test_validate_identity_all_zero():
-    rep = validate_distortion(Identity(), [0.0, 1.0], np.linspace(0.05, 0.95, 10))
-    assert rep.curvature_stat == 0.0
-    assert rep.third_stat == 0.0
-    assert rep.time_stat == 0.0
-    assert rep.mixed_stat == 0.0
-    assert rep.passed
-
-
-def test_validate_prelec_passes_with_finite_bound():
-    rep = validate_distortion(Prelec(1.0, 0.5), [0.0], np.linspace(0.1, 0.9, 33), bound=10.0)
-    assert rep.passed
-    assert 0.0 < rep.curvature_stat < 10.0
-    assert 0.0 < rep.third_stat < 10.0
-
-
-def test_validate_rejects_bad_grids():
-    with pytest.raises(DomainError):
-        validate_distortion(Identity(), [], [0.5])
-    with pytest.raises(DomainError):
-        validate_distortion(Identity(), [0.0], [0.0, 0.5])
 
 
 # ---------------------------------------------------------------------------

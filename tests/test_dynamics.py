@@ -723,7 +723,7 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field):
     vel = _velocity_from(ref_mu, pde_x)
     tau = t - _sqrt_graded(s, t, n_steps)[::-1]
     u_final = march(_smoothed_indicators(y_grid, pde_x, width), pde_x, tau, 0.5,
-                    lambda tm: vel(t - tm), bc="neumann", theta=0.5, rannacher=2)
+                    lambda tm: vel(t - tm), bc="neumann", theta=0.5, rannacher=2)[-1]
     raw = np.array([np.interp(x, pde_x, row) for row in np.clip(u_final, 0.0, 1.0)])
     ref = np.clip(_debias_smoothed(y_grid, raw, width), 0.0, 1.0)
     ref = np.minimum.accumulate(ref)
