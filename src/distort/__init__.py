@@ -39,7 +39,6 @@ from .dynamics import (
     build_phi_curve,
     compute_mu,
     convergence_study,
-    general_sigma_mu,
     lattice_from_diffusion,
     simulate_q_dynamics,
     solve_distorted_pde,
@@ -102,7 +101,6 @@ __all__ = [
     "distorted_pmf",
     "distortion_from_dict",
     "gaussian_field",
-    "general_sigma_mu",
     "lattice_from_diffusion",
     "naive_nested_expectation",
     "phi_at_node",

@@ -148,8 +148,8 @@ def _transposed_bands(bands):
 
 
 def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None,
-          theta=0.5, rannacher=0):
-    """March u0 across ``times``.
+          rannacher=0):
+    """March u0 across ``times`` by Crank-Nicolson steps.
 
     velocity: None, a fixed array over x, or a callable t -> array over x
     (evaluated at interval midpoints).  The first ``rannacher`` intervals are
@@ -172,17 +172,16 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
             u = theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
             u = theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
         else:
-            u = theta_step(u, bands, dt, theta=theta, bc_values=bc_values)
+            u = theta_step(u, bands, dt, bc_values=bc_values)
         history[k + 1] = u
     return history
 
 
-def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", theta=0.5,
-                  rannacher=0):
+def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", rannacher=0):
     """Transpose of ``march``: march(u0, ...) @ w == u0 @ march_adjoint(w, ...).
 
     Runs the intervals from last to first, applying the transposed step
-    M_k^T = B^T A^-T with A = I - theta dt L and B = I + (1-theta) dt L; the
+    M_k^T = B^T A^-T with A = I - dt L / 2 and B = I + dt L / 2; the
     Rannacher half steps on the first ``rannacher`` intervals are transposed
     the same way.  A and B are polynomials in L and commute, so theta_step on
     the transposed bands, which forms A^-T B^T, applies the same matrix;
@@ -203,5 +202,5 @@ def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", theta=0
             w = theta_step(w, bands, 0.5 * dt, theta=1.0)
             w = theta_step(w, bands, 0.5 * dt, theta=1.0)
         else:
-            w = theta_step(w, bands, dt, theta=theta)
+            w = theta_step(w, bands, dt)
     return w

@@ -152,8 +152,8 @@ def choquet_expectation_density(survival, g, d, t=0.0, agreement_tol=None):
     # density form: rho = -dG/dx by centered differences, phi' from the
     # schedule's analytic .derivatives (the by-parts form reads .eval)
     rho = -np.gradient(G, x)
-    der = d.derivatives(t, np.clip(G, 0.0, 1.0))
-    integrand = g_vals * rho * np.asarray(der.dp)
+    dp = d.derivatives(t, np.clip(G, 0.0, 1.0))
+    integrand = g_vals * rho * np.asarray(dp)
     density_form = float(np.trapezoid(integrand, x))
     density_coarse = float(np.trapezoid(integrand[::2], x[::2]))
     err_a = abs(density_form - density_coarse) / 3.0

@@ -325,7 +325,7 @@ def _resolve_config(args):
         )
     if args.seed is not None:
         cfg.seed = args.seed
-    cfg.strict_mon2 = bool(args.strict_mon2)
+    cfg.strict_mon2 = bool(getattr(args, "strict_mon2", False))
     cfg.out = args.out or os.path.join("distort-out", args.command)
     return cfg
 
@@ -367,8 +367,6 @@ def _add_common(sub):
     sub.add_argument("--preset", help="name of a built-in configuration")
     sub.add_argument("--seed", type=int, default=None, help="RNG seed override")
     sub.add_argument("--out", help="output directory (default distort-out/<command>)")
-    sub.add_argument("--strict-mon2", action="store_true",
-                     help="fail instead of clamping on interleaving violations")
 
 
 def build_parser():
@@ -381,6 +379,10 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("tree", "dynamics", "density"):
         _add_common(subs.add_parser(name, help=f"run the {name} engine"))
+    # dynamics builds its lattices strict and density builds none
+    subs.choices["tree"].add_argument(
+        "--strict-mon2", action="store_true",
+        help="fail instead of clamping on interleaving violations")
     st = subs.add_parser("selftest", help="run the acceptance suite")
     st.add_argument("--filter", help="run only criteria whose name contains this")
     st.add_argument("--out", help="also write the verdicts as JSON here")

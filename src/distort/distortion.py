@@ -2,10 +2,11 @@
 
 A distortion is a continuous, strictly increasing map of [0,1] onto itself
 with fixed endpoints.  Every family here evaluates phi_t(p) and the three
-derivative quantities the distorted drift reads: dp phi, the time ratio
-dt phi / dp phi (zero unless the schedule is time varying) and the curvature
-ratio dpp phi / dp phi, all vectorized over numpy arrays.  Each family has
-one formula per quantity; dpp phi is dp * curvature_ratio.
+derivative quantities the distorted drift reads: dp phi (``derivatives``),
+the time ratio dt phi / dp phi (zero unless the schedule is time varying)
+and the curvature ratio dpp phi / dp phi, all vectorized over numpy arrays.
+Each family has one formula per quantity; dt phi is dp * time_ratio and
+dpp phi is dp * curvature_ratio.
 
 Derivative evaluation clamps p into [EPS_P, 1-EPS_P] and counts the clamped
 elements in a module-level diagnostics counter instead of raising, because
@@ -17,7 +18,6 @@ this for tail drift evaluation).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,14 +46,6 @@ class ClampDiagnostics:
 
 
 CLAMP_DIAGNOSTICS = ClampDiagnostics()
-
-
-@dataclass(frozen=True)
-class DistortionDerivatives:
-    """Partial derivatives of phi_t(p) at one point or one array of points."""
-
-    dp: object
-    dt: object
 
 
 def _asarray_prob(p, where):
@@ -122,13 +114,11 @@ class Distortion:
         return self._value(p, q)
 
     def derivatives(self, t, p):
+        """dp phi at (t, p), with p clamped into [EPS_P, 1-EPS_P] and the
+        clamped points counted."""
         arr = _asarray_prob(p, type(self).__name__ + ".derivatives")
         pc = _clamp_counted(arr)
-        qc = 1.0 - pc
-        return DistortionDerivatives(
-            dp=_scalar_like(self._d1(pc, qc), p),
-            dt=_scalar_like(np.zeros_like(pc), p),
-        )
+        return _scalar_like(self._d1(pc, 1.0 - pc), p)
 
     def curvature_ratio(self, t, p, comp):
         """d2 phi / d1 phi at (t, p), with comp = 1-p computed separately
@@ -450,13 +440,7 @@ class SeparableProduct(Distortion):
     def derivatives(self, t, p):
         arr = _asarray_prob(p, "SeparableProduct.derivatives")
         pc = _clamp_counted(arr)
-        qc = 1.0 - pc
-        f = self._weight_checked(t)
-        fdot = self.time_weight.derivative(t)
-        return DistortionDerivatives(
-            dp=_scalar_like(f * self.base._d1(pc, qc), p),
-            dt=_scalar_like(fdot * self.base._value(pc, qc), p),
-        )
+        return _scalar_like(self._weight_checked(t) * self.base._d1(pc, 1.0 - pc), p)
 
     def curvature_ratio(self, t, p, comp):
         return self.base.curvature_ratio(t, p, comp)

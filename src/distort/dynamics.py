@@ -1,15 +1,14 @@
 """Distorted dynamics in continuous time.
 
 Under the distorted measure, values of increasing payoffs become ordinary
-conditional expectations of a diffusion whose drift picks up two correction
-terms along the survival field G(t, x) of the original process:
+conditional expectations of a unit-sigma diffusion whose drift picks up two
+correction terms along the survival field G(t, x) of the original process:
 
     mu(t, x) = b + dt_phi(t, G) / (dp_phi(t, G) rho)
-                 - sigma^2 rho dpp_phi(t, G) / (2 dp_phi(t, G)).
+                 - rho dpp_phi(t, G) / (2 dp_phi(t, G)).
 
-This module evaluates mu (also for alternative diffusion coefficients of the
-distorted process), solves the backward value PDE, simulates the distorted
-dynamics, assembles the dynamic distortion curve
+This module evaluates mu, solves the backward value PDE, simulates the
+distorted dynamics, assembles the dynamic distortion curve
 
     Phi(s, t, x; p) = Gq(Gp^{-1}(p))
 
@@ -200,14 +199,14 @@ class DriftField:
         return float(np.max(np.abs(self.mu) / scale))
 
 
-def _mu_core(d, field, b_rows, sigma_sq):
-    """The distortion part of the drift: time term plus curvature term.
+def compute_mu(d, field, b):
+    """Distorted drift on the field's grid for unit sigma.
 
     Ratios are evaluated through the (p, 1-p) pair so that deep-tail cells
     keep the exact cancellation between a huge curvature ratio and a tiny
     density; a clamped evaluation would zero the drift out there.
     """
-    t_grid = field.t_grid
+    t_grid, x = field.t_grid, field.x_grid
     if isinstance(d, SeparableProduct):
         for t in t_grid:
             f = d.time_weight.value(t)
@@ -222,12 +221,12 @@ def _mu_core(d, field, b_rows, sigma_sq):
     for i, t in enumerate(t_grid):
         g_row = field.G[i]
         c_row = field.G_comp[i]
-        dp = np.asarray(d.derivatives(t, g_row).dp, dtype=float)
+        dp = np.asarray(d.derivatives(t, g_row), dtype=float)
         denom = dp * rho[i]
         if np.any(denom < _DENOM_FLOOR):
             j = int(np.argmax(denom < _DENOM_FLOOR))
             raise SingularityError(
-                f"distorted drift singular at t={t}, x={field.x_grid[j]} "
+                f"distorted drift singular at t={t}, x={x[j]} "
                 f"(dp_phi * rho = {denom[j]:.3e}); restrict the field to cells "
                 "with usable density"
             )
@@ -235,63 +234,9 @@ def _mu_core(d, field, b_rows, sigma_sq):
         cr = np.asarray(d.curvature_ratio(t, g_row, c_row), dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             time_term = np.where(tr == 0.0, 0.0, tr / rho[i])
-        curv_term = 0.5 * sigma_sq[i] * cr * rho[i]
-        mu[i] = b_rows[i] + time_term - curv_term
-    return mu
-
-
-def compute_mu(d, field, b):
-    """Distorted drift on the field's grid for unit sigma."""
-    x = field.x_grid
-    b_rows = np.vstack(
-        [np.broadcast_to(np.asarray(b(t, x), dtype=float), x.shape) for t in field.t_grid]
-    )
-    mu = _mu_core(d, field, b_rows, np.ones((field.t_grid.size, 1)))
-    return DriftField(field.t_grid.copy(), x.copy(), mu)
-
-
-def general_sigma_mu(d, field, b, sigma, sigma_check):
-    """Drift of the distorted dynamics when its diffusion coefficient is
-    chosen as sc = sigma_check instead of sigma:
-
-        mu = b - sigma d_x sigma + sc d_x sc
-             + (sc^2 - sigma^2) d_x rho / (2 rho)
-             + dt_phi / (dp_phi rho) - sc^2 rho dpp_phi / (2 dp_phi).
-
-    With sigma_check identical to sigma the extra terms cancel exactly and
-    the result reduces to compute_mu."""
-    x = field.x_grid
-    t_grid = field.t_grid
-    shape = x.shape
-
-    def rows(fn):
-        return np.vstack(
-            [np.broadcast_to(np.asarray(fn(t, x), dtype=float), shape) for t in t_grid]
-        )
-
-    b_rows = rows(b)
-    sig = rows(sigma)
-    sig_c = rows(sigma_check)
-    if not all((np.isfinite(s) & (s > 0.0)).all() for s in (sig, sig_c)):
-        raise DomainError("general_sigma_mu: diffusion coefficients must be positive and finite")
-    core = _mu_core(d, field, b_rows, sig_c**2)
-    dsig = np.gradient(sig, x, axis=1)
-    dsig_c = np.gradient(sig_c, x, axis=1)
-    extra = sig_c * dsig_c - sig * dsig
-    factor = 0.5 * (sig_c**2 - sig**2)
-    if np.any(factor != 0.0):
-        drho = np.gradient(field.rho, x, axis=1)
-        bad = (factor != 0.0) & (field.rho < _DENOM_FLOOR)
-        if np.any(bad):
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise SingularityError(
-                f"general_sigma_mu: d_x rho / rho undefined at t={t_grid[i]}, "
-                f"x={x[j]} where the density vanishes"
-            )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = drho / field.rho
-        extra = extra + np.where(factor != 0.0, factor * ratio, 0.0)
-    return DriftField(t_grid.copy(), x.copy(), core + extra)
+        curv_term = 0.5 * cr * rho[i]
+        mu[i] = np.asarray(b(t, x), dtype=float) + time_term - curv_term
+    return DriftField(t_grid.copy(), x.copy(), mu)
 
 
 def smoothed_step_payload(center=0.2, width=0.25):
@@ -402,7 +347,7 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
 
     u_tau = march(
         g_vals, x, tau, 0.5, lambda tm: vel(t_end - tm),
-        bc="neumann", theta=0.5, rannacher=2,
+        bc="neumann", rannacher=2,
     )
     u = u_tau[::-1]
     dx = x[1] - x[0]
@@ -742,7 +687,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     tau = t - r_grid[::-1]
     w = march_adjoint(
         _interp_weights(pde_x, x), pde_x, tau, 0.5, lambda tm: vel(t - tm),
-        bc="neumann", theta=0.5, rannacher=2,
+        bc="neumann", rannacher=2,
     )
     surv_q_raw = np.clip(payloads @ w, 0.0, 1.0)
     surv_q = np.clip(_debias_smoothed(y_grid, surv_q_raw, width), 0.0, 1.0)
@@ -847,7 +792,7 @@ class ConvergenceReport:
     reference: float
 
 
-def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None, strict=True):
+def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     """Backward-induction values on refining lattices against a PDE reference.
 
     The reference is u_ref, or when None the value PDE at (eval_t, eval_x)
@@ -870,7 +815,7 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None, strict=Tru
     for N in N_list:
         tree = lattice_from_diffusion(spec, int(N))
         try:
-            dt_tree = distort_tree(tree, d, strict=strict)
+            dt_tree = distort_tree(tree, d)
         except ConsistencyError:
             skipped.append(int(N))
             continue

@@ -316,8 +316,8 @@ def _level_points(times, a, shape):
     return np.arange(w) < sizes[:, None], np.repeat(times[a + 1 : a + k + 1], sizes)
 
 
-def _check_increasing(values, where, tol=1e-12):
-    if np.any(np.diff(values) < -tol):
+def _check_increasing(values, where):
+    if np.any(np.diff(values) < -1e-12):
         raise DomainError(f"{where}: values must be nondecreasing")
 
 

@@ -66,3 +66,20 @@ def test_invariants_criterion_fails_on_a_wrong_curvature(monkeypatch):
     assert not passed
     gap = float(re.search(r"derivative fd gap=(\S+)", detail).group(1))
     assert gap > 1e-5, detail
+
+
+def test_invariants_criterion_fails_on_a_wrong_time_ratio(monkeypatch):
+    """Criterion 10's dt phi check reads dp * time_ratio, the time term the
+    drift uses, so a one-percent error in the separable time ratio fails it."""
+    import re
+
+    from distort.distortion import SeparableProduct
+    from distort.selftest import _criterion_invariants
+
+    time_ratio = SeparableProduct.time_ratio
+    monkeypatch.setattr(SeparableProduct, "time_ratio",
+                        lambda self, t, p: 1.01 * time_ratio(self, t, p))
+    passed, detail = _criterion_invariants()
+    assert not passed
+    gap = float(re.search(r"derivative fd gap=(\S+)", detail).group(1))
+    assert gap > 1e-5, detail

@@ -360,6 +360,8 @@ def test_log_env_var_enables_info(tmp_path):
     ["selftest", "--seed", "3"],
     ["selftest", "--threads", "2"],
     ["selftest", "--strict-mon2"],
+    ["dynamics", "--preset", "wang", "--strict-mon2"],
+    ["density", "--preset", "wang", "--strict-mon2"],
 ])
 def test_flags_that_did_nothing_are_gone(argv):
     from distort.cli import build_parser

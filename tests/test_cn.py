@@ -53,12 +53,12 @@ def test_adjoint_reads_every_payload_at_a_node(bc, rannacher, times, velocity):
         assert np.max(np.abs(payloads @ w - u[:, j])) <= 1e-12
 
 
-def test_adjoint_of_a_general_functional_and_implicit_theta():
+def test_adjoint_of_a_general_functional():
     rng = np.random.default_rng(8)
     payloads = rng.normal(size=(4, X.size))
     probe = rng.normal(size=X.size)
-    u = march(payloads, X, GRADED, 0.5, strong_velocity, bc="neumann", theta=1.0)[-1]
-    w = march_adjoint(probe, X, GRADED, 0.5, strong_velocity, bc="neumann", theta=1.0)
+    u = march(payloads, X, GRADED, 0.5, strong_velocity, bc="neumann")[-1]
+    w = march_adjoint(probe, X, GRADED, 0.5, strong_velocity, bc="neumann")
     assert np.max(np.abs(payloads @ w - u @ probe)) <= 1e-12
 
 

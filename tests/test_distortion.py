@@ -180,34 +180,34 @@ SPOT = [
 
 def _dpp(d, t, p):
     """phi'' as the drift reads it: dp times the curvature ratio."""
-    return d.derivatives(t, p).dp * d.curvature_ratio(t, p, 1.0 - p)
+    return d.derivatives(t, p) * d.curvature_ratio(t, p, 1.0 - p)
 
 
 @pytest.mark.parametrize("d,val,d1,d2,d3", SPOT, ids=lambda x: repr(x) if hasattr(x, "eval") else "")
 def test_derivative_cascades_at_tenth(d, val, d1, d2, d3):
     assert d.eval(0.0, 0.1) == pytest.approx(val, rel=1e-14)
-    der = d.derivatives(0.0, 0.1)
-    assert der.dp == pytest.approx(d1, rel=1e-13)
+    dp = d.derivatives(0.0, 0.1)
+    assert dp == pytest.approx(d1, rel=1e-13)
     assert _dpp(d, 0.0, 0.1) == pytest.approx(d2, rel=1e-13)
     # the oracle's phi''' is the slope of that phi'': a central difference
     # of it at h = 1e-5 reads gaps of about 1.5e-8
     h = 1e-5
     fd3 = (_dpp(d, 0.0, 0.1 + h) - _dpp(d, 0.0, 0.1 - h)) / (2 * h)
     assert fd3 == pytest.approx(d3, rel=1e-7)
-    assert der.dt == 0.0
+    assert dp * d.time_ratio(0.0, 0.1) == 0.0
 
 
 def test_power_two_derivatives_at_half():
-    der = Power(2.0).derivatives(0.0, 0.5)
-    assert der.dp == pytest.approx(1.0, abs=1e-15)
+    dp = Power(2.0).derivatives(0.0, 0.5)
+    assert dp == pytest.approx(1.0, abs=1e-15)
     assert _dpp(Power(2.0), 0.0, 0.5) == pytest.approx(2.0, abs=1e-15)
-    assert der.dt == 0.0
+    assert dp * Power(2.0).time_ratio(0.0, 0.5) == 0.0
 
 
 def test_identity_derivatives():
     d = Identity()
-    der = d.derivatives(0.0, 0.3)
-    assert (der.dp, der.dt, d.curvature_ratio(0.0, 0.3, 0.7)) == (1.0, 0.0, 0.0)
+    dp = d.derivatives(0.0, 0.3)
+    assert (dp, dp * d.time_ratio(0.0, 0.3), d.curvature_ratio(0.0, 0.3, 0.7)) == (1.0, 0.0, 0.0)
 
 
 def test_wang_curvature_ratio_formula():
@@ -243,7 +243,7 @@ def _mp_curvature(d, p):
                                TverskyFox(0.77, 0.69), Prelec(1.0, 0.65), Prelec(0.8, 0.9)],
                          ids=lambda d: repr(d))
 def test_curvature_ratio_against_mpmath(d):
-    """The ratio _mu_core reads, inside and in both tails; near 1 the
+    """The ratio compute_mu reads, inside and in both tails; near 1 the
     complement is handed over, as the drift hands over 1 - G."""
     points = [(p, 1.0 - p) for p in (0.05, 0.3, 0.5, 0.9)]
     points += [(1e-12, 1.0 - 1e-12), (1.0 - 2.0**-30, 2.0**-30)]
@@ -258,8 +258,7 @@ def test_first_derivative_vs_central_difference(d):
     t = 0.4
     for p in np.linspace(0.05, 0.95, 19):
         fd = (d.eval(t, p + h) - d.eval(t, p - h)) / (2 * h)
-        der = d.derivatives(t, p)
-        assert der.dp == pytest.approx(fd, rel=1e-6)
+        assert d.derivatives(t, p) == pytest.approx(fd, rel=1e-6)
 
 
 @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: repr(d))
@@ -286,13 +285,13 @@ def test_separable_time_derivatives():
     d = SeparableProduct(TimeWeight("exp", rate=-0.5), Power(2.0))
     t, p = 0.8, 0.4
     f = np.exp(-0.5 * t)
-    der = d.derivatives(t, p)
-    assert der.dp == pytest.approx(f * 2 * p, rel=1e-13)
-    assert der.dt == pytest.approx(-0.5 * f * p**2, rel=1e-13)
+    dp = d.derivatives(t, p)
+    dt = dp * d.time_ratio(t, p)
+    assert dp == pytest.approx(f * 2 * p, rel=1e-13)
+    assert dt == pytest.approx(-0.5 * f * p**2, rel=1e-13)
     h = 1e-6
     fd_t = (d.eval(t + h, p) - d.eval(t - h, p)) / (2 * h)
-    assert der.dt == pytest.approx(fd_t, rel=1e-7)
-    assert d.time_ratio(t, p) == pytest.approx(der.dt / der.dp, rel=1e-13)
+    assert dt == pytest.approx(fd_t, rel=1e-7)
 
 
 def test_separable_rejects_weight_above_one():
@@ -431,4 +430,4 @@ def test_property_range_and_order(d, p1, p2):
 @given(family_strategy(), st.floats(1e-6, 1 - 1e-6))
 @settings(max_examples=80, deadline=None)
 def test_property_derivative_positive(d, p):
-    assert d.derivatives(0.0, p).dp > 0.0
+    assert d.derivatives(0.0, p) > 0.0

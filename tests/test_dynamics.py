@@ -16,7 +16,16 @@ from distort.density import (
 )
 from scipy.interpolate import CubicSpline
 
-from distort.distortion import Identity, Power, Prelec, SeparableProduct, TimeWeight, Wang
+from distort.distortion import (
+    Identity,
+    KahnemanTversky,
+    Power,
+    Prelec,
+    SeparableProduct,
+    TimeWeight,
+    TverskyFox,
+    Wang,
+)
 from distort.dynamics import (
     ConvergenceReport,
     DriftField,
@@ -24,7 +33,6 @@ from distort.dynamics import (
     build_phi_curve,
     compute_mu,
     convergence_study,
-    general_sigma_mu,
     lattice_from_diffusion,
     pde_mc_check,
     simulate_q_dynamics,
@@ -59,10 +67,6 @@ ZERO = constant_drift(0.0)
 
 def smoothed_step(x):
     return 0.5 * (1.0 + np.tanh((np.asarray(x, dtype=float) - 0.2) / 0.25))
-
-
-def ones_sigma(t, x):
-    return np.ones_like(np.asarray(x, dtype=float))
 
 
 @pytest.fixture(scope="module")
@@ -293,33 +297,31 @@ def test_growth_constant_is_the_linear_gauge(wang_field):
 
 
 # ---------------------------------------------------------------------------
-# general diffusion coefficient for the distorted dynamics
+# measure flow of the distorted drift
 
-def test_general_sigma_reduces_to_compute_mu(wang_field):
-    ref = compute_mu(Wang(0.5), wang_field, ZERO)
-    gen = general_sigma_mu(Wang(0.5), wang_field, ZERO, ones_sigma, ones_sigma)
-    assert np.max(np.abs(gen.mu - ref.mu)) <= 1e-12
-
-
-def test_general_sigma_density_ratio_term():
-    """sigma_check = sqrt(2), identity schedule: mu = d_x rho / (2 rho),
-    which is -(x - x0) / (2 t) for the Gaussian field."""
-    tg = np.linspace(0.5, 1.0, 11)
-    xg = np.linspace(-4.0, 4.0, 801)
-    field = gaussian_field(0.0, tg, xg)
-    rt2 = lambda t, x: math.sqrt(2.0) * np.ones_like(np.asarray(x, dtype=float))
-    gen = general_sigma_mu(Identity(), field, ZERO, ones_sigma, rt2)
-    exact = -(xg[None, :]) / (2.0 * tg[:, None])
-    inner = np.abs(xg) <= 1.5
-    assert np.max(np.abs(gen.mu - exact)[:, inner]) <= 1e-3
+@pytest.fixture(scope="module")
+def flow_field():
+    return gaussian_field(0.0, np.linspace(0.1, 1.0, 401), np.linspace(-7.0, 7.0, 1601))
 
 
-def test_general_sigma_rejects_nonpositive_sigma(wang_field):
-    for value in (0.0, -1.0, math.nan, math.inf):
-        bad = lambda t, x: np.full_like(np.asarray(x, dtype=float), value)
-        for sigma, sigma_check in [(ones_sigma, bad), (bad, ones_sigma)]:
-            with pytest.raises(DomainError, match="must be positive and finite"):
-                general_sigma_mu(Identity(), wang_field, ZERO, sigma, sigma_check)
+@pytest.mark.parametrize("d", [Wang(0.5), Power(2.0), KahnemanTversky(0.6),
+                               TverskyFox(0.9, 0.6), Prelec(0.8, 0.9)], ids=repr)
+def test_distorted_drift_carries_the_distorted_survival(flow_field, d):
+    """Unit sigma, b = 0: the distorted survival H = phi_t(G) solves
+    d_t H = H_xx / 2 - mu d_x H with the drift compute_mu returns, so H
+    marched from t = 0.1 under that drift stays on phi_t(G) at every time;
+    marched without the drift it drifts off."""
+    x, tg = flow_field.x_grid, flow_field.t_grid
+    mu = compute_mu(d, flow_field, ZERO)
+    exact = np.array([d.eval(t, row) for t, row in zip(tg, flow_field.G)])
+
+    def flow_gap(velocity):
+        h = march(exact[0], x, tg, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0),
+                  rannacher=2)
+        return float(np.max(np.abs(h - exact)))
+
+    assert flow_gap(lambda t: -mu.mu_at(t, x)) <= 2e-4
+    assert flow_gap(None) >= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +725,7 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field):
     vel = _velocity_from(ref_mu, pde_x)
     tau = t - _sqrt_graded(s, t, n_steps)[::-1]
     u_final = march(_smoothed_indicators(y_grid, pde_x, width), pde_x, tau, 0.5,
-                    lambda tm: vel(t - tm), bc="neumann", theta=0.5, rannacher=2)[-1]
+                    lambda tm: vel(t - tm), bc="neumann", rannacher=2)[-1]
     raw = np.array([np.interp(x, pde_x, row) for row in np.clip(u_final, 0.0, 1.0)])
     ref = np.clip(_debias_smoothed(y_grid, raw, width), 0.0, 1.0)
     ref = np.minimum.accumulate(ref)
