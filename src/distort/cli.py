@@ -27,7 +27,7 @@ from .density import (
     gaussian_field,
     solve_survival_pde,
 )
-from .distortion import CLAMP_DIAGNOSTICS, distortion_from_dict
+from .distortion import distortion_from_dict
 from .dynamics import (
     build_phi_curve,
     compute_mu,
@@ -77,26 +77,18 @@ def cmd_tree(cfg, out_dir):
     dt = distort_tree(tree, d, strict=cfg.strict_mon2)
     n = tree.n_periods
 
-    lev, idx, xs, gs = [], [], [], []
-    for i, row in enumerate(survival_probabilities(tree)):
-        for j, gval in enumerate(row):
-            lev.append(i)
-            idx.append(j)
-            xs.append(tree.states[i][j])
-            gs.append(gval)
-    write_csv(os.path.join(out_dir, "survival.csv"),
-              ["level", "k", "state", "G"], [lev, idx, xs, gs])
-
-    lev, idx, xs, ps, qs = [], [], [], [], []
-    for i in range(n):
-        for j in range(i + 1):
-            lev.append(i)
-            idx.append(j)
-            xs.append(tree.states[i][j])
-            ps.append(tree.up_prob[i][j])
-            qs.append(dt.q_up[i][j])
+    # level i holds i + 1 nodes from offset i (i + 1) / 2; levels 0..n-1
+    # (the transitions) are the first n (n + 1) / 2 nodes
+    lev = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+    idx = np.arange(lev.size) - lev * (lev + 1) // 2
+    xs = np.concatenate(tree.states)
+    write_csv(os.path.join(out_dir, "survival.csv"), ["level", "k", "state", "G"],
+              [lev, idx, xs, np.concatenate(survival_probabilities(tree))])
+    m = n * (n + 1) // 2
     write_csv(os.path.join(out_dir, "transitions.csv"),
-              ["level", "j", "state", "p_up", "q_up"], [lev, idx, xs, ps, qs])
+              ["level", "j", "state", "p_up", "q_up"],
+              [lev[:m], idx[:m], xs[:m], np.concatenate(tree.up_prob),
+               np.concatenate(dt.q_up)])
 
     root = phi_at_node(dt, 0, 0, n)
     write_csv(os.path.join(out_dir, "phi_root.csv"),
@@ -133,6 +125,7 @@ def cmd_tree(cfg, out_dir):
     diagnostics = {
         "mon2_violations": len(dt.violations),
         "degenerate_edges": dt.degenerate_edges,
+        "derivative_clamps": 0,
     }
     return results, diagnostics
 
@@ -156,6 +149,7 @@ def cmd_dynamics(cfg, out_dir):
     x_grid = np.linspace(x0 - x_half, x0 + x_half, nx)
     field = gaussian_field(x0, t_grid, x_grid, drift=b)
     mu = compute_mu(d, field, spec.drift)
+    clamps, extrapolations = mu.clamps, 0
     tt, xx = np.meshgrid(t_grid, x_grid, indexing="ij")
     write_csv(os.path.join(out_dir, "mu.csv"), ["t", "x", "mu"],
               [tt.ravel(), xx.ravel(), mu.mu.ravel()])
@@ -178,6 +172,7 @@ def cmd_dynamics(cfg, out_dir):
         )
         write_csv(os.path.join(out_dir, "phi_curve.csv"), ["p", "phi"],
                   [curve.p_grid, curve.values])
+        clamps += curve.meta["derivative_clamps"]
         results["phi"] = {
             "s": curve.s,
             "t": curve.t,
@@ -204,6 +199,7 @@ def cmd_dynamics(cfg, out_dir):
                 f"is fixed at x0 +- 8 sqrt(T) = [{wide[0]:g}, {wide[-1]:g}] with "
                 f"{wide.size} nodes and has no config key ({exc})"
             ) from exc
+        extrapolations += sol.extrapolations
         picks = np.unique(np.linspace(0, sol.s_grid.size - 1, 5).round().astype(int))
         ss, xs, us = [], [], []
         for i in picks:
@@ -223,7 +219,8 @@ def cmd_dynamics(cfg, out_dir):
         paths = int(mc.get("paths", 100_000))
         steps = int(mc.get("steps", 100))
         probes = mc.get("probes", [[0.25 * T + sol.s_grid[0], x0]])
-        cols, worst = pde_mc_check(mu, sol, g, probes, T, paths, steps, cfg.seed)
+        cols, worst, n_out = pde_mc_check(mu, sol, g, probes, T, paths, steps, cfg.seed)
+        extrapolations += n_out
         write_csv(os.path.join(out_dir, "mc_vs_pde.csv"),
                   list(cols), [cols[k] for k in cols])
         results["mc"] = {"paths": paths, "worst_excess_over_3se": worst}
@@ -235,6 +232,7 @@ def cmd_dynamics(cfg, out_dir):
             spec, d, g, [int(N) for N in cv["N_list"]],
             float(cv["eval_t"]), float(cv["eval_x"]),
         )
+        clamps += rep.derivative_clamps
         write_csv(os.path.join(out_dir, "convergence.csv"), ["N", "error"],
                   [np.asarray(rep.N_list, dtype=float), rep.errors])
         results["convergence"] = {
@@ -247,7 +245,7 @@ def cmd_dynamics(cfg, out_dir):
             ),
         }
 
-    diagnostics = {"mu_extrapolations": mu.extrapolations}
+    diagnostics = {"mu_extrapolations": extrapolations, "derivative_clamps": clamps}
     if sol is not None:
         diagnostics["value_projection"] = sol.projection
     return results, diagnostics
@@ -278,7 +276,7 @@ def cmd_density(cfg, out_dir):
     else:
         field_to_csv(field, os.path.join(out_dir, "field.csv"))
     results = {"grid": {"nt": nt, "nx": nx, "width": width}, "format": fmt}
-    diagnostics = {"field_projection": field.projection}
+    diagnostics = {"field_projection": field.projection, "derivative_clamps": 0}
 
     if "bridge" in params:
         br = params["bridge"]
@@ -332,11 +330,9 @@ def _resolve_config(args):
 
 def _run_command(cfg):
     os.makedirs(cfg.out, exist_ok=True)
-    CLAMP_DIAGNOSTICS.reset()
     t0 = time.perf_counter()
     results, diagnostics = COMMANDS[cfg.command](cfg, cfg.out)
     wall = time.perf_counter() - t0
-    diagnostics["derivative_clamps"] = CLAMP_DIAGNOSTICS.count
     report = {
         "schema_version": cfg.params["schema_version"],
         "command": cfg.command,

@@ -68,6 +68,10 @@ def constant_drift(c):
 
 def default_grids(spec, nt=800, nx=1601, width=8.0):
     """nt times from _T_INIT_MIN to T and nx points within width sqrt(T) of x0."""
+    if not spec.T > _T_INIT_MIN:
+        raise DomainError(f"default_grids: T={spec.T} must exceed the first field time {_T_INIT_MIN}")
+    if nt < 2:
+        raise DomainError(f"default_grids: nt={nt} gives no time step; need nt >= 2")
     half = width * np.sqrt(spec.T)
     x_grid = np.linspace(spec.x0 - half, spec.x0 + half, nx)
     t_grid = np.linspace(_T_INIT_MIN, spec.T, nt)
@@ -146,8 +150,8 @@ class DensityField:
         x = np.asarray(self.x_grid, dtype=float)
         rho = owned(self.rho)
         G = owned(self.G)
-        if t.ndim != 1 or x.ndim != 1:
-            raise DomainError("DensityField: grids must be 1-D")
+        if t.ndim != 1 or x.ndim != 1 or not (t.size and x.size):
+            raise DomainError("DensityField: grids must be 1-D and non-empty")
         if not (np.isfinite(t).all() and np.isfinite(x).all()):
             raise DomainError("DensityField: grids must be finite")
         if not (np.all(np.diff(t) > 0) and np.all(np.diff(x) > 0)):

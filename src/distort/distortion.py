@@ -8,13 +8,14 @@ and the curvature ratio dpp phi / dp phi, all vectorized over numpy arrays.
 Each family has one formula per quantity; dt phi is dp * time_ratio and
 dpp phi is dp * curvature_ratio.
 
-Derivative evaluation clamps p into [EPS_P, 1-EPS_P] and counts the clamped
-elements in a module-level diagnostics counter instead of raising, because
-in every downstream use phi is composed with a survival probability that is
-interior by construction.  ``curvature_ratio`` takes the complement 1-p as
-a separately computed quantity, which keeps the ratio exact deep in the
-tails where 1-p would round to 1 (the quantile-composition family needs
-this for tail drift evaluation).
+Derivative evaluation clamps p into [EPS_P, 1-EPS_P] instead of raising,
+because in every downstream use phi is composed with a survival probability
+that is interior by construction; it counts nothing (``compute_mu`` counts
+the clamped survival cells), so every method is pure and thread-safe.
+``curvature_ratio`` takes the complement 1-p as a separately computed
+quantity, which keeps the ratio exact deep in the tails where 1-p would
+round to 1 (the quantile-composition family needs this for tail drift
+evaluation).
 """
 
 import math
@@ -32,35 +33,11 @@ _TINY = 5e-324
 _BELOW_ONE = 0.9999999999999999
 
 
-class ClampDiagnostics:
-    """Counts derivative evaluations whose p argument had to be clamped."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n):
-        self.count += int(n)
-
-    def reset(self):
-        self.count = 0
-
-
-CLAMP_DIAGNOSTICS = ClampDiagnostics()
-
-
 def _asarray_prob(p, where):
     arr = np.asarray(p, dtype=float)
     if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
         raise DomainError(f"{where}: probability outside [0, 1]")
     return arr
-
-
-def _clamp_counted(arr):
-    mask = (arr < EPS_P) | (arr > 1.0 - EPS_P)
-    n = np.count_nonzero(mask)
-    if n:
-        CLAMP_DIAGNOSTICS.add(n)
-    return np.clip(arr, EPS_P, 1.0 - EPS_P)
 
 
 def _scalar_like(value, template):
@@ -114,10 +91,9 @@ class Distortion:
         return self._value(p, q)
 
     def derivatives(self, t, p):
-        """dp phi at (t, p), with p clamped into [EPS_P, 1-EPS_P] and the
-        clamped points counted."""
+        """dp phi at (t, p), with p clamped into [EPS_P, 1-EPS_P]."""
         arr = _asarray_prob(p, type(self).__name__ + ".derivatives")
-        pc = _clamp_counted(arr)
+        pc = np.clip(arr, EPS_P, 1.0 - EPS_P)
         return _scalar_like(self._d1(pc, 1.0 - pc), p)
 
     def curvature_ratio(self, t, p, comp):
@@ -439,7 +415,7 @@ class SeparableProduct(Distortion):
 
     def derivatives(self, t, p):
         arr = _asarray_prob(p, "SeparableProduct.derivatives")
-        pc = _clamp_counted(arr)
+        pc = np.clip(arr, EPS_P, 1.0 - EPS_P)
         return _scalar_like(self._weight_checked(t) * self.base._d1(pc, 1.0 - pc), p)
 
     def curvature_ratio(self, t, p, comp):
@@ -447,7 +423,7 @@ class SeparableProduct(Distortion):
 
     def time_ratio(self, t, p):
         arr = _asarray_prob(p, "SeparableProduct.time_ratio")
-        pc = _clamp_counted(arr)
+        pc = np.clip(arr, EPS_P, 1.0 - EPS_P)
         qc = 1.0 - pc
         f = self._weight_checked(t)
         fdot = self.time_weight.derivative(t)

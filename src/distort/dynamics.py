@@ -36,7 +36,7 @@ from .density import (
     run_batches,
     solve_survival_pde,
 )
-from .distortion import SeparableProduct
+from .distortion import EPS_P, SeparableProduct
 from .errors import (
     AccuracyError,
     ConsistencyError,
@@ -124,26 +124,26 @@ class GridLookup:
         return out, n_out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DriftField:
-    """mu(t, x) on a grid, with interpolation and extension diagnostics.
+    """mu(t, x) on a grid, with interpolation and extension.
 
     Rows are blended linearly in t (held at the time ends) and looked up in
-    x by a GridLookup, exactly as np.interp would; every x query outside the
-    grid adds one to extrapolations.  mu_at reads each row once and hands it
-    to np.interp; table() serves many lookups at fixed times from rows and
-    slopes built once, 16 bytes per node per time, by index arithmetic.
+    x by a GridLookup, exactly as np.interp would; reading changes nothing.
+    mu_at reads each row once and hands it to np.interp; table() serves many
+    lookups at fixed times from rows and slopes built once, 16 bytes per node
+    per time, by index arithmetic.  clamps counts the survival cells that
+    compute_mu clamped into [EPS_P, 1 - EPS_P] (0 for a field built otherwise).
     """
 
     t_grid: np.ndarray
     x_grid: np.ndarray
     mu: np.ndarray
-    extrapolations: int = 0
+    clamps: int = 0
 
     def __post_init__(self):
-        self.t_grid = np.asarray(self.t_grid, dtype=float)
-        self.x_grid = np.asarray(self.x_grid, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
+        for name in ("t_grid", "x_grid", "mu"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.mu.shape != (self.t_grid.size, self.x_grid.size):
             raise DomainError("DriftField: mu shape does not match the grids")
         if self.x_grid.size < 2 or np.any(np.diff(self.x_grid) <= 0.0):
@@ -154,7 +154,7 @@ class DriftField:
                 f"DriftField: non-finite drift {self.mu[i, j]} at t={self.t_grid[i]}, "
                 f"x={self.x_grid[j]} (the first such cell)"
             )
-        self._lookup = GridLookup(self.x_grid)
+        object.__setattr__(self, "_lookup", GridLookup(self.x_grid))
 
     def row_at(self, t):
         """Drift slice at time t on the field's x grid (time held at the ends)."""
@@ -166,7 +166,7 @@ class DriftField:
         would bit for bit, from rows and slopes built once.
 
         look changes nothing, so worker threads may share it; the caller
-        adds the counts to extrapolations."""
+        sums the counts."""
         rows = np.array([self.row_at(t) for t in times])
         slopes = self._lookup.slopes(rows)
 
@@ -176,12 +176,10 @@ class DriftField:
         return look
 
     def mu_at(self, t, x):
-        """Bilinear evaluation; x outside the grid extends by the edge slope
-        and is counted."""
+        """Bilinear evaluation; x outside the grid extends by the edge slope."""
         row, xg = self.row_at(t), self.x_grid
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out, n_out = self._lookup(xs, row, None)
-        self.extrapolations += n_out
         if n_out:
             lo_slope = (row[1] - row[0]) / (xg[1] - xg[0])
             hi_slope = (row[-1] - row[-2]) / (xg[-1] - xg[-2])
@@ -204,7 +202,8 @@ def compute_mu(d, field, b):
 
     Ratios are evaluated through the (p, 1-p) pair so that deep-tail cells
     keep the exact cancellation between a huge curvature ratio and a tiny
-    density; a clamped evaluation would zero the drift out there.
+    density; a clamped evaluation would zero the drift out there.  Each G
+    cell that the derivatives clamp into [EPS_P, 1 - EPS_P] counts once.
     """
     t_grid, x = field.t_grid, field.x_grid
     if isinstance(d, SeparableProduct):
@@ -218,9 +217,11 @@ def compute_mu(d, field, b):
                 )
     rho = field.rho
     mu = np.empty_like(rho)
+    clamps = 0
     for i, t in enumerate(t_grid):
         g_row = field.G[i]
         c_row = field.G_comp[i]
+        clamps += int(np.count_nonzero((g_row < EPS_P) | (g_row > 1.0 - EPS_P)))
         dp = np.asarray(d.derivatives(t, g_row), dtype=float)
         denom = dp * rho[i]
         if np.any(denom < _DENOM_FLOOR):
@@ -236,7 +237,7 @@ def compute_mu(d, field, b):
             time_term = np.where(tr == 0.0, 0.0, tr / rho[i])
         curv_term = 0.5 * cr * rho[i]
         mu[i] = np.asarray(b(t, x), dtype=float) + time_term - curv_term
-    return DriftField(t_grid.copy(), x.copy(), mu)
+    return DriftField(t_grid.copy(), x.copy(), mu, clamps)
 
 
 def smoothed_step_payload(center=0.2, width=0.25):
@@ -267,7 +268,8 @@ class PDESolution:
     """u(s, x) with u(t_end, .) = g; increasing slices, maximum principle.
 
     Like DensityField, the solution takes over the u it is given and clips
-    and projects it in place."""
+    and projects it in place.  extrapolations counts the drift reads of the
+    march outside the drift's grid, one per node and step."""
 
     s_grid: np.ndarray
     x_grid: np.ndarray
@@ -275,6 +277,7 @@ class PDESolution:
     g_range: tuple
     projection: float = 0.0
     max_principle_defect: float = 0.0
+    extrapolations: int = 0
 
     def __post_init__(self):
         s = np.asarray(self.s_grid, dtype=float)
@@ -318,12 +321,16 @@ def _payload_on_grid(g, x):
 
 
 def _velocity_from(mu, x_grid):
+    """The march's drift reader t -> mu(t, x_grid) on its fixed nodes, and
+    how many of those nodes lie outside a DriftField's grid (each read
+    extends the drift there by the edge slope)."""
     if isinstance(mu, DriftField):
-        return lambda tm: mu.mu_at(tm, x_grid)
+        n_out = np.count_nonzero((x_grid < mu.x_grid[0]) | (x_grid > mu.x_grid[-1]))
+        return (lambda tm: mu.mu_at(tm, x_grid)), int(n_out)
     if callable(mu):
-        return lambda tm: np.broadcast_to(
+        return (lambda tm: np.broadcast_to(
             np.asarray(mu(tm, x_grid), dtype=float), x_grid.shape
-        ).copy()
+        ).copy()), 0
     raise DomainError("mu must be a DriftField or a callable (t, x) -> drift")
 
 
@@ -333,7 +340,8 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
 
     Marches the time-reversed equation with reflecting boundaries and two
     Rannacher start steps; slices are clipped to the payload range and
-    projected monotone, with both magnitudes recorded on the solution.  A
+    projected monotone, with both magnitudes and the count of drift reads
+    outside the drift's grid recorded on the solution.  A
     visible payload gradient at the spatial boundary means the domain cut
     off transported mass, reported as an accuracy error."""
     x = np.asarray(x_grid, dtype=float)
@@ -342,7 +350,7 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
         raise DomainError("solve_distorted_pde: need 0 <= s_min < t_end")
     s_grid = np.linspace(s_min, t_end, n_steps + 1)
     g_vals = _payload_on_grid(g, x)
-    vel = _velocity_from(mu, x)
+    vel, n_out = _velocity_from(mu, x)
     tau = t_end - s_grid[::-1]
 
     u_tau = march(
@@ -364,7 +372,7 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
             f"solve_distorted_pde: boundary gradient {edge:.2e} (payload range "
             "per unit x); widen x_grid"
         )
-    return PDESolution(s_grid, x, u, g_range=rng_g)
+    return PDESolution(s_grid, x, u, g_range=rng_g, extrapolations=n_out * n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +405,7 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None):
     slice of them, so both must be pure elementwise functions.  Results
     equal a per-batch, per-step loop that clips the paths to the grid and
     reads the blended row by np.interp, bit for bit, whatever the worker
-    count; the extrapolation count is added to mu.extrapolations here, in
-    the calling thread, once the call succeeds."""
+    count, and so does the count of drift queries outside the grid."""
     if not (isinstance(mu, DriftField) or callable(mu)):
         raise DomainError("simulate_q_dynamics: mu must be a DriftField or callable")
     if not (s < t):
@@ -449,11 +456,8 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None):
         float(np.std(means, ddof=1) / np.sqrt(len(means)))
         if len(means) > 1 else float("nan")
     )
-    n_extrap = sum(n for _, n in done)
-    if isinstance(mu, DriftField):
-        mu.extrapolations += n_extrap
     return QSimResult(mean=mean, std_error=se, paths=paths, seed=seed,
-                      extrapolations=n_extrap)
+                      extrapolations=sum(n for _, n in done))
 
 
 def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
@@ -461,8 +465,9 @@ def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
     with drift mu: at each probe (s, x), the gap between u(s, x) and the
     mean of g(X_t_end) against 3 SE + 1e-3.
 
-    Returns the table (columns s, x, pde, mc, se, gap) and the worst excess
-    of a gap over its allowance.  Positive means rejected.  The standard
+    Returns the table (columns s, x, pde, mc, se, gap), the worst excess of
+    a gap over its allowance (positive means rejected) and the paths' drift
+    queries outside the grid, summed over the probes.  The standard
     error comes from batch means, so paths must be at least 2.  Every probe
     is read off sol, and must lie before t_end, before any path is
     simulated; a DomainError names the first probe that does not."""
@@ -482,13 +487,15 @@ def pde_mc_check(mu, sol, g, probes, t_end, paths, steps, seed):
             raise DomainError(f"{where}: {exc}") from exc
     cols = {k: [] for k in ("s", "x", "pde", "mc", "se", "gap")}
     worst = -float("inf")
+    extrapolations = 0
     for s, x, u_val in read:
         res = simulate_q_dynamics(mu, s, x, t_end, paths=paths, steps=steps, seed=seed, g=g)
+        extrapolations += res.extrapolations
         gap = abs(u_val - res.mean)
         worst = max(worst, gap - (3.0 * res.std_error + 1e-3))
         for col, v in zip(cols.values(), (s, x, u_val, res.mean, res.std_error, gap)):
             col.append(v)
-    return cols, worst
+    return cols, worst, extrapolations
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +606,8 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     sqrt(t - s) on either side of the drifted center.
     The drift of the distorted dynamics is taken from mu when given (field
     or callable), else computed from a Gaussian field for constant drift, or
-    from the trimmed survival-PDE field (_trimmed_pde_field).  The inverse
+    from the trimmed survival-PDE field (_trimmed_pde_field); the clamps of
+    a drift computed here go in meta["derivative_clamps"].  The inverse
     of Gp is taken by bisection to 1e-12, ties toward the smaller y."""
     if s <= 0.0:
         raise DomainError(
@@ -649,7 +657,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     pde_x = x + np.linspace(-half_m, half_m, n_march)
     dx = pde_x[1] - pde_x[0]
 
-    mu_src = "given"
+    mu_src, clamps = "given", 0
     if mu is None:
         if drift_const is not None:
             half_f = min(half_m + abs(x - spec.x0), _Z_USABLE * math.sqrt(s))
@@ -663,6 +671,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
                                           half_m + abs(x - spec.x0))
             mu_src = "pde-field"
         mu = compute_mu(d, field, spec.drift)
+        clamps = mu.clamps
     knots_p = np.concatenate(([0.0], np.unique(p_grid[(p_grid > 0.0) & (p_grid < 1.0)]), [1.0]))
 
     # when the computed drift equals the base drift bit for bit (identity
@@ -674,7 +683,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
             s=float(s), t=float(t), x=float(x), p_grid=knots_p, values=knots_p.copy(),
             y_grid=y_grid, surv_p=surv_p, surv_q=surv_p.copy(),
             meta={"distortion": d.to_dict(), "mu_source": mu_src,
-                  "debias": 0.0, "identity_dynamics": True},
+                  "debias": 0.0, "identity_dynamics": True, "derivative_clamps": clamps},
         )
 
     # distorted conditional survival: the backward value march of every
@@ -682,7 +691,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     # one adjoint march of the interpolation weights of x
     width = 2.0 * dx
     payloads = _smoothed_indicators(y_grid, pde_x, width)
-    vel = _velocity_from(mu, pde_x)
+    vel, _ = _velocity_from(mu, pde_x)
     r_grid = _sqrt_graded(s, t, n_steps)
     tau = t - r_grid[::-1]
     w = march_adjoint(
@@ -711,7 +720,8 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         s=float(s), t=float(t), x=float(x),
         p_grid=knots_p, values=knots_v,
         y_grid=y_grid, surv_p=surv_p, surv_q=surv_q,
-        meta={"distortion": d.to_dict(), "mu_source": mu_src, "debias": debias_mag},
+        meta={"distortion": d.to_dict(), "mu_source": mu_src, "debias": debias_mag,
+              "derivative_clamps": clamps},
     )
 
 
@@ -790,6 +800,7 @@ class ConvergenceReport:
     slope: float
     skipped: list
     reference: float
+    derivative_clamps: int
 
 
 def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
@@ -803,10 +814,15 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     and backward induction keeps that level only.  Lattices whose
     transitions violate the interleaving condition are skipped and
     reported.  The slope is the least-squares fit of log error against
-    log N."""
+    log N.  derivative_clamps counts the clamps of the reference's drift (0
+    when u_ref is given)."""
+    if not 0.0 < eval_t < spec.T:
+        raise DomainError(f"convergence_study: eval_t={eval_t} must lie in (0, T) = (0, {spec.T})")
+    clamps = 0
     if u_ref is None:
         trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)
         mu = compute_mu(d, trimmed, spec.drift)
+        clamps = mu.clamps
         sol = solve_distorted_pde(mu, g, eval_t, spec.T, xg, n_steps=800)
         u_ref = sol.u_at(eval_t, eval_x)
     errors = []
@@ -837,5 +853,5 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
         slope = float(coef[0])
     return ConvergenceReport(
         N_list=used, errors=[float(e) for e in errors], slope=slope,
-        skipped=skipped, reference=float(u_ref),
+        skipped=skipped, reference=float(u_ref), derivative_clamps=clamps,
     )

@@ -221,7 +221,7 @@ def _criterion_pde_vs_mc():
     sol = solve_distorted_pde(mu, g, 0.2, 1.0, field.x_grid, n_steps=400)
     probes = [(0.25, 0.0), (0.25, 0.5), (0.5, -0.5), (0.5, 0.0), (0.75, 0.25)]
     t0 = time.perf_counter()
-    cols, worst = pde_mc_check(mu, sol, g, probes, 1.0, 100_000, 100, 11)
+    cols, worst, _ = pde_mc_check(mu, sol, g, probes, 1.0, 100_000, 100, 11)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.0 and elapsed < 30.0
     gaps = ",".join(f"{gap:.1e}" for gap in cols["gap"])

@@ -200,6 +200,81 @@ def test_dynamics_convergence_below_two_lattices_has_no_slope(tmp_path, distorti
     assert cols[0].tolist() == [float(n_list[0])]
 
 
+def _dynamics_config(distortion, b=0.3):
+    """phi, value, Monte Carlo and convergence blocks at seed 5."""
+    return {
+        "schema_version": 1,
+        "seed": 5,
+        "distortion": distortion,
+        "model": {"b": b, "x0": 0.0, "T": 1.0},
+        "phi": {"s": 0.25, "t": 1.0, "x": 0.0},
+        "value": {},
+        "mc": {"paths": 4000, "steps": 50},
+        "convergence": {"N_list": [16, 32, 48], "eval_t": 0.5, "eval_x": 0.0},
+    }
+
+
+def _dynamics_diagnostics(tmp_path, source):
+    """The report diagnostics of a dynamics preset name or config dict."""
+    out = tmp_path / "o"
+    if isinstance(source, str):
+        r = run_cli("dynamics", "--preset", source, "--out", str(out))
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(source))
+        r = run_cli("dynamics", "--config", str(path), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    return json.loads((out / "report.json").read_text())["diagnostics"]
+
+
+SEPARABLE_POWER_15 = {"family": "separable", "time_weight": {"kind": "constant"},
+                      "base": {"family": "power", "gamma": 1.5}}
+
+
+@pytest.mark.parametrize("source, clamps, extrapolations", [
+    ("wang", 115_978, 0),
+    ("identity", 115_978, 0),
+    ("convergence", 410, 0),
+    (_dynamics_config({"family": "wang", "alpha": 0.5}), 121_438, 320_000),
+    (_dynamics_config({"family": "power", "gamma": 1.5}), 121_438, 320_000),
+    (_dynamics_config(SEPARABLE_POWER_15), 121_438, 320_000),
+], ids=["wang", "identity", "convergence", "wang-all-blocks", "power-1.5",
+        "separable-power-1.5"])
+def test_dynamics_diagnostics_pin_the_clamp_and_extrapolation_counts(
+        tmp_path, source, clamps, extrapolations):
+    # derivative_clamps sums the clamped survival cells of every drift the
+    # command computed (its own, the phi block's, the convergence block's);
+    # mu_extrapolations is the value march's node-steps outside the drift
+    # grid (800 nodes x 400 steps) plus the Euler path-steps outside it.
+    # With f = 1 the SeparableProduct is Power(1.5): its time ratio reads
+    # the same cells and adds no count (each cell was once counted twice)
+    diag = _dynamics_diagnostics(tmp_path, source)
+    assert (diag["derivative_clamps"], diag["mu_extrapolations"]) == (clamps, extrapolations)
+
+
+@pytest.mark.parametrize("command, block, named", [
+    ("dynamics", {"distortion": {"family": "wang", "alpha": 0.5},
+                  "model": {"b": 0.0, "x0": 0.0, "T": 1.0},
+                  "convergence": {"N_list": [16], "eval_t": 2.0, "eval_x": 0.0}},
+     "eval_t=2.0 must lie in (0, T)"),
+    ("density", {"model": {"b": 0.0, "x0": 0.0, "T": 1e-5}}, "T=1e-05 must exceed"),
+    ("density", {"model": {"b": 0.0, "x0": 0.0, "T": 1.0}, "grids": {"nt": 1}},
+     "nt=1 gives no time step"),
+], ids=["eval_t-past-T", "density-T-below-first-time", "density-one-time"])
+def test_unusable_times_exit_2_naming_the_input(tmp_path, command, block, named):
+    # each once failed further down: a ValueError traceback from an empty
+    # field (exit 1), or "t_grid must be increasing" for a grid the user
+    # never gave
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, **block}))
+    out = tmp_path / "o"
+    r = run_cli(command, "--config", str(path), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert named in r.stderr
+    assert "Traceback" not in r.stderr and "must be increasing" not in r.stderr
+    assert not (out / "report.json").exists()
+
+
 def test_density_bridge_with_one_path_exits_2(tmp_path):
     # one path gives one batch and no standard error: rejected before any
     # estimate is made, instead of writing nan into bridge.csv

@@ -63,6 +63,15 @@ def test_field_shape_and_value_checks():
         DensityField(t, x, good - 1.0, G)
 
 
+@pytest.mark.parametrize("nt, nx", [(0, 5), (2, 0)])
+def test_field_rejects_an_empty_grid(nt, nx):
+    """An empty field has no values to check or project; it is named here
+    instead of failing in a reduction further down."""
+    with pytest.raises(DomainError, match="1-D and non-empty"):
+        DensityField(np.linspace(0.5, 1.0, nt), np.linspace(-1.0, 1.0, nx),
+                     np.zeros((nt, nx)), np.zeros((nt, nx)))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("offset", [1, 3 + 16], ids=["t", "x"])
 def test_binary_reader_rejects_a_non_finite_grid(tmp_path, offset, bad):

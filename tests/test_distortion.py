@@ -19,7 +19,7 @@ from distort import (
     Wang,
     distortion_from_dict,
 )
-from distort.distortion import CLAMP_DIAGNOSTICS
+from distort.distortion import EPS_P
 
 from conftest import mp_cdf, mp_pdf, mp_phi, mp_quantile, mp_wang
 
@@ -270,12 +270,15 @@ def test_second_derivative_vs_central_difference(d):
         assert _dpp(d, t, p) == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
-def test_clamp_counter_counts_endpoint_calls():
-    CLAMP_DIAGNOSTICS.reset()
-    Power(2.0).derivatives(0.0, 0.0)
-    Power(2.0).derivatives(0.0, np.array([0.0, 0.5, 1.0]))
-    assert CLAMP_DIAGNOSTICS.count == 3
-    CLAMP_DIAGNOSTICS.reset()
+def test_derivatives_clamp_the_endpoints():
+    """derivatives read p = 0 and p = 1 at EPS_P and 1 - EPS_P (compute_mu
+    counts such cells; the derivatives count nothing)."""
+    for d in (Power(2.0), SeparableProduct(TimeWeight("linear", -0.5, 0.0), Power(2.0))):
+        assert d.derivatives(0.5, 0.0) == d.derivatives(0.5, EPS_P)
+        assert np.array_equal(d.derivatives(0.5, np.array([0.0, 0.5, 1.0])),
+                              d.derivatives(0.5, np.array([EPS_P, 0.5, 1.0 - EPS_P])))
+        assert np.array_equal(d.time_ratio(0.5, np.array([0.0, 1.0])),
+                              d.time_ratio(0.5, np.array([EPS_P, 1.0 - EPS_P])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Tests for the distorted drift, value PDE, simulation, and Phi curves."""
 
+import dataclasses
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from distort.density import (
 from scipy.interpolate import CubicSpline
 
 from distort.distortion import (
+    EPS_P,
     Identity,
     KahnemanTversky,
     Power,
@@ -161,6 +165,44 @@ def test_compute_mu_rejects_a_separable_schedule_with_a_jump_at_one(wang_field):
                           compute_mu(Power(1.5), wang_field, ZERO).mu)
 
 
+SATURATING_FIELD_X = np.linspace(-7.0, 7.0, 281)
+
+
+def test_compute_mu_counts_each_clamped_survival_cell_once():
+    """The derivatives clamp G into [EPS_P, 1 - EPS_P]; compute_mu counts
+    each cell outside that range once, whatever the family.  SeparableProduct
+    reads G twice (dp and the time ratio) and still counts each cell once."""
+    field = gaussian_field(0.0, np.linspace(0.1, 1.0, 46), SATURATING_FIELD_X)
+    expected = int(np.count_nonzero((field.G < EPS_P) | (field.G > 1.0 - EPS_P)))
+    assert 0 < expected < field.G.size
+    for d in (Identity(), Power(1.5), KahnemanTversky(0.6), TverskyFox(0.9, 0.6),
+              Prelec(0.8, 0.9), Wang(0.5),
+              SeparableProduct(TimeWeight("constant"), Power(1.5))):
+        assert compute_mu(d, field, ZERO).clamps == expected, d
+
+
+def test_compute_mu_clamp_counts_do_not_mix_across_threads():
+    """Threads computing drifts on different fields each get the count of
+    their own field, as a single thread does: three threads on two cores,
+    switching every 10 microseconds."""
+    fields = [gaussian_field(0.0, np.linspace(0.1, 1.0, 46), SATURATING_FIELD_X * h)
+              for h in (1.0, 0.85, 0.7)]
+    single = [compute_mu(Wang(0.5), f, ZERO).clamps for f in fields]
+    assert single[0] > single[1] > single[2] > 0
+
+    def counts(f):
+        return [compute_mu(Wang(0.5), f, ZERO).clamps for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            got = list(pool.map(counts, fields, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[n] * 5 for n in single]
+
+
 def test_drift_field_interpolation_and_extension():
     f = DriftField(
         np.array([0.0, 1.0]),
@@ -169,10 +211,12 @@ def test_drift_field_interpolation_and_extension():
     )
     assert f.mu_at(0.5, 1.0) == pytest.approx(1.5)
     assert f.mu_at(0.0, 3.0) == pytest.approx(3.0)  # edge slope continues
-    assert f.extrapolations == 1
     vals, n_out = f.table([0.0])(0, np.array([3.0]))
     assert vals[0] == pytest.approx(2.0)  # table holds
-    assert n_out == 1 and f.extrapolations == 1  # the caller adds table counts
+    assert n_out == 1  # the caller sums table counts
+    assert f.clamps == 0  # no survival field behind it
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.clamps = 1
 
 
 def _interp_row(f, t):
@@ -238,14 +282,15 @@ def test_grid_lookup_equals_np_interp(name):
 @pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
 @pytest.mark.parametrize("extrapolate", ["hold", "slope"])
 def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
-    """mu_at extends by the edge slope; table() holds the edge value."""
+    """mu_at extends by the edge slope (a march reads it through
+    _velocity_from, which counts its nodes outside the grid); table() holds
+    the edge value and counts the queries outside the grid."""
 
     def read(t, xs):
         if extrapolate == "slope":
-            return f.mu_at(t, xs)
-        vals, n_out = f.table([t])(0, np.atleast_1d(xs))
-        f.extrapolations += n_out
-        return vals
+            vel, n_out = _velocity_from(f, xs)
+            return vel(t), n_out
+        return f.table([t])(0, xs)
 
     rng = np.random.default_rng(7)
     xg = LOOKUP_GRIDS[name]
@@ -253,11 +298,12 @@ def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
     xs = _probe_points(xg, rng)
     xs = xs[np.isfinite(xs)]  # the edge slope is not finite at infinity
     for t in (0.0, 0.1, 0.25, 0.4, 0.7, 1.0, 2.0):
-        before = f.extrapolations
         ref, below, above = _interp_mu_at(f, t, xs, extrapolate)
-        assert np.array_equal(read(t, xs), ref)
-        assert f.extrapolations - before == below + above > 0
-        assert np.all(read(t, float(xs[-1])) == ref[-1])
+        vals, n_out = read(t, xs)
+        assert np.array_equal(vals, ref)
+        assert n_out == below + above > 0
+        last = f.mu_at(t, float(xs[-1])) if extrapolate == "slope" else read(t, xs[-1:])[0]
+        assert np.all(last == ref[-1])
 
 
 def test_grid_lookup_fuzz_against_np_interp():
@@ -475,13 +521,18 @@ def test_pde_mc_check_rejects_the_undistorted_value(value_field):
     muf = compute_mu(Wang(0.5), value_field, ZERO)
     probes = [(0.25, 0.0), (0.5, -0.5)]
     sol = solve_distorted_pde(muf, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=200)
-    cols, worst = pde_mc_check(muf, sol, smoothed_step, probes, 1.0, 20_000, 50, 11)
+    cols, worst, n_out = pde_mc_check(muf, sol, smoothed_step, probes, 1.0, 20_000, 50, 11)
     assert worst <= 0.0
     assert cols["s"] == [0.25, 0.5] and cols["x"] == [0.0, -0.5]
     assert cols["gap"] == [abs(p - m) for p, m in zip(cols["pde"], cols["mc"])]
+    assert n_out == sum(
+        simulate_q_dynamics(muf, s, x, 1.0, paths=20_000, steps=50, seed=11,
+                            g=smoothed_step).extrapolations
+        for s, x in probes
+    )
     # the same Monte Carlo against the value of the base dynamics, b = 0
     base = solve_distorted_pde(ZERO, smoothed_step, 0.25, 1.0, value_field.x_grid, n_steps=200)
-    _, worst_base = pde_mc_check(muf, base, smoothed_step, probes, 1.0, 20_000, 50, 11)
+    _, worst_base, _ = pde_mc_check(muf, base, smoothed_step, probes, 1.0, 20_000, 50, 11)
     assert worst_base > 0.0
 
 
@@ -708,21 +759,31 @@ def test_phi_curve_endpoint_validation():
                  y_grid=np.zeros(3), surv_p=np.zeros(3), surv_q=np.zeros(3))
 
 
-def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field):
+def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field, monkeypatch):
     """Gq from one adjoint march equals the backward march of every smoothed
-    indicator payload read at x; the drift is queried at the same points."""
+    indicator payload read at x; the drift is read at the same times on the
+    same nodes, some of them outside its grid."""
+    reads = []
+    mu_at = DriftField.mu_at
+
+    def recorded(f, tm, xs):
+        reads.append((tm, xs))
+        return mu_at(f, tm, xs)
+
+    monkeypatch.setattr(DriftField, "mu_at", recorded)
     s, t, x, n_steps, n_march, n_y, y_width = 0.25, 1.0, 0.3, 200, 401, 41, 3.9
     mu = compute_mu(Wang(0.5), wang_field, ZERO)
     curve = build_phi_curve(Wang(0.5), SPEC0, s, t, x, drift_const=0.0, mu=mu,
                             n_steps=n_steps, n_march=n_march, n_y=n_y)
+    curve_reads = reads[:]
+    reads.clear()
 
-    ref_mu = DriftField(mu.t_grid, mu.x_grid, mu.mu)
     sq_gap = math.sqrt(t - s)
     y_grid = np.linspace(x - y_width * sq_gap, x + y_width * sq_gap, n_y)
     half_m = (y_width + 5.6) * sq_gap
     pde_x = x + np.linspace(-half_m, half_m, n_march)
     width = 2.0 * (pde_x[1] - pde_x[0])
-    vel = _velocity_from(ref_mu, pde_x)
+    vel, n_out = _velocity_from(mu, pde_x)
     tau = t - _sqrt_graded(s, t, n_steps)[::-1]
     u_final = march(_smoothed_indicators(y_grid, pde_x, width), pde_x, tau, 0.5,
                     lambda tm: vel(t - tm), bc="neumann", rannacher=2)[-1]
@@ -732,7 +793,10 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field):
 
     assert np.array_equal(curve.y_grid, y_grid)
     assert np.max(np.abs(curve.surv_q - ref)) <= 1e-12
-    assert mu.extrapolations == ref_mu.extrapolations > 0
+    assert len(reads) == n_steps
+    assert sorted(tm for tm, _ in curve_reads) == sorted(tm for tm, _ in reads)
+    assert all(np.array_equal(xs, pde_x) for _, xs in curve_reads + reads)
+    assert n_out > 0
 
 
 def _scalar_bisection(fn, lo, hi, v_lo, v_hi, target):
@@ -895,12 +959,21 @@ def test_convergence_skips_interleaving_failures():
     assert rep.skipped == [8, 16]
     assert rep.N_list == []
     assert isinstance(rep, ConvergenceReport)
+    assert rep.derivative_clamps == 0  # no drift computed for a given u_ref
+
+
+@pytest.mark.parametrize("eval_t", [2.0, -0.5, 0.0, 1.0])
+def test_convergence_rejects_eval_t_outside_the_horizon(eval_t):
+    """Named up front, before any field, drift or lattice is built."""
+    with pytest.raises(DomainError, match=rf"eval_t={eval_t} must lie in \(0, T\) = \(0, 1.0\)"):
+        convergence_study(SPEC0, Wang(0.5), smoothed_step, [16], eval_t, 0.0)
 
 
 def test_convergence_internal_reference_close_to_closed_form():
     rep = convergence_study(SPEC0, Wang(0.5), smoothed_step, [256], 0.5, 0.0)
     closed = wang_value_closed(0.5, smoothed_step, 0.5, 1.0, 0.0)
     assert abs(rep.reference - closed) <= 5e-4
+    assert rep.derivative_clamps == 0  # its field is trimmed to cells of usable density
     assert rep.errors[0] <= 5e-3
 
 
