@@ -28,8 +28,6 @@ from .distortion import (
     KahnemanTversky,
     Power,
     Prelec,
-    SeparableProduct,
-    TimeWeight,
     TverskyFox,
     Wang,
     distortion_from_dict,
@@ -83,9 +81,7 @@ __all__ = [
     "PhiCurve",
     "Power",
     "Prelec",
-    "SeparableProduct",
     "SingularityError",
-    "TimeWeight",
     "TreeModel",
     "TverskyFox",
     "Wang",

@@ -27,7 +27,7 @@ from .density import (
     gaussian_field,
     solve_survival_pde,
 )
-from .distortion import distortion_from_dict
+from .distortion import Wang, distortion_from_dict
 from .dynamics import (
     build_phi_curve,
     compute_mu,
@@ -35,6 +35,7 @@ from .dynamics import (
     pde_mc_check,
     smoothed_step_payload,
     solve_distorted_pde,
+    wang_mu_closed,
 )
 from .errors import AccuracyError, ConfigError, DistortError, DomainError
 from .presets import get_preset, preset_names
@@ -156,9 +157,8 @@ def cmd_dynamics(cfg, out_dir):
     log.info("mu grid %dx%d written", nt, nx)
 
     results = {"mu_growth_constant": mu.growth_constant()}
-    if params["distortion"].get("family") == "wang" and b == 0.0:
-        alpha = float(params["distortion"]["alpha"])
-        exact = alpha / (2.0 * np.sqrt(t_grid))[:, None]
+    if isinstance(d, Wang) and b == 0.0:
+        exact = wang_mu_closed(d.alpha, d.k)(t_grid[:, None], x_grid)
         results["wang_mu_closed_gap"] = float(np.max(np.abs(mu.mu - exact)))
 
     if "phi" in params:
@@ -173,6 +173,7 @@ def cmd_dynamics(cfg, out_dir):
         write_csv(os.path.join(out_dir, "phi_curve.csv"), ["p", "phi"],
                   [curve.p_grid, curve.values])
         clamps += curve.meta["derivative_clamps"]
+        extrapolations += curve.meta["mu_extrapolations"]
         results["phi"] = {
             "s": curve.s,
             "t": curve.t,
@@ -233,6 +234,7 @@ def cmd_dynamics(cfg, out_dir):
             float(cv["eval_t"]), float(cv["eval_x"]),
         )
         clamps += rep.derivative_clamps
+        extrapolations += rep.extrapolations
         write_csv(os.path.join(out_dir, "convergence.csv"), ["N", "error"],
                   [np.asarray(rep.N_list, dtype=float), rep.errors])
         results["convergence"] = {

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import jsonschema
 
+from .distortion import distortion_from_dict
 from .errors import ConfigError
 from .report import read_json
 
@@ -18,28 +19,13 @@ _NUMBER = {"type": "number"}
 _POS_NUMBER = {"type": "number", "exclusiveMinimum": 0}
 _POS_INT = {"type": "integer", "minimum": 1}
 
-# the distortion block is checked for shape here and for family-specific
-# keys by distortion_from_dict, which knows the parameter ranges
+# the distortion block is checked for shape here, and then for its family
+# and that family's keys by distortion_from_dict, which knows the families
+# and their parameter ranges (so an unknown family is named as such)
 _DISTORTION = {
     "type": "object",
-    "properties": {
-        "family": {"type": "string"},
-        "gamma": _NUMBER,
-        "alpha": _NUMBER,
-        "time_weight": {
-            "type": "object",
-            "properties": {
-                "kind": {"type": "string"},
-                "rate": _NUMBER,
-                "anchor": _NUMBER,
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "base": {"$ref": "#/$defs/distortion"},
-    },
+    "properties": {"family": {"type": "string"}, "gamma": _NUMBER, "alpha": _NUMBER, "k": _NUMBER},
     "required": ["family"],
-    "additionalProperties": False,
 }
 
 _MODEL = {
@@ -51,11 +37,10 @@ _MODEL = {
 
 TREE_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$defs": {"distortion": _DISTORTION},
     "type": "object",
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "distortion": {"$ref": "#/$defs/distortion"},
+        "distortion": _DISTORTION,
         "tree": {
             "oneOf": [
                 {
@@ -89,11 +74,10 @@ TREE_SCHEMA = {
 
 DYNAMICS_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$defs": {"distortion": _DISTORTION},
     "type": "object",
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
-        "distortion": {"$ref": "#/$defs/distortion"},
+        "distortion": _DISTORTION,
         "model": _MODEL,
         "mu_grid": {
             "type": "object",
@@ -220,6 +204,11 @@ def validate_params(command, obj):
         best = jsonschema.exceptions.best_match(errors)
         where = "/".join(str(k) for k in best.absolute_path) or "(top level)"
         raise ConfigError(f"{command} config invalid at {where}: {best.message}")
+    if "distortion" in obj:
+        try:
+            distortion_from_dict(obj["distortion"])
+        except ConfigError as exc:
+            raise ConfigError(f"{command} config invalid at distortion: {exc}") from exc
     return obj
 
 

@@ -3,19 +3,21 @@
 A distortion is a continuous, strictly increasing map of [0,1] onto itself
 with fixed endpoints.  Every family here evaluates phi_t(p) and the three
 derivative quantities the distorted drift reads: dp phi (``derivatives``),
-the time ratio dt phi / dp phi (zero unless the schedule is time varying)
-and the curvature ratio dpp phi / dp phi, all vectorized over numpy arrays.
-Each family has one formula per quantity; dt phi is dp * time_ratio and
-dpp phi is dp * curvature_ratio.
+the time ratio dt phi / dp phi and the curvature ratio dpp phi / dp phi,
+all vectorized over numpy arrays.  Each family has one formula per
+quantity; dt phi is dp * time_ratio and dpp phi is dp * curvature_ratio.
+The time-shifted Wang family, Wang(alpha, k) with k > 0, is the one
+schedule that varies in time; every other family, and Wang with k = 0,
+has a time ratio of zero.
 
 Derivative evaluation clamps p into [EPS_P, 1-EPS_P] instead of raising,
 because in every downstream use phi is composed with a survival probability
 that is interior by construction; it counts nothing (``compute_mu`` counts
 the clamped survival cells), so every method is pure and thread-safe.
-``curvature_ratio`` takes the complement 1-p as a separately computed
-quantity, which keeps the ratio exact deep in the tails where 1-p would
-round to 1 (the quantile-composition family needs this for tail drift
-evaluation).
+``curvature_ratio`` and ``time_ratio`` take the complement 1-p as a
+separately computed quantity, which keeps the ratios exact deep in the tails
+where 1-p would round to 1 (the quantile-composition family needs this for
+tail drift evaluation).
 """
 
 import math
@@ -50,8 +52,6 @@ class Distortion:
     """Base class; subclasses implement the interior formulas _value, _d1
     (dp) and _curvature (dpp / dp, which curvature_ratio reads)."""
 
-    time_varying = False
-
     # -- interior formulas, p guaranteed in (0, 1), q = 1 - p trusted --------
     def _value(self, p, q):
         raise NotImplementedError
@@ -78,8 +78,6 @@ class Distortion:
         # an interior scalar is evaluated as a numpy scalar: numpy's scalar
         # pow differs from its vector loop in the last ulp
         inner = arr[()] if arr.ndim == 0 and interior else arr[interior]
-        # called even with no interior point left, so a schedule that is not
-        # a distortion at t (a SeparableProduct weight above 1) still raises
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             value = self._value_t(t, inner, 1.0 - inner, interior)
             out[interior] = np.clip(value, _TINY, _BELOW_ONE)
@@ -90,23 +88,28 @@ class Distortion:
         ``interior`` is set); t as eval takes it."""
         return self._value(p, q)
 
+    def _at(self, t):
+        """The time-invariant distortion that equals phi_t at the one time t."""
+        return self
+
     def derivatives(self, t, p):
-        """dp phi at (t, p), with p clamped into [EPS_P, 1-EPS_P]."""
+        """dp phi at one time t, with p clamped into [EPS_P, 1-EPS_P]."""
         arr = _asarray_prob(p, type(self).__name__ + ".derivatives")
         pc = np.clip(arr, EPS_P, 1.0 - EPS_P)
-        return _scalar_like(self._d1(pc, 1.0 - pc), p)
+        return _scalar_like(self._at(t)._d1(pc, 1.0 - pc), p)
 
     def curvature_ratio(self, t, p, comp):
-        """d2 phi / d1 phi at (t, p), with comp = 1-p computed separately
-        (tail-exact where 1-p would round to 1)."""
+        """d2 phi / d1 phi at one time t, with comp = 1-p computed
+        separately (tail-exact where 1-p would round to 1)."""
         pa = np.asarray(p, dtype=float)
         qa = np.asarray(comp, dtype=float)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = self._curvature(pa, qa)
+            out = self._at(t)._curvature(pa, qa)
         return _scalar_like(out, p)
 
-    def time_ratio(self, t, p):
-        """dt phi / dp phi at (t, p); identically zero for static schedules."""
+    def time_ratio(self, t, p, comp):
+        """dt phi / dp phi at one time t, with comp = 1-p as curvature_ratio
+        takes it; identically zero for static schedules."""
         out = np.zeros_like(np.asarray(p, dtype=float))
         return _scalar_like(out, p)
 
@@ -291,23 +294,49 @@ class Prelec(Distortion):
 
 
 class Wang(Distortion):
-    """phi(p) = F(F^{-1}(p) + alpha) with F the standard normal CDF.
+    """phi_t(p) = F(F^{-1}(p) + a(t)), a(t) = alpha t**k, F the standard
+    normal CDF; k = 0 (the default) is the static shift by alpha.
 
-    The curvature ratio phi''/phi' equals -alpha / F'(F^{-1}(p)); with the
-    complement supplied it stays exact arbitrarily deep in either tail.
+    Under a unit-sigma diffusion with b = 0 the distorted law of X_t is
+    N(x0 + m(t), t), m(t) = alpha t**(k + 1/2), which gives the closed forms
+    of dynamics.wang_mu_closed, wang_phi_closed and wang_value_closed.  The
+    curvature ratio phi''/phi' equals -a(t) / F'(F^{-1}(p)) and the time
+    ratio dt phi / dp phi equals a'(t) F'(F^{-1}(p)); with the complement
+    supplied both stay exact arbitrarily deep in either tail.  With k = 0
+    no time is read: a(t) is alpha itself, with no power taken.
     """
 
-    def __init__(self, alpha):
-        alpha = float(alpha)
+    def __init__(self, alpha, k=0.0):
+        alpha, k = float(alpha), float(k)
         if not math.isfinite(alpha):
             raise ConfigError(f"Wang: alpha must be finite, got {alpha}")
+        if not (k >= 0.0 and math.isfinite(k)):
+            raise ConfigError(f"Wang: k must be nonnegative and finite, got {k}")
         self.alpha = alpha
+        self.k = k
+
+    def _time(self, t):
+        """One time or an array of times as an array, checked t >= 0."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0.0):
+            raise DomainError(f"Wang: the shift alpha t**k needs t >= 0, got t = {np.min(t)}")
+        return t
+
+    def _at(self, t):
+        return Wang(self.alpha * self._time(t) ** self.k) if self.k else self
 
     def _z(self, p, q):
         return normal.quantile_from_pair(p, q)
 
     def _value(self, p, q):
         return normal.cdf(self._z(p, q) + self.alpha)
+
+    def _value_t(self, t, p, q, interior):
+        if not self.k:
+            return self._value(p, q)
+        if np.ndim(t):
+            t = np.broadcast_to(t, interior.shape)[interior]
+        return normal.cdf(self._z(p, q) + self.alpha * self._time(t) ** self.k)
 
     def _d1(self, p, q):
         a = self.alpha
@@ -319,136 +348,29 @@ class Wang(Distortion):
         with np.errstate(divide="ignore", over="ignore"):
             return -self.alpha / normal.pdf(z)
 
-    def to_dict(self):
-        return {"family": "wang", "alpha": self.alpha}
-
-
-class TimeWeight:
-    """Scalar weight f(t) with f(anchor) = 1 by construction.
-
-    kinds: "constant" (f = 1), "exp" (f = exp(rate*(t-anchor))),
-    "linear" (f = 1 + rate*(t-anchor)).
-    """
-
-    KINDS = ("constant", "exp", "linear")
-
-    def __init__(self, kind="constant", rate=0.0, anchor=0.0):
-        if kind not in self.KINDS:
-            raise ConfigError(f"TimeWeight: unknown kind {kind!r}, expected one of {self.KINDS}")
-        rate = float(rate)
-        anchor = float(anchor)
-        if not (math.isfinite(rate) and math.isfinite(anchor)):
-            raise ConfigError("TimeWeight: rate and anchor must be finite")
-        self.kind = kind
-        self.rate = rate
-        self.anchor = anchor
-
-    def value(self, t):
-        if self.kind == "constant":
-            return 1.0
-        if self.kind == "exp":
-            return math.exp(self.rate * (t - self.anchor))
-        return 1.0 + self.rate * (t - self.anchor)
-
-    def derivative(self, t):
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "exp":
-            return self.rate * self.value(t)
-        return self.rate
-
-    def to_dict(self):
-        return {"kind": self.kind, "rate": self.rate, "anchor": self.anchor}
-
-    @classmethod
-    def from_dict(cls, obj):
-        extra = set(obj) - {"kind", "rate", "anchor"}
-        if extra:
-            raise ConfigError(f"TimeWeight: unknown keys {sorted(extra)}")
-        return cls(obj.get("kind", "constant"), obj.get("rate", 0.0), obj.get("anchor", 0.0))
-
-
-class SeparableProduct(Distortion):
-    """Time-varying schedule phi_t(p) = f(t) * phi0(p) on the interior.
-
-    Endpoints stay pinned to 0 and 1 exactly; for the schedule to be a valid
-    distortion at time t the weight must satisfy 0 < f(t) <= 1, which eval
-    enforces pointwise (larger weights would push interior values above 1).
-    """
-
-    time_varying = True
-
-    def __init__(self, time_weight, base):
-        if not isinstance(time_weight, TimeWeight):
-            raise ConfigError("SeparableProduct: time_weight must be a TimeWeight")
-        if not isinstance(base, Distortion):
-            raise ConfigError("SeparableProduct: base must be a Distortion")
-        if base.time_varying:
-            raise ConfigError("SeparableProduct: base schedule must be time-invariant")
-        self.time_weight = time_weight
-        self.base = base
-
-    def _weight_checked(self, t):
-        f = self.time_weight.value(t)
-        if not (0.0 < f <= 1.0 + 1e-12):
-            raise DomainError(
-                f"SeparableProduct: weight f({t}) = {f} leaves (0, 1]; the schedule is "
-                "not a distortion at this time"
-            )
-        return min(f, 1.0)
-
-    def _value_t(self, t, p, q, interior):
-        if np.ndim(t) == 0:
-            return self._weight_checked(t) * self.base._value(p, q)
-        # f is read once per run of equal times through the scalar
-        # TimeWeight.value, so each weight is bit for bit that of a scalar-t
-        # call, and checked even where the run holds no interior point
-        t = np.broadcast_to(t, interior.shape).ravel()
-        run = np.ones(t.size, dtype=bool)
-        run[1:] = t[1:] != t[:-1]
-        start = np.flatnonzero(run)
-        f = np.repeat([self._weight_checked(s) for s in t[start]], np.diff(start, append=t.size))
-        return f[interior.ravel()] * self.base._value(p, q)
-
-    def _value(self, p, q):
-        return self.base._value(p, q)
-
-    def derivatives(self, t, p):
-        arr = _asarray_prob(p, "SeparableProduct.derivatives")
-        pc = np.clip(arr, EPS_P, 1.0 - EPS_P)
-        return _scalar_like(self._weight_checked(t) * self.base._d1(pc, 1.0 - pc), p)
-
-    def curvature_ratio(self, t, p, comp):
-        return self.base.curvature_ratio(t, p, comp)
-
-    def time_ratio(self, t, p):
-        arr = _asarray_prob(p, "SeparableProduct.time_ratio")
-        pc = np.clip(arr, EPS_P, 1.0 - EPS_P)
-        qc = 1.0 - pc
-        f = self._weight_checked(t)
-        fdot = self.time_weight.derivative(t)
-        out = (fdot / f) * self.base._value(pc, qc) / self.base._d1(pc, qc)
+    def time_ratio(self, t, p, comp):
+        if not self.k:
+            return super().time_ratio(t, p, comp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = self.alpha * self.k * self._time(t) ** (self.k - 1.0)  # a'(t)
+            out = rate * normal.pdf(self._z(p, comp))
         return _scalar_like(out, p)
 
     def to_dict(self):
-        return {
-            "family": "separable",
-            "time_weight": self.time_weight.to_dict(),
-            "base": self.base.to_dict(),
-        }
+        return {"family": "wang", "alpha": self.alpha, **({"k": self.k} if self.k else {})}
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-_FAMILY_KEYS = {
-    "identity": set(),
-    "power": {"gamma"},
-    "kahneman_tversky": {"gamma"},
-    "tversky_fox": {"alpha", "gamma"},
-    "prelec": {"gamma", "alpha"},
-    "wang": {"alpha"},
-    "separable": {"time_weight", "base"},
+# each family's constructor, its required keys and its optional keys
+_FAMILIES = {
+    "identity": (Identity, (), ()),
+    "power": (Power, ("gamma",), ()),
+    "kahneman_tversky": (KahnemanTversky, ("gamma",), ()),
+    "tversky_fox": (TverskyFox, ("alpha", "gamma"), ()),
+    "prelec": (Prelec, ("gamma", "alpha"), ()),
+    "wang": (Wang, ("alpha",), ("k",)),
 }
 
 
@@ -457,24 +379,15 @@ def distortion_from_dict(obj):
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError("distortion spec must be a dict with a 'family' key")
     family = obj["family"]
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(f"unknown distortion family {family!r}")
-    extra = set(obj) - _FAMILY_KEYS[family] - {"family"}
+    if family not in _FAMILIES:
+        raise ConfigError(
+            f"unknown distortion family {family!r} (known: {', '.join(_FAMILIES)})"
+        )
+    cls, required, optional = _FAMILIES[family]
+    extra = set(obj) - set(required) - set(optional) - {"family"}
     if extra:
         raise ConfigError(f"distortion family {family!r}: unknown keys {sorted(extra)}")
-    missing = _FAMILY_KEYS[family] - set(obj)
+    missing = set(required) - set(obj)
     if missing:
         raise ConfigError(f"distortion family {family!r}: missing keys {sorted(missing)}")
-    if family == "identity":
-        return Identity()
-    if family == "power":
-        return Power(obj["gamma"])
-    if family == "kahneman_tversky":
-        return KahnemanTversky(obj["gamma"])
-    if family == "tversky_fox":
-        return TverskyFox(obj["alpha"], obj["gamma"])
-    if family == "prelec":
-        return Prelec(obj["gamma"], obj["alpha"])
-    if family == "wang":
-        return Wang(obj["alpha"])
-    return SeparableProduct(TimeWeight.from_dict(obj["time_weight"]), distortion_from_dict(obj["base"]))
+    return cls(**{key: obj[key] for key in (*required, *optional) if key in obj})

@@ -36,7 +36,7 @@ from .density import (
     run_batches,
     solve_survival_pde,
 )
-from .distortion import EPS_P, SeparableProduct
+from .distortion import EPS_P
 from .errors import (
     AccuracyError,
     ConsistencyError,
@@ -200,21 +200,13 @@ class DriftField:
 def compute_mu(d, field, b):
     """Distorted drift on the field's grid for unit sigma.
 
-    Ratios are evaluated through the (p, 1-p) pair so that deep-tail cells
-    keep the exact cancellation between a huge curvature ratio and a tiny
-    density; a clamped evaluation would zero the drift out there.  Each G
+    Both ratios are evaluated through the (p, 1-p) pair so that deep-tail
+    cells keep the exact cancellation between a huge curvature ratio, or a
+    tiny time ratio, and a tiny density; a clamped evaluation would zero the
+    drift out there, or blow it up.  Each G
     cell that the derivatives clamp into [EPS_P, 1 - EPS_P] counts once.
     """
     t_grid, x = field.t_grid, field.x_grid
-    if isinstance(d, SeparableProduct):
-        for t in t_grid:
-            f = d.time_weight.value(t)
-            if f < 1.0:
-                raise DomainError(
-                    f"distorted drift: SeparableProduct jumps at p = 1 at t={t}: "
-                    f"phi_t(1-) = f(t) = {f} < 1 puts mass {1.0 - f:.3g} at -inf, "
-                    "which no finite grid can carry"
-                )
     rho = field.rho
     mu = np.empty_like(rho)
     clamps = 0
@@ -231,7 +223,7 @@ def compute_mu(d, field, b):
                 f"(dp_phi * rho = {denom[j]:.3e}); restrict the field to cells "
                 "with usable density"
             )
-        tr = np.asarray(d.time_ratio(t, g_row), dtype=float)
+        tr = np.asarray(d.time_ratio(t, g_row, c_row), dtype=float)
         cr = np.asarray(d.curvature_ratio(t, g_row, c_row), dtype=float)
         with np.errstate(invalid="ignore", divide="ignore"):
             time_term = np.where(tr == 0.0, 0.0, tr / rho[i])
@@ -248,14 +240,20 @@ def smoothed_step_payload(center=0.2, width=0.25):
     return lambda x: 0.5 * (1.0 + np.tanh((np.asarray(x, dtype=float) - c) / w))
 
 
-def wang_mu_closed(alpha):
-    """The exact distorted drift for the quantile-shift family with b = 0."""
-    a = float(alpha)
+def _wang_root_power(t, k):
+    """t**(k + 1/2) as t**k sqrt(t), so that m(t) = alpha t**(k + 1/2), the
+    mean shift of the time-shifted Wang family, takes no power at k = 0."""
+    return t**k * np.sqrt(t)
+
+
+def wang_mu_closed(alpha, k=0.0):
+    """The exact distorted drift of Wang(alpha, k) with b = 0: m'(t) =
+    alpha (k + 1/2) t**k / sqrt(t), alpha / (2 sqrt(t)) at k = 0."""
+    a, k = float(alpha), float(k)
 
     def mu(t, x):
-        return (a / (2.0 * np.sqrt(np.asarray(t, dtype=float)))) * np.ones_like(
-            np.asarray(x, dtype=float)
-        )
+        t = np.asarray(t, dtype=float)
+        return (a * (k + 0.5) * t**k / np.sqrt(t)) * np.ones_like(np.asarray(x, dtype=float))
 
     return mu
 
@@ -607,7 +605,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     The drift of the distorted dynamics is taken from mu when given (field
     or callable), else computed from a Gaussian field for constant drift, or
     from the trimmed survival-PDE field (_trimmed_pde_field); the clamps of
-    a drift computed here go in meta["derivative_clamps"].  The inverse
+    a drift computed here go in meta["derivative_clamps"], and the march's
+    drift reads outside the drift's grid, one per node and step, in
+    meta["mu_extrapolations"].  The inverse
     of Gp is taken by bisection to 1e-12, ties toward the smaller y."""
     if s <= 0.0:
         raise DomainError(
@@ -683,7 +683,8 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
             s=float(s), t=float(t), x=float(x), p_grid=knots_p, values=knots_p.copy(),
             y_grid=y_grid, surv_p=surv_p, surv_q=surv_p.copy(),
             meta={"distortion": d.to_dict(), "mu_source": mu_src,
-                  "debias": 0.0, "identity_dynamics": True, "derivative_clamps": clamps},
+                  "debias": 0.0, "identity_dynamics": True, "derivative_clamps": clamps,
+                  "mu_extrapolations": 0},
         )
 
     # distorted conditional survival: the backward value march of every
@@ -691,7 +692,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     # one adjoint march of the interpolation weights of x
     width = 2.0 * dx
     payloads = _smoothed_indicators(y_grid, pde_x, width)
-    vel, _ = _velocity_from(mu, pde_x)
+    vel, n_out = _velocity_from(mu, pde_x)
     r_grid = _sqrt_graded(s, t, n_steps)
     tau = t - r_grid[::-1]
     w = march_adjoint(
@@ -721,13 +722,14 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         p_grid=knots_p, values=knots_v,
         y_grid=y_grid, surv_p=surv_p, surv_q=surv_q,
         meta={"distortion": d.to_dict(), "mu_source": mu_src, "debias": debias_mag,
-              "derivative_clamps": clamps},
+              "derivative_clamps": clamps, "mu_extrapolations": n_out * n_steps},
     )
 
 
-def wang_phi_closed(alpha, s, t):
-    """Closed-form curve for the quantile-shift family with b = 0."""
-    shift = alpha * (math.sqrt(t) - math.sqrt(s)) / math.sqrt(t - s)
+def wang_phi_closed(alpha, s, t, k=0.0):
+    """Closed-form curve of Wang(alpha, k) with b = 0: Phi(s, t, x; p) =
+    F(F^{-1}(p) + (m(t) - m(s)) / sqrt(t - s)), m(t) = alpha t**(k + 1/2)."""
+    shift = alpha * (_wang_root_power(t, k) - _wang_root_power(s, k)) / math.sqrt(t - s)
 
     def curve(p):
         arr = np.asarray(p, dtype=float)
@@ -739,13 +741,15 @@ def wang_phi_closed(alpha, s, t):
     return curve
 
 
-def wang_value_closed(alpha, g, s, t_end, x):
+def wang_value_closed(alpha, g, s, t_end, x, k=0.0):
     """Quadrature reference for the distorted value of an increasing payload
-    under the quantile-shift family with b = 0:
+    under Wang(alpha, k) with b = 0:
 
-        u(s, x) = E[ g(x + alpha (sqrt(t_end) - sqrt(s)) + Z sqrt(t_end - s)) ].
+        u(s, x) = E[ g(x + m(t_end) - m(s) + Z sqrt(t_end - s)) ],
+
+    m(t) = alpha t**(k + 1/2).
     """
-    shift = alpha * (math.sqrt(t_end) - math.sqrt(s))
+    shift = alpha * (_wang_root_power(t_end, k) - _wang_root_power(s, k))
     sq = math.sqrt(t_end - s)
     z = np.linspace(-12.0, 12.0, 4801)
     w = normal.pdf(z)
@@ -801,6 +805,7 @@ class ConvergenceReport:
     skipped: list
     reference: float
     derivative_clamps: int
+    extrapolations: int
 
 
 def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
@@ -814,17 +819,19 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     and backward induction keeps that level only.  Lattices whose
     transitions violate the interleaving condition are skipped and
     reported.  The slope is the least-squares fit of log error against
-    log N.  derivative_clamps counts the clamps of the reference's drift (0
+    log N.  derivative_clamps counts the clamps of the reference's drift and
+    extrapolations its march's drift reads outside the drift's grid (both 0
     when u_ref is given)."""
     if not 0.0 < eval_t < spec.T:
         raise DomainError(f"convergence_study: eval_t={eval_t} must lie in (0, T) = (0, {spec.T})")
-    clamps = 0
+    clamps = extrapolations = 0
     if u_ref is None:
         trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)
         mu = compute_mu(d, trimmed, spec.drift)
         clamps = mu.clamps
         sol = solve_distorted_pde(mu, g, eval_t, spec.T, xg, n_steps=800)
         u_ref = sol.u_at(eval_t, eval_x)
+        extrapolations = sol.extrapolations
     errors = []
     used = []
     skipped = []
@@ -854,4 +861,5 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     return ConvergenceReport(
         N_list=used, errors=[float(e) for e in errors], slope=slope,
         skipped=skipped, reference=float(u_ref), derivative_clamps=clamps,
+        extrapolations=extrapolations,
     )

@@ -27,8 +27,6 @@ from .distortion import (
     KahnemanTversky,
     Power,
     Prelec,
-    SeparableProduct,
-    TimeWeight,
     TverskyFox,
     Wang,
 )
@@ -158,13 +156,15 @@ def _criterion_crossing():
 
 def _criterion_wang_drift():
     alpha = 0.5
-    d = Wang(alpha)
     t_grid = np.linspace(0.1, 1.0, 46)
     x_grid = np.linspace(-4.0, 4.0, 161)
     field = gaussian_field(0.0, t_grid, x_grid)
-    mu = compute_mu(d, field, constant_drift(0.0))
-    exact = alpha / (2.0 * np.sqrt(t_grid))[:, None]
-    sup = float(np.max(np.abs(mu.mu - exact)))
+    # the static shift, and a time-shifted one whose drift carries the time term
+    sups = []
+    for d in (Wang(alpha), Wang(alpha, k=1)):
+        mu = compute_mu(d, field, constant_drift(0.0))
+        exact = wang_mu_closed(d.alpha, d.k)(t_grid[:, None], x_grid)
+        sups.append(float(np.max(np.abs(mu.mu - exact))))
 
     # the OU drift b = -x from 0, with the density replaced by its bridge-MC
     # estimate at a few cells; the estimate has variance, so the gate can fail
@@ -175,43 +175,48 @@ def _criterion_wang_drift():
             est = bridge_density_mc(OU_SPEC, t, x, paths=40_000, steps=200, seed=29)
             worst = max(worst, wang_ou_drift_excess(alpha, t, x, est.value, est.std_error, 200))
     elapsed = time.perf_counter() - t0
-    ok = sup <= 1e-6 and worst <= 0.0 and elapsed < 30.0
-    return ok, f"analytic sup={sup:.3e} OU bridge worst excess={worst:.2e} mc={elapsed:.1f}s"
+    ok = max(sups) <= 1e-6 and worst <= 0.0 and elapsed < 30.0
+    return ok, (f"analytic sup={sups[0]:.3e} time-shifted sup={sups[1]:.3e} "
+                f"OU bridge worst excess={worst:.2e} mc={elapsed:.1f}s")
 
 
 def _criterion_wang_phi():
     spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
     d = Wang(0.5)
     p = np.linspace(0.05, 0.95, 181)
-    curve = build_phi_curve(d, spec, 0.25, 1.0, 0.0, drift_const=0.0)
-    ref = wang_phi_closed(0.5, 0.25, 1.0)
-    sup = float(np.max(np.abs(curve(p) - ref(p))))
+    sups = []
+    for dk in (d, Wang(0.5, k=1)):
+        curve = build_phi_curve(dk, spec, 0.25, 1.0, 0.0, drift_const=0.0)
+        ref = wang_phi_closed(dk.alpha, 0.25, 1.0, dk.k)
+        sups.append(float(np.max(np.abs(curve(p) - ref(p)))))
 
     early = build_phi_curve(d, spec, 1e-4, 1.0, 0.0, drift_const=0.0,
                             mu=wang_mu_closed(0.5), s_min=0.0,
                             n_march=2401, n_steps=1200)
     sup_static = float(np.max(np.abs(early(p) - d.eval(0.0, p))))
-    ok = sup <= 1e-3 and sup_static <= 2e-3
-    return ok, f"closed-form sup={sup:.3e} static-slice sup={sup_static:.3e}"
+    ok = max(sups) <= 1e-3 and sup_static <= 2e-3
+    return ok, (f"closed-form sup={sups[0]:.3e} time-shifted sup={sups[1]:.3e} "
+                f"static-slice sup={sup_static:.3e}")
 
 
 def _criterion_convergence():
     spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
     g = smoothed_step_payload()
-    u_ref = wang_value_closed(0.5, g, 0.5, 1.0, 0.0)
+    n_list = [64, 256, 1024, 4096]
     t0 = time.perf_counter()
-    rep = convergence_study(spec, Wang(0.5), g, [64, 256, 1024, 4096],
-                            0.5, 0.0, u_ref=u_ref)
+    rep = convergence_study(spec, Wang(0.5), g, n_list, 0.5, 0.0,
+                            u_ref=wang_value_closed(0.5, g, 0.5, 1.0, 0.0))
+    # the time-shifted schedule against its PDE reference, whose drift
+    # carries the time term, and that reference against the closed form
+    shifted = convergence_study(spec, Wang(0.5, k=1), g, n_list, 0.5, 0.0)
+    ref_gap = abs(shifted.reference - wang_value_closed(0.5, g, 0.5, 1.0, 0.0, k=1))
     elapsed = time.perf_counter() - t0
-    decreasing = all(a > b for a, b in zip(rep.errors, rep.errors[1:]))
-    ok = (
-        rep.skipped == []
-        and decreasing
-        and rep.errors[-1] <= 1e-2
-        and elapsed < 60.0
-    )
-    errs = ",".join(f"{e:.2e}" for e in rep.errors)
-    return ok, f"errors=[{errs}] slope={rep.slope:.2f} in {elapsed:.1f}s"
+    ok = ref_gap <= 1e-4 and elapsed < 60.0 and all(
+        r.skipped == [] and r.errors[-1] <= 1e-2
+        and all(a > b for a, b in zip(r.errors, r.errors[1:])) for r in (rep, shifted))
+    errs = [",".join(f"{e:.2e}" for e in r.errors) for r in (rep, shifted)]
+    return ok, (f"errors=[{errs[0]}] slope={rep.slope:.2f} time-shifted errors=[{errs[1]}] "
+                f"slope={shifted.slope:.2f} reference gap={ref_gap:.1e} in {elapsed:.1f}s")
 
 
 def _criterion_pde_vs_mc():
@@ -263,8 +268,8 @@ def wang_ou_drift_excess(alpha, t, x, value, std_error, steps):
     v = -0.5 * math.expm1(-2.0 * t)
     z = x / math.sqrt(v)
     g, comp = normal.sf(z), normal.cdf(z)
-    tr = d.time_ratio(t, g)
-    cr = d.curvature_ratio(t, g, comp=comp)
+    tr = d.time_ratio(t, g, comp)
+    cr = d.curvature_ratio(t, g, comp)
     mu_hat = -x + tr / value - 0.5 * cr * value
     sens = abs(-tr / value**2 - 0.5 * cr)
     bias = ou_density(t, x) * (t + x * x) / (2.0 * steps)
@@ -328,8 +333,7 @@ def _criterion_invariants():
     # drift reads
     pool = [
         Power(2.0), Wang(0.7), KahnemanTversky(0.5), Prelec(0.8, 0.9),
-        TverskyFox(0.9, 0.6),
-        SeparableProduct(TimeWeight("exp", rate=-0.5, anchor=0.0), Power(1.5)),
+        TverskyFox(0.9, 0.6), Wang(0.5, k=1),
     ]
     worst_fd = 0.0
     for d in pool:
@@ -345,7 +349,7 @@ def _criterion_invariants():
             worst_fd = max(worst_fd, abs(fd2 - dpp) / max(1.0, abs(dpp)))
             h = 1e-6
             fdt = (d.eval(t + h, p) - d.eval(t - h, p)) / (2 * h)
-            dt = dp * d.time_ratio(t, p)
+            dt = dp * d.time_ratio(t, p, 1.0 - p)
             worst_fd = max(worst_fd, abs(fdt - dt) / max(1.0, abs(dt)))
     if worst_fd > 1e-5:
         ok = False

@@ -250,20 +250,7 @@ def _distort_block(tree, schedule, strict, a, phi_a, surv, flat, violations):
     degenerate-edge count and its last phi row."""
     k, w = surv.shape
     point, times = _level_points(tree.times, a, surv.shape)
-    try:
-        phi = schedule.eval(times, np.clip(surv[point], 0.0, 1.0))
-    except DomainError:
-        if k == 1:
-            raise
-        # the schedule is not a distortion at some row's time: sweep the
-        # two halves in turn, so that an interleaving failure at an earlier
-        # level is still the error reported
-        h = k // 2
-        first, phi_mid = _distort_block(tree, schedule, strict, a, phi_a, surv[:h],
-                                        flat, violations)
-        rest, phi_end = _distort_block(tree, schedule, strict, a + h, phi_mid, surv[h:],
-                                       flat, violations)
-        return first + rest, phi_end
+    phi = schedule.eval(times, np.clip(surv[point], 0.0, 1.0))
     levels = np.zeros((k + 1, w))  # phi of levels a .. a + k, zero past each top state
     levels[0, : phi_a.size] = phi_a
     levels[1:][point] = phi

@@ -70,16 +70,38 @@ def test_invariants_criterion_fails_on_a_wrong_curvature(monkeypatch):
 
 def test_invariants_criterion_fails_on_a_wrong_time_ratio(monkeypatch):
     """Criterion 10's dt phi check reads dp * time_ratio, the time term the
-    drift uses, so a one-percent error in the separable time ratio fails it."""
+    drift uses, so a one-percent error in the time-shifted Wang's time ratio
+    fails it."""
     import re
 
-    from distort.distortion import SeparableProduct
+    from distort.distortion import Wang
     from distort.selftest import _criterion_invariants
 
-    time_ratio = SeparableProduct.time_ratio
-    monkeypatch.setattr(SeparableProduct, "time_ratio",
-                        lambda self, t, p: 1.01 * time_ratio(self, t, p))
+    time_ratio = Wang.time_ratio
+    monkeypatch.setattr(Wang, "time_ratio",
+                        lambda self, t, p, comp: 1.01 * time_ratio(self, t, p, comp))
     passed, detail = _criterion_invariants()
     assert not passed
     gap = float(re.search(r"derivative fd gap=(\S+)", detail).group(1))
     assert gap > 1e-5, detail
+
+
+@pytest.mark.parametrize("criterion, measured", [
+    ("_criterion_wang_drift", r"time-shifted sup=(\S+)"),
+    ("_criterion_wang_phi", r"time-shifted sup=(\S+)"),
+    ("_criterion_convergence", r"reference gap=(\S+)"),
+], ids=["drift", "phi-curve", "lattice"])
+def test_time_shifted_cases_fail_without_the_time_term(monkeypatch, criterion, measured):
+    """The time-shifted Wang cases of criteria 5, 6 and 7 read the drift's
+    time term: with the time ratio scaled by 0 each of them fails."""
+    import re
+
+    import numpy as np
+
+    from distort import selftest
+    from distort.distortion import Wang
+
+    monkeypatch.setattr(Wang, "time_ratio", lambda self, t, p, comp: 0.0 * np.asarray(p))
+    passed, detail = getattr(selftest, criterion)()
+    assert not passed
+    assert float(re.search(measured, detail).group(1)) >= 0.01, detail

@@ -227,27 +227,22 @@ def _dynamics_diagnostics(tmp_path, source):
     return json.loads((out / "report.json").read_text())["diagnostics"]
 
 
-SEPARABLE_POWER_15 = {"family": "separable", "time_weight": {"kind": "constant"},
-                      "base": {"family": "power", "gamma": 1.5}}
-
-
 @pytest.mark.parametrize("source, clamps, extrapolations", [
     ("wang", 115_978, 0),
     ("identity", 115_978, 0),
-    ("convergence", 410, 0),
-    (_dynamics_config({"family": "wang", "alpha": 0.5}), 121_438, 320_000),
-    (_dynamics_config({"family": "power", "gamma": 1.5}), 121_438, 320_000),
-    (_dynamics_config(SEPARABLE_POWER_15), 121_438, 320_000),
-], ids=["wang", "identity", "convergence", "wang-all-blocks", "power-1.5",
-        "separable-power-1.5"])
+    ("convergence", 410, 489_600),
+    (_dynamics_config({"family": "wang", "alpha": 0.5}), 121_438, 809_600),
+    (_dynamics_config({"family": "power", "gamma": 1.5}), 121_438, 809_600),
+], ids=["wang", "identity", "convergence", "wang-all-blocks", "power-1.5"])
 def test_dynamics_diagnostics_pin_the_clamp_and_extrapolation_counts(
         tmp_path, source, clamps, extrapolations):
     # derivative_clamps sums the clamped survival cells of every drift the
     # command computed (its own, the phi block's, the convergence block's);
-    # mu_extrapolations is the value march's node-steps outside the drift
-    # grid (800 nodes x 400 steps) plus the Euler path-steps outside it.
-    # With f = 1 the SeparableProduct is Power(1.5): its time ratio reads
-    # the same cells and adds no count (each cell was once counted twice)
+    # mu_extrapolations sums the node-steps of every march outside its
+    # drift grid and the Euler path-steps outside it: the value march's
+    # 800 nodes x 400 steps, the convergence reference's 612 nodes x 800
+    # steps past its trimmed field, and none for the phi march, whose
+    # field spans it
     diag = _dynamics_diagnostics(tmp_path, source)
     assert (diag["derivative_clamps"], diag["mu_extrapolations"]) == (clamps, extrapolations)
 
@@ -305,6 +300,45 @@ def test_unknown_key_in_config_exits_2(tmp_path):
     r = run_cli("tree", "--config", str(path), "--out", str(tmp_path / "o"))
     assert r.returncode == 2
     assert "unexpected" in r.stderr
+
+
+@pytest.mark.parametrize("command, distortion, named", [
+    ("dynamics", {"family": "separable", "time_weight": {"kind": "constant"},
+                  "base": {"family": "power", "gamma": 1.5}},
+     "unknown distortion family 'separable'"),
+    ("tree", {"family": "separable", "time_weight": {"kind": "exp", "rate": -0.5},
+              "base": {"family": "power", "gamma": 2.0}},
+     "unknown distortion family 'separable'"),
+    ("dynamics", {"family": "wang", "alpha": 0.5, "k": -1}, "Wang: k must be nonnegative"),
+    ("tree", {"family": "wang", "alpha": 0.5, "beta": 1}, "family 'wang': unknown keys ['beta']"),
+], ids=["separable-dynamics", "separable-tree", "wang-negative-k", "wang-unknown-key"])
+def test_bad_distortion_block_exits_2_naming_the_family(tmp_path, command, distortion, named):
+    block = ({"model": {"b": 0.0, "x0": 0.0, "T": 1.0}} if command == "dynamics"
+             else {"tree": {"N": 2, "T": 1.0}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema_version": 1, "distortion": distortion, **block}))
+    out = tmp_path / "o"
+    r = run_cli(command, "--config", str(path), "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    assert f"{command} config invalid at distortion: " in r.stderr
+    assert named in r.stderr
+    assert not (out / "report.json").exists()
+
+
+def test_time_shifted_wang_reports_the_gap_to_its_own_drift(tmp_path):
+    """wang_mu_closed_gap reads the closed form of the configured (alpha, k):
+    m'(t) = 0.5 * 1.5 * sqrt(t) for k = 1, not the static 0.25 / sqrt(t)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "distortion": {"family": "wang", "alpha": 0.5, "k": 1},
+        "model": {"b": 0.0, "x0": 0.0, "T": 1.0},
+    }))
+    out = tmp_path / "o"
+    r = run_cli("dynamics", "--config", str(path), "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads((out / "report.json").read_text())["results"]["wang_mu_closed_gap"] <= 1e-12
+    header, (t, x, mu) = read_csv(out / "mu.csv")
+    assert np.max(np.abs(mu - 0.75 * np.sqrt(t))) <= 1e-12
 
 
 def test_malformed_json_exits_2_with_line(tmp_path):
@@ -378,11 +412,7 @@ def test_value_grid_failure_names_the_fixed_grid(tmp_path):
 def test_strict_mon2_flag_exits_4(tmp_path):
     cfg = {
         "schema_version": 1,
-        "distortion": {
-            "family": "separable",
-            "time_weight": {"kind": "exp", "rate": -2.0, "anchor": 0.0},
-            "base": {"family": "power", "gamma": 2.0},
-        },
+        "distortion": {"family": "wang", "alpha": 3.0, "k": 1},
         "tree": {"N": 8, "T": 1.0},
     }
     path = tmp_path / "cfg.json"

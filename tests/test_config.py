@@ -103,7 +103,7 @@ def test_unknown_command_rejected():
     assert set(SCHEMAS) == {"tree", "dynamics", "density"}
 
 
-def test_separable_distortion_block_validates():
+def test_separable_distortion_block_is_rejected_naming_the_family():
     params = {
         "schema_version": 1,
         "distortion": {
@@ -113,6 +113,19 @@ def test_separable_distortion_block_validates():
         },
         "tree": {"N": 2, "T": 1.0},
     }
+    with pytest.raises(ConfigError, match="tree config invalid at distortion: unknown "
+                                          "distortion family 'separable'"):
+        validate_params("tree", params)
+
+
+def test_time_shifted_wang_block_validates():
+    params = {
+        "schema_version": 1,
+        "distortion": {"family": "wang", "alpha": 0.5, "k": 1.5},
+        "tree": {"N": 2, "T": 1.0},
+    }
     validate_params("tree", params)
-    d = distortion_from_dict(params["distortion"])
-    assert d.to_dict() == params["distortion"]
+    assert distortion_from_dict(params["distortion"]).to_dict() == params["distortion"]
+    params["distortion"]["k"] = "fast"
+    with pytest.raises(ConfigError, match="invalid at distortion/k"):
+        validate_params("tree", params)

@@ -13,8 +13,6 @@ from distort import (
     KahnemanTversky,
     Power,
     Prelec,
-    SeparableProduct,
-    TimeWeight,
     TverskyFox,
     Wang,
     distortion_from_dict,
@@ -32,7 +30,7 @@ ALL_FAMILIES = [
     Prelec(1.0, 0.65),
     Wang(0.5),
     Wang(-0.75),
-    SeparableProduct(TimeWeight("exp", rate=-0.5), Power(2.0)),
+    Wang(0.5, k=1),
 ]
 
 
@@ -86,8 +84,8 @@ EVAL_FAMILIES = [
     Prelec(1.0, 0.65),
     Wang(0.5),
     Wang(-1.5),
-    SeparableProduct(TimeWeight("exp", rate=-0.5), Wang(0.3)),
-    SeparableProduct(TimeWeight("linear", rate=-0.2), Power(2.0)),
+    Wang(0.3, k=0.5),
+    Wang(-0.4, k=2.7),
 ]
 
 
@@ -131,7 +129,7 @@ def test_eval_skips_endpoints_bit_identically(d):
 @pytest.mark.parametrize("d", EVAL_FAMILIES, ids=lambda d: repr(d))
 def test_eval_on_a_block_with_a_column_of_times_matches_each_row(d):
     """A (K, 1) column of times against a (K, w) block gives, row by row,
-    the scalar-t result bit for bit; time-varying weights are read per row."""
+    the scalar-t result bit for bit; a time-varying shift is read per row."""
     p = _eval_points()[:1230].reshape(6, 205)
     t = np.array([0.0, 0.1, 0.7, 1.3, 2.0, 4.5])[:, None]
     got = d.eval(t, p)
@@ -140,20 +138,6 @@ def test_eval_on_a_block_with_a_column_of_times_matches_each_row(d):
         assert got[r].tobytes() == d.eval(t[r, 0], p[r]).tobytes()
     # one time per point, as the tree sweeps pass the values of several levels
     assert d.eval(np.repeat(t[:, 0], p.shape[1]), p.ravel()).tobytes() == got.tobytes()
-
-
-def test_eval_on_a_block_names_the_first_row_time_where_the_weight_leaves_the_unit_interval():
-    """f(t) = 1 - 0.2 t is below 0 from t = 5 on: the first such row raises
-    the scalar-t call's error, although that row holds only endpoints."""
-    d = SeparableProduct(TimeWeight("linear", rate=-0.2), Power(2.0))
-    p = np.array([[0.3, 0.6, 1.0], [0.2, 0.4, 0.9], [0.0, 1.0, 0.0], [0.5, 0.5, 0.5]])
-    t = np.array([[0.0], [1.0], [6.0], [7.0]])
-    with pytest.raises(DomainError) as block:
-        d.eval(t, p)
-    with pytest.raises(DomainError) as row:
-        d.eval(6.0, p[2])
-    assert "f(6.0)" in str(row.value)
-    assert str(block.value) == str(row.value)
 
 
 def test_eval_rejects_out_of_range():
@@ -194,20 +178,20 @@ def test_derivative_cascades_at_tenth(d, val, d1, d2, d3):
     h = 1e-5
     fd3 = (_dpp(d, 0.0, 0.1 + h) - _dpp(d, 0.0, 0.1 - h)) / (2 * h)
     assert fd3 == pytest.approx(d3, rel=1e-7)
-    assert dp * d.time_ratio(0.0, 0.1) == 0.0
+    assert dp * d.time_ratio(0.0, 0.1, 0.9) == 0.0
 
 
 def test_power_two_derivatives_at_half():
     dp = Power(2.0).derivatives(0.0, 0.5)
     assert dp == pytest.approx(1.0, abs=1e-15)
     assert _dpp(Power(2.0), 0.0, 0.5) == pytest.approx(2.0, abs=1e-15)
-    assert dp * Power(2.0).time_ratio(0.0, 0.5) == 0.0
+    assert dp * Power(2.0).time_ratio(0.0, 0.5, 0.5) == 0.0
 
 
 def test_identity_derivatives():
     d = Identity()
     dp = d.derivatives(0.0, 0.3)
-    assert (dp, dp * d.time_ratio(0.0, 0.3), d.curvature_ratio(0.0, 0.3, 0.7)) == (1.0, 0.0, 0.0)
+    assert (dp, dp * d.time_ratio(0.0, 0.3, 0.7), d.curvature_ratio(0.0, 0.3, 0.7)) == (1.0, 0.0, 0.0)
 
 
 def test_wang_curvature_ratio_formula():
@@ -273,55 +257,60 @@ def test_second_derivative_vs_central_difference(d):
 def test_derivatives_clamp_the_endpoints():
     """derivatives read p = 0 and p = 1 at EPS_P and 1 - EPS_P (compute_mu
     counts such cells; the derivatives count nothing)."""
-    for d in (Power(2.0), SeparableProduct(TimeWeight("linear", -0.5, 0.0), Power(2.0))):
+    for d in (Power(2.0), Wang(0.5, k=1)):
         assert d.derivatives(0.5, 0.0) == d.derivatives(0.5, EPS_P)
         assert np.array_equal(d.derivatives(0.5, np.array([0.0, 0.5, 1.0])),
                               d.derivatives(0.5, np.array([EPS_P, 0.5, 1.0 - EPS_P])))
-        assert np.array_equal(d.time_ratio(0.5, np.array([0.0, 1.0])),
-                              d.time_ratio(0.5, np.array([EPS_P, 1.0 - EPS_P])))
 
 
 # ---------------------------------------------------------------------------
 # time-varying schedule
 
-def test_separable_time_derivatives():
-    d = SeparableProduct(TimeWeight("exp", rate=-0.5), Power(2.0))
+def test_time_shifted_wang_time_derivatives():
+    """phi_t(p) = F(F^-1(p) + alpha t**k): dp phi = pdf(z + a) / pdf(z) and
+    dt phi = pdf(z + a) alpha k t**(k - 1), with a = alpha t**k."""
+    d = Wang(0.5, k=2)
     t, p = 0.8, 0.4
-    f = np.exp(-0.5 * t)
+    z = float(mp_quantile(p))
+    a = 0.5 * t**2
     dp = d.derivatives(t, p)
-    dt = dp * d.time_ratio(t, p)
-    assert dp == pytest.approx(f * 2 * p, rel=1e-13)
-    assert dt == pytest.approx(-0.5 * f * p**2, rel=1e-13)
+    dt = dp * d.time_ratio(t, p, 1.0 - p)
+    assert dp == pytest.approx(float(mp_pdf(z + a) / mp_pdf(z)), rel=1e-13)
+    assert dt == pytest.approx(float(mp_pdf(z + a)) * 0.5 * 2 * t, rel=1e-13)
     h = 1e-6
     fd_t = (d.eval(t + h, p) - d.eval(t - h, p)) / (2 * h)
     assert dt == pytest.approx(fd_t, rel=1e-7)
+    # at t = 0.8 the schedule is the static shift by a(0.8)
+    static = Wang(a)
+    assert d.eval(t, p) == static.eval(0.0, p)
+    assert d.curvature_ratio(t, p, 1.0 - p) == static.curvature_ratio(0.0, p, 1.0 - p)
 
 
-def test_separable_rejects_weight_above_one():
-    d = SeparableProduct(TimeWeight("exp", rate=0.5), Power(2.0))
-    with pytest.raises(DomainError):
-        d.eval(1.0, 0.5)  # f(1) = e^{0.5} > 1
+def test_time_ratio_reads_the_trusted_complement():
+    """Deep in the upper tail p rounds to 1; the time ratio a'(t) pdf(z)
+    is read off the complement, as the curvature ratio is."""
+    z = -12.648521463981771
+    comp = float(mp_cdf(z))
+    d = Wang(0.5, k=1)
+    assert d.time_ratio(0.5, 1.0, comp) == pytest.approx(0.5 * float(mp_pdf(z)), rel=1e-12)
+    assert d.time_ratio(0.5, comp, 1.0) == pytest.approx(0.5 * float(mp_pdf(z)), rel=1e-12)
 
 
-def test_separable_rejects_weight_above_one_at_endpoints_only():
-    """eval runs no formula at an endpoint, yet still checks the weight."""
-    d = SeparableProduct(TimeWeight("exp", rate=0.5), Power(2.0))
-    for p in (0.0, 1.0, [0.0, 1.0], []):
-        with pytest.raises(DomainError):
-            d.eval(1.0, p)
+def test_static_wang_reads_no_time():
+    """k = 0 is the static shift: the same bits at every time, no time
+    ratio, and the dict form of before."""
+    d = Wang(0.5)
+    p = _eval_points()
+    assert d.eval(7.3, p).tobytes() == d.eval(0.0, p).tobytes()
+    assert d.eval(np.linspace(0.0, 3.0, p.size), p).tobytes() == d.eval(0.0, p).tobytes()
+    assert np.all(d.time_ratio(0.4, p, 1.0 - p) == 0.0)
+    assert d.to_dict() == {"family": "wang", "alpha": 0.5}
+    assert Wang(0.5, k=0.0) == d
 
 
-def test_separable_linear_weight_must_stay_positive():
-    d = SeparableProduct(TimeWeight("linear", rate=-1.0), Power(2.0))
-    assert d.eval(0.5, 0.5) == pytest.approx(0.5 * 0.25)
-    with pytest.raises(DomainError):
-        d.eval(1.5, 0.5)  # f(1.5) = -0.5
-
-
-def test_time_weight_anchor_normalization():
-    w = TimeWeight("exp", rate=-2.0, anchor=1.0)
-    assert w.value(1.0) == 1.0
-    assert w.derivative(1.0) == -2.0
+def test_time_shifted_wang_rejects_negative_times():
+    with pytest.raises(DomainError, match=r"needs t >= 0, got t = -0.5"):
+        Wang(0.5, k=1).eval(np.array([0.0, -0.5]), np.array([0.3, 0.6]))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +333,8 @@ def test_kt_gamma_floor():
         lambda: Prelec(-1.0, 0.5),
         lambda: Prelec(1.0, 1.0),
         lambda: Wang(float("nan")),
-        lambda: TimeWeight("quadratic"),
+        lambda: Wang(0.5, k=-1.0),
+        lambda: Wang(0.5, k=float("inf")),
     ],
 )
 def test_bad_parameters_rejected_at_construction(build):
@@ -372,6 +362,12 @@ def test_from_dict_rejects_unknown_family_and_keys():
         distortion_from_dict({"family": "wang", "alpha": 0.5, "beta": 1.0})
     with pytest.raises(ConfigError):
         distortion_from_dict({"family": "power"})
+    with pytest.raises(ConfigError, match="unknown distortion family 'separable'"):
+        distortion_from_dict({"family": "separable", "time_weight": {"kind": "constant"},
+                              "base": {"family": "power", "gamma": 1.5}})
+    with pytest.raises(ConfigError, match="Wang: k must be nonnegative"):
+        distortion_from_dict({"family": "wang", "alpha": 0.5, "k": -1})
+    assert distortion_from_dict({"family": "wang", "alpha": 0.5, "k": 1}) == Wang(0.5, k=1)
 
 
 # ---------------------------------------------------------------------------

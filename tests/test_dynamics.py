@@ -25,8 +25,6 @@ from distort.distortion import (
     KahnemanTversky,
     Power,
     Prelec,
-    SeparableProduct,
-    TimeWeight,
     TverskyFox,
     Wang,
 )
@@ -102,6 +100,30 @@ def test_wang_mu_matches_closed_form(wang_field):
     assert np.max(np.abs(mu.mu - exact)) <= 1e-6
 
 
+def _time_shifted_drift_gap(field, d):
+    mu = compute_mu(d, field, ZERO)
+    exact = wang_mu_closed(d.alpha, d.k)(field.t_grid[:, None], field.x_grid)
+    return mu, np.abs(mu.mu - exact)
+
+
+@pytest.mark.parametrize("alpha, k", [(0.5, 1.0), (0.3, 2.0)])
+def test_time_shifted_wang_mu_matches_closed_form_on_every_cell(wang_field, alpha, k):
+    """The drift of Wang(alpha, k) is m'(t) = alpha (k + 1/2) t**(k - 1/2),
+    its time term a'(t) sqrt(t) included.  The time ratio a'(t) pdf(z)
+    reads z off the (G, 1 - G) pair, so the cells whose G the derivatives
+    clamp are exact too (read off the clamped G they were off by up to 1e23)."""
+    mu, gap = _time_shifted_drift_gap(wang_field, Wang(alpha, k))
+    assert mu.clamps == 410
+    assert np.max(gap) <= 1e-12
+
+
+def test_time_shifted_wang_mu_fails_without_its_time_term(wang_field, monkeypatch):
+    monkeypatch.setattr(Wang, "time_ratio", lambda self, t, p, comp: 0.0 * np.asarray(p))
+    for d, lost in ((Wang(0.5, k=1), 0.5), (Wang(0.3, k=2), 0.6)):
+        # the time term is a'(t) sqrt(t) = alpha k t**(k - 1/2), largest at t = 1
+        assert np.max(_time_shifted_drift_gap(wang_field, d)[1]) == pytest.approx(lost, rel=1e-9)
+
+
 def test_wang_mu_exact_in_deep_tail():
     # at |x - x0| = 4 and t = 0.1 the survival weight is ~ 5.7e-37; the
     # curvature ratio blows up exactly as fast as the density vanishes and
@@ -155,29 +177,19 @@ def test_prelec_drift_is_finite_where_the_survival_rounds_to_one():
     assert np.max(np.abs(mu.mu[saturated] / tail - 1.0)) <= 1e-6
 
 
-def test_compute_mu_rejects_a_separable_schedule_with_a_jump_at_one(wang_field):
-    """f(t) < 1 leaves mass 1 - f(t) at -inf, which no finite grid carries."""
-    sched = SeparableProduct(TimeWeight("exp", rate=-0.5, anchor=0.0), Power(1.5))
-    with pytest.raises(DomainError, match=r"jumps at p = 1 at t=0.1: phi_t\(1-\) = f\(t\) = 0.951"):
-        compute_mu(sched, wang_field, ZERO)
-    flat = SeparableProduct(TimeWeight("constant"), Power(1.5))
-    assert np.array_equal(compute_mu(flat, wang_field, ZERO).mu,
-                          compute_mu(Power(1.5), wang_field, ZERO).mu)
-
-
 SATURATING_FIELD_X = np.linspace(-7.0, 7.0, 281)
 
 
 def test_compute_mu_counts_each_clamped_survival_cell_once():
     """The derivatives clamp G into [EPS_P, 1 - EPS_P]; compute_mu counts
-    each cell outside that range once, whatever the family.  SeparableProduct
-    reads G twice (dp and the time ratio) and still counts each cell once."""
+    each cell outside that range once, whatever the family.  The
+    time-shifted Wang reads G twice (dp and the time ratio) and still counts
+    each cell once."""
     field = gaussian_field(0.0, np.linspace(0.1, 1.0, 46), SATURATING_FIELD_X)
     expected = int(np.count_nonzero((field.G < EPS_P) | (field.G > 1.0 - EPS_P)))
     assert 0 < expected < field.G.size
     for d in (Identity(), Power(1.5), KahnemanTversky(0.6), TverskyFox(0.9, 0.6),
-              Prelec(0.8, 0.9), Wang(0.5),
-              SeparableProduct(TimeWeight("constant"), Power(1.5))):
+              Prelec(0.8, 0.9), Wang(0.5), Wang(0.5, k=1)):
         assert compute_mu(d, field, ZERO).clamps == expected, d
 
 
@@ -350,24 +362,39 @@ def flow_field():
     return gaussian_field(0.0, np.linspace(0.1, 1.0, 401), np.linspace(-7.0, 7.0, 1601))
 
 
-@pytest.mark.parametrize("d", [Wang(0.5), Power(2.0), KahnemanTversky(0.6),
-                               TverskyFox(0.9, 0.6), Prelec(0.8, 0.9)], ids=repr)
-def test_distorted_drift_carries_the_distorted_survival(flow_field, d):
-    """Unit sigma, b = 0: the distorted survival H = phi_t(G) solves
-    d_t H = H_xx / 2 - mu d_x H with the drift compute_mu returns, so H
-    marched from t = 0.1 under that drift stays on phi_t(G) at every time;
-    marched without the drift it drifts off."""
-    x, tg = flow_field.x_grid, flow_field.t_grid
-    mu = compute_mu(d, flow_field, ZERO)
-    exact = np.array([d.eval(t, row) for t, row in zip(tg, flow_field.G)])
+def _flow_gaps(field, d):
+    """sup |H - phi_t(G)| for H = phi_t(G) marched from the first time under
+    -mu, and marched with no velocity at all."""
+    x, tg = field.x_grid, field.t_grid
+    mu = compute_mu(d, field, ZERO)
+    exact = np.array([d.eval(t, row) for t, row in zip(tg, field.G)])
 
     def flow_gap(velocity):
         h = march(exact[0], x, tg, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0),
                   rannacher=2)
         return float(np.max(np.abs(h - exact)))
 
-    assert flow_gap(lambda t: -mu.mu_at(t, x)) <= 2e-4
-    assert flow_gap(None) >= 0.05
+    return flow_gap(lambda t: -mu.mu_at(t, x)), flow_gap(None)
+
+
+@pytest.mark.parametrize("d", [Wang(0.5), Power(2.0), KahnemanTversky(0.6),
+                               TverskyFox(0.9, 0.6), Prelec(0.8, 0.9), Wang(0.3, k=2)],
+                         ids=repr)
+def test_distorted_drift_carries_the_distorted_survival(flow_field, d):
+    """Unit sigma, b = 0: the distorted survival H = phi_t(G) solves
+    d_t H = H_xx / 2 - mu d_x H with the drift compute_mu returns, so H
+    marched from t = 0.1 under that drift stays on phi_t(G) at every time;
+    marched without the drift it drifts off."""
+    with_drift, without = _flow_gaps(flow_field, d)
+    assert with_drift <= 2e-4
+    assert without >= 0.05
+
+
+def test_distorted_drift_of_a_time_shifted_schedule_needs_its_time_term(flow_field, monkeypatch):
+    """Wang(0.3, k=2) moves phi_t(G) in time as well as in x; a drift
+    without the time term leaves H off phi_t(G)."""
+    monkeypatch.setattr(Wang, "time_ratio", lambda self, t, p, comp: 0.0 * np.asarray(p))
+    assert _flow_gaps(flow_field, Wang(0.3, k=2))[0] >= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +692,7 @@ def test_phi_identity_schedule_is_the_diagonal():
                             n_steps=400)
     assert np.max(np.abs(curve(P_CHECK) - P_CHECK)) == 0.0
     assert curve.meta["identity_dynamics"] is True
+    assert curve.meta["mu_extrapolations"] == 0  # no march
 
 
 def test_phi_identity_detection_holds_for_state_dependent_drift():
@@ -677,6 +705,18 @@ def test_phi_identity_detection_holds_for_state_dependent_drift():
 def test_phi_wang_matches_closed_form(wang_curve):
     ref = wang_phi_closed(0.5, 0.25, 1.0)
     assert np.max(np.abs(wang_curve(P_CHECK) - ref(P_CHECK))) <= 1e-4
+    assert wang_curve.meta["mu_extrapolations"] == 0  # the field spans the march
+
+
+def test_phi_time_shifted_wang_matches_closed_form(monkeypatch):
+    """Wang(0.5, k=1): Phi = F(F^-1(p) + (m(t) - m(s)) / sqrt(t - s)) with
+    m(t) = 0.5 t**1.5; the drift's time term carries most of that shift."""
+    ref = wang_phi_closed(0.5, 0.25, 1.0, k=1)(P_CHECK)
+    curve = build_phi_curve(Wang(0.5, k=1), SPEC0, 0.25, 1.0, 0.0, drift_const=0.0)
+    assert np.max(np.abs(curve(P_CHECK) - ref)) <= 1e-4
+    monkeypatch.setattr(Wang, "time_ratio", lambda self, t, p, comp: 0.0 * np.asarray(p))
+    curve = build_phi_curve(Wang(0.5, k=1), SPEC0, 0.25, 1.0, 0.0, drift_const=0.0)
+    assert np.max(np.abs(curve(P_CHECK) - ref)) >= 0.05
 
 
 def test_phi_does_not_depend_on_the_anchor_state(wang_curve):
@@ -688,6 +728,9 @@ def test_phi_does_not_depend_on_the_anchor_state(wang_curve):
 def test_phi_pde_route_matches_closed_form():
     curve = build_phi_curve(Wang(0.5), SPEC0, 0.25, 1.0, 0.0, n_steps=400)
     assert curve.meta["mu_source"] == "pde-field"
+    # 920 of the march's 1601 nodes lie past the trimmed drift grid, read
+    # at each of 400 steps
+    assert curve.meta["mu_extrapolations"] == 920 * 400
     ref = wang_phi_closed(0.5, 0.25, 1.0)
     assert np.max(np.abs(curve(P_CHECK) - ref(P_CHECK))) <= 2e-4
 
@@ -953,13 +996,15 @@ def test_convergence_wang_refines_first_order():
 
 
 def test_convergence_skips_interleaving_failures():
-    sched = SeparableProduct(TimeWeight("exp", rate=-2.0, anchor=0.0), Power(2.0))
-    rep = convergence_study(SPEC0, sched, smoothed_step, [8, 16], 0.5, 0.0,
+    """A shift a(t) = 3 t moves faster than the lattice's survival weights
+    can follow: every level's quotients leave (0, 1)."""
+    rep = convergence_study(SPEC0, Wang(3.0, k=1), smoothed_step, [8, 16], 0.5, 0.0,
                             u_ref=0.0)
     assert rep.skipped == [8, 16]
     assert rep.N_list == []
     assert isinstance(rep, ConvergenceReport)
-    assert rep.derivative_clamps == 0  # no drift computed for a given u_ref
+    # no drift computed for a given u_ref
+    assert (rep.derivative_clamps, rep.extrapolations) == (0, 0)
 
 
 @pytest.mark.parametrize("eval_t", [2.0, -0.5, 0.0, 1.0])
@@ -974,6 +1019,9 @@ def test_convergence_internal_reference_close_to_closed_form():
     closed = wang_value_closed(0.5, smoothed_step, 0.5, 1.0, 0.0)
     assert abs(rep.reference - closed) <= 5e-4
     assert rep.derivative_clamps == 0  # its field is trimmed to cells of usable density
+    # the reference march reads 612 of its 1601 nodes, those past the
+    # trimmed field's +- 7 sqrt(0.5), outside the drift grid at each of 800 steps
+    assert rep.extrapolations == 612 * 800
     assert rep.errors[0] <= 5e-3
 
 

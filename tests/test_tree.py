@@ -31,8 +31,6 @@ from distort import (
     Identity,
     KahnemanTversky,
     Power,
-    SeparableProduct,
-    TimeWeight,
     Wang,
 )
 from distort.choquet import DiscreteRV, choquet_expectation_discrete
@@ -270,8 +268,10 @@ def test_identity_distortion_recovers_base(two_period):
 
 
 def test_fast_decaying_schedule_breaks_interleaving(two_period):
-    sched = SeparableProduct(TimeWeight("exp", rate=-2.0, anchor=1.0), Power(2.0))
-    with pytest.raises(ConsistencyError, match=r"i=1"):
+    """The shift a(t) = -2 t lowers phi_2(G_2) below phi_1(G_{1,1}) at
+    the first node of level 1."""
+    sched = Wang(-2.0, k=1)
+    with pytest.raises(ConsistencyError, match=re.escape("node (i=1, j=0)")):
         distort_tree(two_period, sched, strict=True)
     dt = distort_tree(two_period, sched, strict=False)
     assert (1, 0) in dt.violations
@@ -697,26 +697,25 @@ def _tree_cases():
         n = int(rng.integers(1, 13))
         d = [Power(float(rng.uniform(0.3, 3.0))), Wang(float(rng.uniform(-1.5, 1.5))),
              KahnemanTversky(float(rng.uniform(0.3, 0.95))),
-             SeparableProduct(TimeWeight("exp", rate=float(rng.uniform(-0.6, 0.0))),
-                              Power(2.0))][k % 4]
+             Wang(float(rng.uniform(-0.6, 0.6)), k=1)][k % 4]
         cases.append((random_tree(rng, n, p_range=(0.05, 0.95)), d))
     spec = DiffusionSpec(drift=constant_drift(0.0), x0=0.0, T=1.0)
     cases.append((lattice_from_diffusion(spec, 64), KahnemanTversky(0.6)))
     cases.append((lattice_from_diffusion(spec, 200), Wang(0.5)))
-    # lattices of several blocks under time-varying weights
+    # lattices of several blocks under time-shifted schedules; alpha > 0,
+    # since a negative shift meets the saturated survival of deep levels
     lattice = lattice_from_diffusion(spec, 256)
-    cases.append((lattice, SeparableProduct(TimeWeight("exp", rate=-0.5), Power(1.5))))
-    cases.append((lattice, SeparableProduct(TimeWeight("linear", rate=-0.3), Wang(0.4))))
-    cases.append((_late_violation_tree(), SeparableProduct(TimeWeight("exp", rate=-0.5),
-                                                             Power(2.0))))
+    cases.append((lattice, Wang(0.5, k=1)))
+    cases.append((lattice, Wang(0.4, k=2)))
+    cases.append((_late_violation_tree(), Wang(1.0, k=1)))
     return cases
 
 
 def _late_violation_tree():
     """130 periods whose first 91 times (levels 0 .. 90) lie below 1e-18,
-    where exp(-0.5 t) rounds to 1: a time-varying weight first moves at
-    level 91, so the first interleaving failure is at i = 90, the first row
-    of the second block."""
+    where a shift alpha t moves no phi value: a time-shifted schedule first
+    moves at level 91, so the first interleaving failure is at i = 90, the
+    first row of the second block."""
     n = 130
     times = np.concatenate([np.arange(91) * 1e-20, 1.0 + 0.01 * np.arange(n - 90)])
     rng = np.random.default_rng(4)
@@ -752,18 +751,6 @@ def test_distort_tree_per_level_phi_matches_eager_route():
             assert (dt.violations, dt.degenerate_edges) == ([], strict_ref[3])
     assert clipped >= 5 and rejected >= 5  # both the clip and the rejection ran
     assert multi_block >= 4 and late_first >= 1
-
-
-def test_strict_rejection_comes_before_a_later_weight_outside_the_unit_interval():
-    """f(t) = 1 - 1.2 t fails the interleaving condition at level 2 and
-    leaves (0, 1] at t = 1, level 5, of the same block: strict mode names
-    the node, as a level-by-level sweep does; non-strict mode names t."""
-    d = SeparableProduct(TimeWeight("linear", rate=-1.2), Power(2.0))
-    tree = _unit_lattice(5)
-    with pytest.raises(ConsistencyError, match=re.escape("node (i=2, j=0)")):
-        distort_tree(tree, d)
-    with pytest.raises(DomainError, match=re.escape("weight f(1.0)")):
-        distort_tree(tree, d, strict=False)
 
 
 def test_kahneman_tversky_lattice_rejected_at_level_58():
