@@ -7,8 +7,6 @@ an option name fails loudly instead of silently running defaults.
 
 from dataclasses import dataclass, field
 
-import jsonschema
-
 from .distortion import distortion_from_dict
 from .errors import ConfigError
 from .report import read_json
@@ -198,6 +196,10 @@ def validate_params(command, obj):
         raise ConfigError(f"unknown command {command!r}")
     if not isinstance(obj, dict):
         raise ConfigError(f"{command} config must be a JSON object")
+    # imported here, its only use: about 75 ms that a program that never
+    # validates a config (a library call, the benchmark's warm-ups) skips
+    import jsonschema
+
     validator = jsonschema.Draft202012Validator(SCHEMAS[command])
     errors = sorted(validator.iter_errors(obj), key=lambda e: list(e.absolute_path))
     if errors:

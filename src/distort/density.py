@@ -84,8 +84,9 @@ def blend_rows(grid, t, *stacks):
     end reads that end's row; a one-row grid returns its row."""
     if grid.size == 1:
         return tuple(m[0] for m in stacks)
-    k = int(np.clip(np.searchsorted(grid, t) - 1, 0, grid.size - 2))
-    w = np.clip((t - grid[k]) / (grid[k + 1] - grid[k]), 0.0, 1.0)
+    # scalar min and max: np.clip costs more than the blend of a short row
+    k = min(max(int(np.searchsorted(grid, t)) - 1, 0), grid.size - 2)
+    w = min(max((t - grid[k]) / (grid[k + 1] - grid[k]), 0.0), 1.0)
     return tuple((1.0 - w) * m[k] + w * m[k + 1] for m in stacks)
 
 
@@ -203,14 +204,15 @@ def gaussian_field(x0, t_grid, x_grid, drift=0.0):
     return DensityField(t, x, rho, normal.sf(z), G_comp=normal.cdf(z))
 
 
-def solve_survival_pde(spec, t_grid, x_grid, initial=None):
-    """Forward CN solve of d_t G = 1/2 d_xx G - b d_x G with G(t, -inf)=1.
+def survival_march(spec, t_grid, x_grid, initial=None):
+    """The checked march of solve_survival_pde: (t, x, G), G the history of
+    the forward CN solve of d_t G = 1/2 d_xx G - b d_x G with G(t, -inf)=1,
+    clipped to [0, 1] in place but not projected, its leak checked.
 
     The march starts at t_grid[0] from a Gaussian bump: by default the
     driftless kernel at t_grid[0] shifted by b(0, x0) * t_grid[0]; a custom
     (mean, variance) pair supports conditional restarts from later states.
-    rho comes from centered differencing of G, a block of rows at a time.
-    """
+    The history is the only array of the field's size it allocates."""
     t = np.asarray(t_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
@@ -242,9 +244,6 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
         g0, x, t, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0), rannacher=2,
     )
     np.clip(G, 0.0, 1.0, out=G)
-    rho = np.empty_like(G)
-    for g_blk, rho_blk in zip(row_blocks(G), row_blocks(rho)):
-        np.negative(np.gradient(g_blk, x, axis=1), out=rho_blk)
     # mass conservation is automatic with pinned boundary values (the density
     # integral telescopes to G_left - G_right), so a leak shows up as the
     # solution visibly touching the boundary instead
@@ -254,6 +253,40 @@ def solve_survival_pde(spec, t_grid, x_grid, initial=None):
             f"solve_survival_pde: solution reaches the boundary (leak {leak:.2e}); "
             "widen x_grid"
         )
+    return t, x, G
+
+
+def density_blocks(G, x):
+    """(first row, max(-d_x G, 0)) for each block of _BLOCK_ROWS rows of a
+    survival history G on the grid x, differenced as solve_survival_pde
+    differences whole rows.
+
+    After the last block it runs the value checks a DensityField runs on
+    the whole field, with the same NumericError: rho and G finite, then rho
+    at least -1e-9.  So a caller that reads only some cells of a history
+    checks all of it, and holds one block of rho at a time."""
+    finite, low = True, 0.0
+    for a, g_blk in zip(range(0, G.shape[0], _BLOCK_ROWS), row_blocks(G)):
+        rho = np.negative(np.gradient(g_blk, x, axis=1))
+        finite = finite and bool(np.all(np.isfinite(rho)) and np.all(np.isfinite(g_blk)))
+        if finite:
+            low = min(low, float(np.min(rho)))
+        np.maximum(rho, 0.0, out=rho)
+        yield a, rho
+    if not finite:
+        raise NumericError("DensityField: non-finite field values")
+    if low < -1e-9:
+        raise NumericError("DensityField: density has significant negative values")
+
+
+def solve_survival_pde(spec, t_grid, x_grid, initial=None):
+    """The whole field of survival_march's history: rho from density_blocks
+    and G projected monotone in x by the DensityField, which takes both
+    arrays over."""
+    t, x, G = survival_march(spec, t_grid, x_grid, initial)
+    rho = np.empty_like(G)
+    for a, rho_blk in density_blocks(G, x):
+        rho[a:a + rho_blk.shape[0]] = rho_blk
     return DensityField(t, x, rho, G)
 
 

@@ -28,13 +28,14 @@ from .density import (
     blend_rows,
     bounded_read,
     bounded_rows,
+    density_blocks,
     draw_normals,
     gaussian_field,
     normals_buffer,
     owned,
     row_blocks,
     run_batches,
-    solve_survival_pde,
+    survival_march,
 )
 from .distortion import EPS_P
 from .errors import (
@@ -125,15 +126,55 @@ class GridLookup:
 
 
 @dataclass(frozen=True)
+class DriftReader:
+    """The drift of a DriftField at fixed nodes: reader(t) is the row blended
+    at t, read at every node, and outside the count of nodes past the grid.
+
+    Each node's cell j (x_j <= x < x_j+1; cell 0 below the grid, the last
+    node at or above it), its offset x - x_j and whether it sits on x_j are
+    found once.  A read blends two rows in t, forms the cell slopes of the
+    blend, gathers row and slope at the cells in one take, and returns
+    slope * offset + row[j], np.interp's own formula, with row[j] itself on a
+    node as np.interp returns it.  Inside the grid that is np.interp of the
+    blended row bit for bit; past the ends it extends by the edge slope,
+    row[0] + slope * (x - x0) and row[-1] + slope * (x - x_last).  Reading
+    changes nothing."""
+
+    field: object
+    cell_dx: np.ndarray
+    cell: np.ndarray
+    offset: np.ndarray
+    on_node: np.ndarray
+    outside: int
+
+    def __call__(self, t):
+        row = blend_rows(self.field.t_grid, t, self.field.mu)[0]
+        # row and cell slopes side by side; the last node's slope is that of
+        # the last cell, which the nodes past the upper end extend by
+        table = np.empty((2, row.size))
+        table[0] = row
+        np.subtract(row[1:], row[:-1], out=table[1, :-1])
+        table[1, :-1] /= self.cell_dx
+        table[1, -1] = table[1, -2]
+        at_cell = np.take(table, self.cell, axis=1)
+        out = at_cell[1] * self.offset
+        out += at_cell[0]
+        np.copyto(out, at_cell[0], where=self.on_node)
+        return out
+
+
+@dataclass(frozen=True)
 class DriftField:
     """mu(t, x) on a grid, with interpolation and extension.
 
-    Rows are blended linearly in t (held at the time ends) and looked up in
-    x by a GridLookup, exactly as np.interp would; reading changes nothing.
-    mu_at reads each row once and hands it to np.interp; table() serves many
-    lookups at fixed times from rows and slopes built once, 16 bytes per node
-    per time, by index arithmetic.  clamps counts the survival cells that
-    compute_mu clamped into [EPS_P, 1 - EPS_P] (0 for a field built otherwise).
+    Rows are blended linearly in t (held at the time ends) and read in x
+    exactly as np.interp would; reading changes nothing.  reader(nodes)
+    serves a march: it finds each node's cell once and extends the drift
+    past the grid by the edge slope.  table() serves many lookups at fixed
+    times from rows and slopes built once, 16 bytes per node per time, by a
+    GridLookup, held at the grid ends.  clamps counts the survival cells
+    that compute_mu clamped into [EPS_P, 1 - EPS_P] (0 for a field built
+    otherwise).
     """
 
     t_grid: np.ndarray
@@ -175,19 +216,14 @@ class DriftField:
 
         return look
 
-    def mu_at(self, t, x):
-        """Bilinear evaluation; x outside the grid extends by the edge slope."""
-        row, xg = self.row_at(t), self.x_grid
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out, n_out = self._lookup(xs, row, None)
-        if n_out:
-            lo_slope = (row[1] - row[0]) / (xg[1] - xg[0])
-            hi_slope = (row[-1] - row[-2]) / (xg[-1] - xg[-2])
-            out = np.where(xs < xg[0], row[0] + lo_slope * (xs - xg[0]), out)
-            out = np.where(xs > xg[-1], row[-1] + hi_slope * (xs - xg[-1]), out)
-        if np.isscalar(x) or np.asarray(x).ndim == 0:
-            return float(out[0])
-        return out
+    def reader(self, nodes):
+        """The DriftReader of the 1-D array nodes."""
+        nodes = np.asarray(nodes, dtype=float)
+        xg = self.x_grid
+        cell = np.clip(np.searchsorted(xg, nodes, side="right") - 1, 0, xg.size - 1)
+        offset = nodes - xg[cell]
+        outside = int(np.count_nonzero((nodes < xg[0]) | (nodes > xg[-1])))
+        return DriftReader(self, np.diff(xg), cell, offset, offset == 0.0, outside)
 
     def growth_constant(self):
         """max |mu| / (1 + |x - c|) over the grid, c its midpoint (the
@@ -320,11 +356,12 @@ def _payload_on_grid(g, x):
 
 def _velocity_from(mu, x_grid):
     """The march's drift reader t -> mu(t, x_grid) on its fixed nodes, and
-    how many of those nodes lie outside a DriftField's grid (each read
-    extends the drift there by the edge slope)."""
+    how many of those nodes lie outside a DriftField's grid: a DriftField is
+    read through its DriftReader, which extends the drift there by the edge
+    slope."""
     if isinstance(mu, DriftField):
-        n_out = np.count_nonzero((x_grid < mu.x_grid[0]) | (x_grid > mu.x_grid[-1]))
-        return (lambda tm: mu.mu_at(tm, x_grid)), int(n_out)
+        reader = mu.reader(x_grid)
+        return reader, reader.outside
     if callable(mu):
         return (lambda tm: np.broadcast_to(
             np.asarray(mu(tm, x_grid), dtype=float), x_grid.shape
@@ -574,19 +611,40 @@ def _trimmed_pde_field(spec, s, t, nx, half):
     exact zeros.  The field keeps the times from s on (to 1e-12) and the x
     within min(half, 7 sqrt(s)) of x0, stopping short of the first x on
     either side of x0 whose density is exactly 0 at a kept time; callers
-    extend the drift past the trimmed edges."""
+    extend the drift past the trimmed edges.
+
+    It equals solve_survival_pde's field on 801 times from 1e-3 to t, cut
+    to those cells, bit for bit, and runs every check that field runs; but
+    only the march history is formed over the whole grid.  rho and the
+    projected G (a running minimum from the first column) are read off it
+    a block of rows at a time, on the window only, before it is dropped."""
     wide_half = 8.0 * math.sqrt(spec.T)
     wide = np.linspace(spec.x0 - wide_half, spec.x0 + wide_half, nx)
-    full = solve_survival_pde(spec, np.linspace(1e-3, t, 801), wide)
-    keep_t = full.t_grid >= s - 1e-12
-    keep_x = np.abs(wide - spec.x0) <= min(half, 7.0 * math.sqrt(s)) + 1e-12
-    zero = np.flatnonzero((full.rho == 0.0)[keep_t].any(axis=0))
-    k0 = int(np.argmin(np.abs(wide - spec.x0)))
-    keep_x[: np.max(zero[zero < k0], initial=-1) + 1] = False
-    keep_x[np.min(zero[zero > k0], initial=wide.size):] = False
-    cells = np.ix_(keep_t, keep_x)
-    field = DensityField(full.t_grid[keep_t], wide[keep_x], full.rho[cells],
-                         full.G[cells], G_comp=full.G_comp[cells])
+    radius = min(half, 7.0 * math.sqrt(s))
+    near = np.flatnonzero(np.abs(wide - spec.x0) <= radius + 1e-12)
+    if near.size == 0:
+        raise DomainError(f"_trimmed_pde_field: no grid point within {radius} of x0={spec.x0}")
+    lo, hi = int(near[0]), int(near[-1]) + 1
+    t_grid, _, hist = survival_march(spec, np.linspace(1e-3, t, 801), wide)
+    r0 = int(np.searchsorted(t_grid, s - 1e-12))  # the kept times are a suffix
+    rho = np.empty((t_grid.size - r0, hi - lo))
+    G = np.empty_like(rho)
+    zero = np.zeros(hi - lo, dtype=bool)
+    for a, rho_blk in density_blocks(hist, wide):
+        b = a + rho_blk.shape[0]
+        if b <= r0:
+            continue
+        a0 = max(a, r0)
+        rows = slice(a0 - r0, b - r0)
+        rho[rows] = rho_blk[a0 - a:, lo:hi]
+        zero |= (rho[rows] == 0.0).any(axis=0)
+        G[rows] = np.minimum.accumulate(hist[a0:b, :hi], axis=1)[:, lo:]
+    del hist
+    k0 = int(np.argmin(np.abs(wide - spec.x0))) - lo
+    zero = np.flatnonzero(zero)
+    cut = slice(np.max(zero[zero < k0], initial=-1) + 1, np.min(zero[zero > k0], initial=hi - lo))
+    field = DensityField(t_grid[r0:], wide[lo:hi][cut], rho[:, cut], G[:, cut],
+                         G_comp=1.0 - G[:, cut])
     return field, wide
 
 
@@ -645,10 +703,13 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         half_c = (_Y_WIDTH + 5.0) * sq_gap
         xg_c = np.linspace(x - half_c, x + half_c, max(n_march, 2401))
         tg_c = np.linspace(s, t, 401)
-        # only the last row is read: the conditional field is dropped here,
-        # before the drift's own survival solve
-        cond = solve_survival_pde(spec, tg_c, xg_c, initial=(x + b_sx * 1e-4, 1e-4))
-        surv_p = np.interp(y_grid, xg_c, cond.G[-1])
+        # only the projected last row is read, so no field is built; the
+        # history is checked as a field would be, and dropped here, before
+        # the drift's own survival solve
+        _, _, cond = survival_march(spec, tg_c, xg_c, initial=(x + b_sx * 1e-4, 1e-4))
+        for _ in density_blocks(cond, xg_c):
+            pass
+        surv_p = np.interp(y_grid, xg_c, np.minimum.accumulate(cond[-1]))
         del cond
 
     # march domain for the distorted survival sweep, centered on the anchor

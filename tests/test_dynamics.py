@@ -31,6 +31,7 @@ from distort.distortion import (
 from distort.dynamics import (
     ConvergenceReport,
     DriftField,
+    DriftReader,
     GridLookup,
     build_phi_curve,
     compute_mu,
@@ -44,7 +45,7 @@ from distort.dynamics import (
     wang_value_closed,
 )
 from distort._cn import march
-from distort import dynamics
+from distort import density, dynamics
 from distort.tree import PhiCurve
 from distort.dynamics import (
     _debias_smoothed,
@@ -221,8 +222,8 @@ def test_drift_field_interpolation_and_extension():
         np.array([0.0, 1.0, 2.0]),
         np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]),
     )
-    assert f.mu_at(0.5, 1.0) == pytest.approx(1.5)
-    assert f.mu_at(0.0, 3.0) == pytest.approx(3.0)  # edge slope continues
+    assert f.reader([1.0])(0.5)[0] == pytest.approx(1.5)
+    assert f.reader([3.0])(0.0)[0] == pytest.approx(3.0)  # edge slope continues
     vals, n_out = f.table([0.0])(0, np.array([3.0]))
     assert vals[0] == pytest.approx(2.0)  # table holds
     assert n_out == 1  # the caller sums table counts
@@ -243,7 +244,7 @@ def _interp_row(f, t):
 
 
 def _interp_mu_at(f, t, xs, extrapolate):
-    """mu_at ("slope") or table() ("hold") by np.interp: (values, queries
+    """reader() ("slope") or table() ("hold") by np.interp: (values, queries
     below the grid, above it)."""
     row, xg = _interp_row(f, t), f.x_grid
     out = np.interp(xs, xg, row)
@@ -294,7 +295,7 @@ def test_grid_lookup_equals_np_interp(name):
 @pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
 @pytest.mark.parametrize("extrapolate", ["hold", "slope"])
 def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
-    """mu_at extends by the edge slope (a march reads it through
+    """The reader extends by the edge slope (a march reads it through
     _velocity_from, which counts its nodes outside the grid); table() holds
     the edge value and counts the queries outside the grid."""
 
@@ -314,8 +315,35 @@ def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
         vals, n_out = read(t, xs)
         assert np.array_equal(vals, ref)
         assert n_out == below + above > 0
-        last = f.mu_at(t, float(xs[-1])) if extrapolate == "slope" else read(t, xs[-1:])[0]
+        last = read(t, xs[-1:])[0]
         assert np.all(last == ref[-1])
+
+
+@pytest.mark.parametrize("name", ["uniform", "non-uniform"])
+@pytest.mark.parametrize("nt", [1, 3])
+def test_drift_reader_equals_np_interp_with_edge_slopes(name, nt):
+    """The reader finds each node's cell once and reads np.interp of the
+    blended row bit for bit, the sign of a zero on a node included, and
+    past either end the edge slope's extension; it counts the nodes
+    outside the grid."""
+    rng = np.random.default_rng(11)
+    xg = LOOKUP_GRIDS[name]
+    mu = rng.normal(size=(nt, xg.size))
+    mu[:, 2] = -0.0
+    f = DriftField(np.linspace(0.2, 0.8, nt), xg, mu)
+    span = xg[-1] - xg[0]
+    below = xg[0] - span * rng.uniform(0.01, 1.0, 5)
+    above = xg[-1] + span * rng.uniform(0.01, 1.0, 7)
+    nodes = np.sort(np.concatenate([rng.uniform(xg[0], xg[-1], 50), xg, below, above]))
+    read = f.reader(nodes)
+    assert read.outside == 12
+    assert np.count_nonzero(read.on_node) == xg.size
+    for t in (0.0, 0.2, 0.35, 0.8, 1.5):
+        ref, lo, hi = _interp_mu_at(f, t, nodes, "slope")
+        out = read(t)
+        assert (lo, hi) == (5, 7)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(np.signbit(out), np.signbit(ref))
 
 
 def test_grid_lookup_fuzz_against_np_interp():
@@ -374,7 +402,8 @@ def _flow_gaps(field, d):
                   rannacher=2)
         return float(np.max(np.abs(h - exact)))
 
-    return flow_gap(lambda t: -mu.mu_at(t, x)), flow_gap(None)
+    read = mu.reader(x)
+    return flow_gap(lambda t: -read(t)), flow_gap(None)
 
 
 @pytest.mark.parametrize("d", [Wang(0.5), Power(2.0), KahnemanTversky(0.6),
@@ -769,17 +798,27 @@ def test_phi_mc_cross_check_state_dependent_drift():
         assert abs(sim.mean - curve.surv_q[k]) <= 0.012
 
 
-def test_phi_survival_route_peak_stays_below_six_fields():
+def test_phi_survival_route_peak_stays_below_three_fields():
     """The Power(2) curve on the survival-PDE route, at the default sizes,
-    peaks below 6 arrays of the (801, 1601) drift field: the fields are
-    built in place and the conditional field is dropped before the drift's
-    own survival solve (8.3 when it was kept and each step of a field build
-    allocated a field of its own)."""
+    peaks below 3 arrays of the (801, 1601) drift field: the conditional
+    solve keeps its last row only, and the drift's survival field is built
+    on its window only (4.1 when both built whole fields, 8.3 when the
+    conditional field was kept and each step of a field build allocated a
+    field of its own)."""
     spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0)
     curve, peak = traced_peak(build_phi_curve, Power(2.0), spec, 0.25, 1.0, 0.0,
                               drift_const=None)
     assert curve.meta["mu_source"] == "pde-field"
-    assert peak < 6.0 * 801 * 1601 * 8
+    assert peak < 3.0 * 801 * 1601 * 8
+
+
+def test_trimmed_field_peak_stays_below_two_and_a_half_fields():
+    """The march history is the one array of the (801, 1601) grid that the
+    trimmed field forms; its window's rho and G are read off it a block at
+    a time (4.1 arrays when the whole field was built and then cut)."""
+    (field, _), peak = traced_peak(_trimmed_pde_field, SPEC0, 0.25, 1.0, 1601, math.inf)
+    assert field.rho.shape == (601, 701)
+    assert peak < 2.5 * 801 * 1601 * 8
 
 
 def test_phi_rejects_time_zero_and_below_s_min():
@@ -807,13 +846,13 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field, monkeypat
     indicator payload read at x; the drift is read at the same times on the
     same nodes, some of them outside its grid."""
     reads = []
-    mu_at = DriftField.mu_at
+    read = DriftReader.__call__
 
-    def recorded(f, tm, xs):
-        reads.append((tm, xs))
-        return mu_at(f, tm, xs)
+    def recorded(r, tm):
+        reads.append((tm, r))
+        return read(r, tm)
 
-    monkeypatch.setattr(DriftField, "mu_at", recorded)
+    monkeypatch.setattr(DriftReader, "__call__", recorded)
     s, t, x, n_steps, n_march, n_y, y_width = 0.25, 1.0, 0.3, 200, 401, 41, 3.9
     mu = compute_mu(Wang(0.5), wang_field, ZERO)
     curve = build_phi_curve(Wang(0.5), SPEC0, s, t, x, drift_const=0.0, mu=mu,
@@ -838,8 +877,9 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field, monkeypat
     assert np.max(np.abs(curve.surv_q - ref)) <= 1e-12
     assert len(reads) == n_steps
     assert sorted(tm for tm, _ in curve_reads) == sorted(tm for tm, _ in reads)
-    assert all(np.array_equal(xs, pde_x) for _, xs in curve_reads + reads)
-    assert n_out > 0
+    assert all(np.array_equal(r.cell, vel.cell) and np.array_equal(r.offset, vel.offset)
+               for _, r in curve_reads + reads)
+    assert n_out == vel.outside > 0
 
 
 def _scalar_bisection(fn, lo, hi, v_lo, v_hi, target):
@@ -1039,6 +1079,104 @@ def test_trimmed_field_stops_short_of_zero_density():
     # the base case keeps its full window
     field0, _ = _trimmed_pde_field(SPEC0, 0.5, 1.0, 1601, math.inf)
     assert field0.x_grid[-1] == pytest.approx(7.0 * math.sqrt(0.5), abs=0.01)
+
+
+TRIM_DRIFTS = {
+    "zero": ZERO,
+    "ou": OU.drift,
+    "time-varying": lambda t, x: 0.3 * t - 0.2 * np.asarray(x, dtype=float),
+}
+
+
+@pytest.mark.parametrize("drift", list(TRIM_DRIFTS))
+@pytest.mark.parametrize("s, half", [(0.25, math.inf), (0.5, math.inf), (0.25, 2.0)])
+def test_trimmed_field_is_the_whole_field_cut_to_its_window(drift, s, half):
+    """The window route equals the whole survival field cut by np.ix_ with
+    the same trimming, bit for bit."""
+    spec = DiffusionSpec(drift=TRIM_DRIFTS[drift], x0=0.0, T=1.0)
+    field, wide = _trimmed_pde_field(spec, s, 1.0, 1601, half)
+    full = solve_survival_pde(spec, np.linspace(1e-3, 1.0, 801), wide)
+    keep_t = full.t_grid >= s - 1e-12
+    keep_x = np.abs(wide) <= min(half, 7.0 * math.sqrt(s)) + 1e-12
+    zero = np.flatnonzero((full.rho == 0.0)[keep_t].any(axis=0))
+    keep_x[: np.max(zero[zero < 800], initial=-1) + 1] = False
+    keep_x[np.min(zero[zero > 800], initial=wide.size):] = False
+    cells = np.ix_(keep_t, keep_x)
+    assert np.array_equal(field.t_grid, full.t_grid[keep_t])
+    assert np.array_equal(field.x_grid, wide[keep_x])
+    for name in ("rho", "G", "G_comp"):
+        assert np.array_equal(getattr(field, name), getattr(full, name)[cells]), name
+    assert field.projection == 0.0
+
+
+def test_trimmed_field_projects_from_the_first_column(monkeypatch):
+    """A dip left of the window, too shallow to fail the density check,
+    lowers the projected G inside it: the running minimum starts at the
+    first column, as it does over the whole field."""
+    t_grid, wide = np.linspace(1e-3, 1.0, 801), np.linspace(-8.0, 8.0, 1601)
+    row = int(np.searchsorted(t_grid, 0.25 - 1e-12))  # the first kept time
+    lo = int(np.argmax(wide >= -3.5 - 1e-12))  # the window's first column
+    real = density.march
+
+    def dipped(*args, **kwargs):
+        G = real(*args, **kwargs)
+        G[row, 100] = G[row, lo] - 1e-13  # G there is 1 - 1.3e-12
+        return G
+
+    monkeypatch.setattr(density, "march", dipped)
+    field, _ = _trimmed_pde_field(SPEC0, 0.25, 1.0, 1601, math.inf)
+    full = solve_survival_pde(SPEC0, t_grid, wide)
+    assert field.G[0, 0] < 1.0 - 1.3e-12
+    assert np.array_equal(field.G, full.G[row:, lo:lo + field.x_grid.size])
+
+
+def test_trimmed_field_without_a_node_near_x0_is_rejected():
+    # 1602 nodes leave none at x0, and half = 1e-6 keeps none within reach
+    with pytest.raises(DomainError, match="no grid point within 1e-06 of x0=0.0"):
+        _trimmed_pde_field(SPEC0, 0.5, 1.0, 1602, 1e-6)
+
+
+def test_phi_conditional_curve_is_the_last_row_of_the_conditional_field():
+    s, t, x = 0.25, 1.0, 0.2
+    curve = build_phi_curve(Wang(0.5), OU, s, t, x, mu=wang_mu_closed(0.5),
+                            n_steps=50, n_march=401)
+    gap, b_sx = t - s, -x
+    center = x + b_sx * gap
+    y_grid = np.linspace(center - 3.9 * math.sqrt(gap), center + 3.9 * math.sqrt(gap), 161)
+    half_c = (3.9 + 5.0) * math.sqrt(gap)
+    xg_c = np.linspace(x - half_c, x + half_c, 2401)
+    cond = solve_survival_pde(OU, np.linspace(s, t, 401), xg_c, initial=(x + b_sx * 1e-4, 1e-4))
+    assert np.array_equal(curve.y_grid, y_grid)
+    assert np.array_equal(curve.surv_p, np.interp(y_grid, xg_c, cond.G[-1]))
+
+
+SPOILED_HISTORIES = {
+    # row 5 (t < 0.01) and columns 3-5 (x near -7.9) lie outside the kept window
+    "non-finite": (lambda g: g.__setitem__(3, np.nan), "non-finite field values"),
+    "negative density": (lambda g: g.__setitem__(4, 0.5), "significant negative values"),
+}
+
+
+@pytest.mark.parametrize("spoil", list(SPOILED_HISTORIES))
+@pytest.mark.parametrize("route", ["window", "conditional"])
+def test_spoiled_history_outside_the_window_is_rejected(monkeypatch, route, spoil):
+    """Both routes that read only part of a survival history check all of
+    it, as a DensityField checks its field."""
+    change, message = SPOILED_HISTORIES[spoil]
+    real = dynamics.survival_march
+
+    def spoiled(*args, **kwargs):
+        t, x, G = real(*args, **kwargs)
+        change(G[5])
+        return t, x, G
+
+    monkeypatch.setattr(dynamics, "survival_march", spoiled)
+    with pytest.raises(NumericError, match=message):
+        if route == "window":
+            _trimmed_pde_field(OU, 0.5, 1.0, 1601, math.inf)
+        else:
+            build_phi_curve(Wang(0.5), OU, 0.25, 1.0, 0.2, mu=wang_mu_closed(0.5),
+                            n_steps=50, n_march=401)
 
 
 def test_convergence_internal_reference_for_ou_drift():

@@ -37,16 +37,25 @@ def test_every_import_is_used(module):
     assert unused_imports((PKG / module).read_text()) == []
 
 
-# modules that importing the package must leave unloaded: no module needs
-# numerical integration, and build_phi_curve, the only user of CubicSpline,
-# imports scipy.interpolate when it is called
-UNLOADED = ["scipy.integrate", "scipy.interpolate"]
+# modules that importing the package, or its command-line module, must
+# leave unloaded: no module needs numerical integration; build_phi_curve,
+# the only user of CubicSpline, imports scipy.interpolate when it is called,
+# and validate_params imports jsonschema when a config is validated
+UNLOADED = ["scipy.integrate", "scipy.interpolate", "jsonschema"]
+
+
+def _listed_modules_loaded_by(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG.parent), env.get("PYTHONPATH")]))
+    code = f"import sys, {module}; print([m for m in {UNLOADED!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
 
 
 def test_importing_the_package_leaves_the_listed_modules_unloaded():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG.parent), env.get("PYTHONPATH")]))
-    code = f"import sys, distort; print([m for m in {UNLOADED!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _listed_modules_loaded_by("distort") == "[]"
+
+
+def test_importing_the_command_line_leaves_the_listed_modules_unloaded():
+    assert _listed_modules_loaded_by("distort.cli") == "[]"

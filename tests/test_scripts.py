@@ -2,6 +2,8 @@
 PYTHONPATH=src, as their docstrings say to run them."""
 
 import functools
+import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -43,3 +45,41 @@ def test_convergence_table_fits_no_order_to_errors_that_grow():
     orders = re.findall(r"^  fitted order: (.*)$", out, flags=re.M)
     assert orders[:2] == ["none, the errors do not strictly decrease with N"] * 2, out
     assert float(orders[2]) > 0.0, out
+
+
+def _identity_check():
+    spec = importlib.util.spec_from_file_location(
+        "identity_check", ROOT / "scripts" / "identity_check.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_identity_check_names_the_files_that_differ(tmp_path):
+    check = _identity_check()
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        (root / "sub").mkdir(parents=True)
+        (root / "report.json").write_bytes(b'{"x": 1}\n')
+        (root / "sub" / "t.csv").write_bytes(b"1,2\n")
+        (root / "meta.json").write_text(str(root))  # differs, and is not compared
+    assert check.differing_files(a, b) == []
+    (b / "sub" / "t.csv").write_bytes(b"1,3\n")
+    (a / "only.csv").write_bytes(b"")
+    assert check.differing_files(a, b) == ["only.csv", "sub/t.csv"]
+
+
+def test_identity_check_reads_the_command_off_a_config(tmp_path):
+    check = _identity_check()
+    for command, keys in (("tree", {"distortion": {}, "tree": {}}),
+                          ("dynamics", {"distortion": {}, "model": {}}),
+                          ("density", {"model": {}})):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(keys))
+        assert check.config_command(path) == command
+
+
+def test_identity_check_of_a_tree_against_itself_exits_0():
+    r = run_script(("identity_check.py", str(ROOT), str(ROOT), "--preset", "tree:example3_3"))
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.splitlines() == ["tree-example3_3: exit 0, identical"]
