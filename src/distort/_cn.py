@@ -15,12 +15,15 @@ equation started from the probe.
 
 A march checks its grid and its data once and rebuilds the bands of each
 step from the spacing, checking only that step's diffusion and velocity;
-each step is one direct LAPACK gtsv solve.  No band or velocity tables are
-built for all steps at once: on the Phi curve that was no faster than the
-per-step route and raised peak memory from 211 to 246 MB.  A march returns
-its whole history: one (nt,) + u0.shape array allocated up front and filled
-a slice per step; no per-step copies are kept and joined at the end, so a
-march holds the history and a few slices, not the history twice.
+each step is one direct LAPACK gtsv solve.  Bands are kept in gtsv's own
+layout, (sub, diag, sup) of lengths n - 1, n, n - 1, so a step passes them
+without slicing and the transposed step swaps sub and sup.  No band or
+velocity tables are built for all steps at once: on the Phi curve that was
+no faster than the per-step route and raised peak memory from 211 to 246 MB.
+A march returns its whole history: one (nt,) + u0.shape array allocated up
+front and filled a slice per step; no per-step copies are kept and joined at
+the end, so a march holds the history and a few slices, not the history
+twice.
 """
 
 import numpy as np
@@ -33,6 +36,9 @@ def uniform_spacing(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 3:
         raise DomainError("grid must be 1-D with at least 3 points")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise DomainError(f"grid node {bad[0]} is {x[bad[0]]}; grid nodes must be finite")
     dx = np.diff(x)
     if np.any(dx <= 0.0) or (dx.max() - dx.min()) > 1e-9 * dx.mean():
         raise DomainError("grid must be uniform and increasing")
@@ -40,7 +46,9 @@ def uniform_spacing(x):
 
 
 def operator_bands(x, diffusion, velocity=None, bc="dirichlet"):
-    """Tridiagonal bands (lower, diag, upper) of L u = D u'' + v u'.
+    """Tridiagonal bands (sub, diag, sup) of L u = D u'' + v u', of lengths
+    n - 1, n and n - 1 as gtsv takes them: sub[i] = L[i + 1, i] and
+    sup[i] = L[i, i + 1].
 
     Dirichlet rows are zeroed so boundary values stay frozen; Neumann rows
     use a reflected ghost node (zero normal derivative)."""
@@ -83,15 +91,14 @@ def _bands(dx, n, diffusion, velocity, bc):
         diag[-1] = -2.0 * base[-1]
     else:
         raise DomainError(f"unknown boundary condition {bc!r}")
-    lower[0] = upper[-1] = 0.0
-    return lower, diag, upper
+    return lower[1:], diag, upper[:-1]
 
 
 def apply_operator(u, bands):
-    lower, diag, upper = bands
+    sub, diag, sup = bands
     out = diag * u
-    out[..., :-1] += upper[:-1] * u[..., 1:]
-    out[..., 1:] += lower[1:] * u[..., :-1]
+    out[..., :-1] += sup * u[..., 1:]
+    out[..., 1:] += sub * u[..., :-1]
     return out
 
 
@@ -100,10 +107,10 @@ def theta_step(u, bands, dt, theta=0.5, bc_values=None):
 
     u may be (n,) or (k, n) for several payloads sharing the operator.  The
     solve checks no entry for being finite; march checks its data once."""
-    lower, diag, upper = bands
+    sub, diag, sup = bands
     rhs = u + ((1.0 - theta) * dt) * apply_operator(u, bands) if theta < 1.0 else u.copy()
     _, _, _, out, info = dgtsv(
-        -theta * dt * lower[1:], 1.0 - theta * dt * diag, -theta * dt * upper[:-1],
+        -theta * dt * sub, 1.0 - theta * dt * diag, -theta * dt * sup,
         rhs.T, overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
     )
     if info > 0:
@@ -143,8 +150,8 @@ def _step_bands(x, diffusion, velocity, bc):
 
 def _transposed_bands(bands):
     """Bands of L^T: the sub- and superdiagonals trade places."""
-    lower, diag, upper = bands
-    return np.append(0.0, upper[:-1]), diag, np.append(lower[1:], 0.0)
+    sub, diag, sup = bands
+    return sup, diag, sub
 
 
 def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None,

@@ -78,26 +78,26 @@ def default_grids(spec, nt=800, nx=1601, width=8.0):
     return t_grid, x_grid
 
 
-def blend_rows(grid, t, *stacks):
-    """Each (nt, nx) stack's rows blended linearly at time t between the two
+def blend_rows(grid, t, stack):
+    """The (nt, nx) stack's rows blended linearly at time t between the two
     grid rows around it.  The weight is clipped to [0, 1], so t past either
     end reads that end's row; a one-row grid returns its row."""
     if grid.size == 1:
-        return tuple(m[0] for m in stacks)
+        return stack[0]
     # scalar min and max: np.clip costs more than the blend of a short row
     k = min(max(int(np.searchsorted(grid, t)) - 1, 0), grid.size - 2)
     w = min(max((t - grid[k]) / (grid[k + 1] - grid[k]), 0.0), 1.0)
-    return tuple((1.0 - w) * m[k] + w * m[k + 1] for m in stacks)
+    return (1.0 - w) * stack[k] + w * stack[k + 1]
 
 
-def bounded_rows(grid, t, *stacks):
+def bounded_rows(grid, t, stack):
     """blend_rows for t within the grid (to 1e-12) of at least two rows;
     DomainError otherwise."""
     if grid.size < 2:
         raise DomainError("interpolation needs at least two grid entries")
     if not (grid[0] - 1e-12 <= t <= grid[-1] + 1e-12):
         raise DomainError(f"time {t} outside grid [{grid[0]}, {grid[-1]}]")
-    return blend_rows(grid, t, *stacks)
+    return blend_rows(grid, t, stack)
 
 
 def row_blocks(a):
@@ -189,7 +189,7 @@ class DensityField:
         object.__setattr__(self, "G_comp", comp)
 
     def rho_at(self, t, x):
-        return bounded_read(self.x_grid, bounded_rows(self.t_grid, t, self.rho)[0], x)
+        return bounded_read(self.x_grid, bounded_rows(self.t_grid, t, self.rho), x)
 
 
 def gaussian_field(x0, t_grid, x_grid, drift=0.0):
@@ -204,33 +204,26 @@ def gaussian_field(x0, t_grid, x_grid, drift=0.0):
     return DensityField(t, x, rho, normal.sf(z), G_comp=normal.cdf(z))
 
 
-def survival_march(spec, t_grid, x_grid, initial=None):
+def survival_march(spec, t_grid, x_grid):
     """The checked march of solve_survival_pde: (t, x, G), G the history of
     the forward CN solve of d_t G = 1/2 d_xx G - b d_x G with G(t, -inf)=1,
     clipped to [0, 1] in place but not projected, its leak checked.
 
-    The march starts at t_grid[0] from a Gaussian bump: by default the
-    driftless kernel at t_grid[0] shifted by b(0, x0) * t_grid[0]; a custom
-    (mean, variance) pair supports conditional restarts from later states.
-    The history is the only array of the field's size it allocates."""
+    The march starts at t_grid[0] from the driftless kernel at t_grid[0]
+    shifted by b(0, x0) * t_grid[0].  The history is the only array of the
+    field's size it allocates."""
     t = np.asarray(t_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
         raise DomainError("solve_survival_pde: t_grid must be increasing")
-    if initial is None:
-        if t[0] < _T_INIT_MIN:
-            raise DomainError(
-                f"solve_survival_pde: first grid time {t[0]} below {_T_INIT_MIN}; "
-                "the time-zero law is a point mass and has no density"
-            )
-        b0 = float(np.asarray(spec.drift(0.0, np.array([spec.x0])), dtype=float)[0])
-        mean, var = spec.x0 + b0 * t[0], t[0]
-    else:
-        mean, var = float(initial[0]), float(initial[1])
-        if var <= 0.0:
-            raise DomainError("solve_survival_pde: initial variance must be positive")
-    z0 = (x - mean) / np.sqrt(var)
+    if t[0] < _T_INIT_MIN:
+        raise DomainError(
+            f"solve_survival_pde: first grid time {t[0]} below {_T_INIT_MIN}; "
+            "the time-zero law is a point mass and has no density"
+        )
+    b0 = float(np.asarray(spec.drift(0.0, np.array([spec.x0])), dtype=float)[0])
+    z0 = (x - (spec.x0 + b0 * t[0])) / np.sqrt(t[0])
     g0 = normal.sf(z0)
     if g0[0] < 1.0 - 1e-9 or g0[-1] > 1e-9:
         raise AccuracyError("solve_survival_pde: initial bump touches the boundary; widen x_grid")
@@ -239,7 +232,6 @@ def survival_march(spec, t_grid, x_grid, initial=None):
         return -np.asarray(spec.drift(tm, x), dtype=float)
 
     # two implicit start steps damp the high frequencies of the initial bump
-    # (it can sit on just a few cells after a conditional restart)
     G = march(
         g0, x, t, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0), rannacher=2,
     )
@@ -279,11 +271,11 @@ def density_blocks(G, x):
         raise NumericError("DensityField: density has significant negative values")
 
 
-def solve_survival_pde(spec, t_grid, x_grid, initial=None):
+def solve_survival_pde(spec, t_grid, x_grid):
     """The whole field of survival_march's history: rho from density_blocks
     and G projected monotone in x by the DensityField, which takes both
     arrays over."""
-    t, x, G = survival_march(spec, t_grid, x_grid, initial)
+    t, x, G = survival_march(spec, t_grid, x_grid)
     rho = np.empty_like(G)
     for a, rho_blk in density_blocks(G, x):
         rho[a:a + rho_blk.shape[0]] = rho_blk

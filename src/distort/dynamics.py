@@ -148,7 +148,7 @@ class DriftReader:
     outside: int
 
     def __call__(self, t):
-        row = blend_rows(self.field.t_grid, t, self.field.mu)[0]
+        row = blend_rows(self.field.t_grid, t, self.field.mu)
         # row and cell slopes side by side; the last node's slope is that of
         # the last cell, which the nodes past the upper end extend by
         table = np.empty((2, row.size))
@@ -199,7 +199,7 @@ class DriftField:
 
     def row_at(self, t):
         """Drift slice at time t on the field's x grid (time held at the ends)."""
-        return blend_rows(self.t_grid, t, self.mu)[0]
+        return blend_rows(self.t_grid, t, self.mu)
 
     def table(self, times):
         """look(k, xs) -> (the drift at (times[k], xs), the count of xs
@@ -342,7 +342,7 @@ class PDESolution:
     def u_at(self, s, x):
         """u(s, x), blended linearly in s and interpolated in x; DomainError
         for s or x outside the grids."""
-        return bounded_read(self.x_grid, bounded_rows(self.s_grid, s, self.u)[0], x)
+        return bounded_read(self.x_grid, bounded_rows(self.s_grid, s, self.u), x)
 
 
 def _payload_on_grid(g, x):
@@ -358,14 +358,13 @@ def _velocity_from(mu, x_grid):
     """The march's drift reader t -> mu(t, x_grid) on its fixed nodes, and
     how many of those nodes lie outside a DriftField's grid: a DriftField is
     read through its DriftReader, which extends the drift there by the edge
-    slope."""
+    slope.  A callable's value is passed on as it is (a scalar or any shape
+    that broadcasts to the grid); the march's bands broadcast it."""
     if isinstance(mu, DriftField):
         reader = mu.reader(x_grid)
         return reader, reader.outside
     if callable(mu):
-        return (lambda tm: np.broadcast_to(
-            np.asarray(mu(tm, x_grid), dtype=float), x_grid.shape
-        ).copy()), 0
+        return (lambda tm: mu(tm, x_grid)), 0
     raise DomainError("mu must be a DriftField or a callable (t, x) -> drift")
 
 
@@ -652,13 +651,13 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
                     s_min=None, n_steps=800, n_march=1601, n_y=161):
     """Assemble Phi(s, t, x; .) by pairing conditional survival curves.
 
-    The undistorted curve Gp comes from the Gaussian closed form when the
-    drift is declared constant (drift_const), else from a survival-PDE
-    restart at (s, x) regularized to a narrow Gaussian.  The distorted curve
-    Gq solves the backward value PDE for a sweep of smoothed indicator
-    payloads read at x; by discrete duality all of them come from one
-    adjoint (Kolmogorov forward) march of the probe at x, paired with each
-    payload.  The smoothing bias is then removed.  The y probes span 3.9
+    Both curves solve the backward value PDE for a sweep of smoothed
+    indicator payloads read at x, the distorted curve Gq with the drift mu
+    and the undistorted curve Gp with the base drift; by discrete duality
+    each sweep is one adjoint (Kolmogorov forward) march of the probe at x
+    on the same grid and times, paired with each payload.  The smoothing
+    bias is then removed.  When the drift is declared constant (drift_const)
+    Gp is the Gaussian closed form instead.  The y probes span 3.9
     sqrt(t - s) on either side of the drifted center.
     The drift of the distorted dynamics is taken from mu when given (field
     or callable), else computed from a Gaussian field for constant drift, or
@@ -696,24 +695,8 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     center = x + b_sx * gap
     y_grid = np.linspace(center - _Y_WIDTH * sq_gap, center + _Y_WIDTH * sq_gap, n_y)
 
-    # undistorted conditional survival at the y probes
-    if drift_const is not None:
-        surv_p = normal.sf((y_grid - center) / sq_gap)
-    else:
-        half_c = (_Y_WIDTH + 5.0) * sq_gap
-        xg_c = np.linspace(x - half_c, x + half_c, max(n_march, 2401))
-        tg_c = np.linspace(s, t, 401)
-        # only the projected last row is read, so no field is built; the
-        # history is checked as a field would be, and dropped here, before
-        # the drift's own survival solve
-        _, _, cond = survival_march(spec, tg_c, xg_c, initial=(x + b_sx * 1e-4, 1e-4))
-        for _ in density_blocks(cond, xg_c):
-            pass
-        surv_p = np.interp(y_grid, xg_c, np.minimum.accumulate(cond[-1]))
-        del cond
-
-    # march domain for the distorted survival sweep, centered on the anchor
-    # so the evaluation point is an exact node
+    # march domain for both survival sweeps, centered on the anchor so the
+    # evaluation point is an exact node
     half_m = (_Y_WIDTH + 5.6) * sq_gap + abs(center - x)
     pde_x = x + np.linspace(-half_m, half_m, n_march)
     dx = pde_x[1] - pde_x[0]
@@ -735,6 +718,28 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         clamps = mu.clamps
     knots_p = np.concatenate(([0.0], np.unique(p_grid[(p_grid > 0.0) & (p_grid < 1.0)]), [1.0]))
 
+    # conditional survival at the y probes under a drift read by vel: the
+    # backward value march of every smoothed-indicator payload, read at x,
+    # equals the payloads paired with one adjoint march of the interpolation
+    # weights of x; built after the drift, so none of it is alive while the
+    # drift's survival field is
+    width = 2.0 * dx
+    payloads = _smoothed_indicators(y_grid, pde_x, width)
+    probe = _interp_weights(pde_x, x)
+    tau = t - _sqrt_graded(s, t, n_steps)[::-1]
+
+    def conditional_survival(vel):
+        w = march_adjoint(probe, pde_x, tau, 0.5, lambda tm: vel(t - tm),
+                          bc="neumann", rannacher=2)
+        raw = np.clip(payloads @ w, 0.0, 1.0)
+        debiased = np.clip(_debias_smoothed(y_grid, raw, width), 0.0, 1.0)
+        return raw, np.minimum.accumulate(debiased)
+
+    if drift_const is not None:
+        surv_p = normal.sf((y_grid - center) / sq_gap)
+    else:
+        surv_p = conditional_survival(_velocity_from(spec.drift, pde_x)[0])[1]
+
     # when the computed drift equals the base drift bit for bit (identity
     # schedule, any base dynamics) the distorted and undistorted survival
     # curves solve the same PDE from the same data, so the pairing is the
@@ -748,21 +753,8 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
                   "mu_extrapolations": 0},
         )
 
-    # distorted conditional survival: the backward value march of every
-    # smoothed-indicator payload, read at x, equals the payloads paired with
-    # one adjoint march of the interpolation weights of x
-    width = 2.0 * dx
-    payloads = _smoothed_indicators(y_grid, pde_x, width)
     vel, n_out = _velocity_from(mu, pde_x)
-    r_grid = _sqrt_graded(s, t, n_steps)
-    tau = t - r_grid[::-1]
-    w = march_adjoint(
-        _interp_weights(pde_x, x), pde_x, tau, 0.5, lambda tm: vel(t - tm),
-        bc="neumann", rannacher=2,
-    )
-    surv_q_raw = np.clip(payloads @ w, 0.0, 1.0)
-    surv_q = np.clip(_debias_smoothed(y_grid, surv_q_raw, width), 0.0, 1.0)
-    surv_q = np.minimum.accumulate(surv_q)
+    surv_q_raw, surv_q = conditional_survival(vel)
 
     # cubic interpolants keep the curve pairing from reintroducing the
     # O(dy^2) kink error of piecewise-linear reads; scipy.interpolate is
@@ -777,7 +769,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
                                 float(surv_p[0]), float(surv_p[-1]), knots_p[1:-1])
     knots_v = np.concatenate(([0.0], np.clip(CubicSpline(y_grid, surv_q)(y_star), 0.0, 1.0),
                               [1.0]))
-    debias_mag = float(np.max(np.abs(surv_q - np.clip(surv_q_raw, 0.0, 1.0))))
+    debias_mag = float(np.max(np.abs(surv_q - surv_q_raw)))
     return PhiCurve(
         s=float(s), t=float(t), x=float(x),
         p_grid=knots_p, values=knots_v,

@@ -97,8 +97,8 @@ def test_history_rows_are_the_final_slices_of_shorter_marches(velocity, rannache
 
 def test_transposed_bands_match_the_dense_transpose():
     def dense(bands):
-        lower, diag, upper = bands
-        return np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
+        sub, diag, sup = bands
+        return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
     bands = operator_bands(X, 0.5, strong_velocity(0.2), "neumann")
     assert np.array_equal(dense(_transposed_bands(bands)), dense(bands).T)
@@ -115,12 +115,12 @@ def test_adjoint_guards():
 
 def _banded_reference(u, bands, dt, theta, bc_values=None):
     """theta_step as the banded LAPACK route of scipy.linalg.solve_banded."""
-    lower, diag, upper = bands
+    sub, diag, sup = bands
     rhs = u + ((1.0 - theta) * dt) * apply_operator(u, bands) if theta < 1.0 else u.copy()
     ab = np.zeros((3, diag.size))
-    ab[0, 1:] = -theta * dt * upper[:-1]
+    ab[0, 1:] = -theta * dt * sup
     ab[1, :] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * lower[1:]
+    ab[2, :-1] = -theta * dt * sub
     out = solve_banded((1, 1), ab, rhs.T).T
     if bc_values is not None:
         out[..., 0] = bc_values[0]
@@ -152,7 +152,7 @@ def test_theta_step_leaves_its_input_alone():
 def test_singular_step_raises_linalg_error():
     n = X.size
     # I - dt L vanishes on the diagonal and L has no off-diagonal entries
-    bands = (np.zeros(n), np.ones(n), np.zeros(n))
+    bands = (np.zeros(n - 1), np.ones(n), np.zeros(n - 1))
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         theta_step(np.ones(n), bands, 1.0, theta=1.0)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
@@ -181,6 +181,27 @@ def test_march_checks_the_grid_once(velocity, monkeypatch):
     march(np.ones(X.size), X, GRADED, 0.5, velocity, rannacher=2)
     march_adjoint(_unit(3), X, GRADED, 0.5, velocity, rannacher=2)
     assert len(calls) == 2
+
+
+def test_operator_bands_are_in_the_solver_layout():
+    """sub and sup hold the n - 1 off-diagonal entries of L, and L u is
+    their product with u row by row."""
+    sub, diag, sup = bands = operator_bands(X, 0.5, strong_velocity(0.2), "dirichlet")
+    assert (sub.size, diag.size, sup.size) == (X.size - 1, X.size, X.size - 1)
+    u = np.cos(X)
+    dense = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+    assert np.max(np.abs(apply_operator(u, bands) - dense @ u)) <= 1e-12
+
+
+@pytest.mark.parametrize("node, value", [(30, np.nan), (X.size - 1, np.inf)],
+                         ids=["nan", "inf"])
+def test_march_rejects_a_non_finite_grid_node(node, value):
+    bad = X.copy()
+    bad[node] = value
+    with pytest.raises(DomainError, match=f"grid node {node} "):
+        march(np.ones(X.size), bad, UNIFORM, 0.5)
+    with pytest.raises(DomainError, match=f"grid node {node} "):
+        march_adjoint(_unit(3), bad, UNIFORM, 0.5)
 
 
 def test_march_rejects_non_finite_data():

@@ -246,15 +246,6 @@ def test_pde_ou_moments():
     assert var == pytest.approx(0.5 * (1.0 - np.exp(-2.0)), abs=1e-2)
 
 
-def test_pde_conditional_restart():
-    spec = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
-    x_grid = np.linspace(-7.0, 9.0, 3201)
-    t_grid = np.linspace(0.5, 1.0, 400)
-    field = solve_survival_pde(spec, t_grid, x_grid, initial=(1.0, 1e-4))
-    ref = normal.sf((x_grid - 1.0) / np.sqrt(0.5))
-    assert float(np.max(np.abs(field.G[-1] - ref))) <= 1e-3
-
-
 def test_survival_solve_peak_stays_below_five_and_a_half_fields():
     """The march history is filled in place and rho, the clip, the projection
     and the complement are built in place or by row blocks, so the traced
@@ -271,10 +262,18 @@ def test_pde_guards():
     spec = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
     with pytest.raises(DomainError):
         solve_survival_pde(spec, np.linspace(1e-5, 1, 50), np.linspace(-8, 8, 401))
-    with pytest.raises(DomainError):
-        solve_survival_pde(spec, np.linspace(0.1, 1, 50), np.linspace(-8, 8, 401), initial=(0.0, -1.0))
     with pytest.raises(AccuracyError):
         solve_survival_pde(spec, np.linspace(0.001, 1, 200), np.linspace(-2, 2, 401))
+
+
+def test_pde_rejects_a_nan_grid_node_by_its_index():
+    """A NaN node fails the spacing check at once, named by its index, not
+    later in the march as non-finite data."""
+    spec = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
+    x_grid = np.linspace(-8, 8, 401)
+    x_grid[200] = np.nan
+    with pytest.raises(DomainError, match="grid node 200 is nan"):
+        solve_survival_pde(spec, np.linspace(0.1, 1, 50), x_grid)
 
 
 # ---------------------------------------------------------------------------

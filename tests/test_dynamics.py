@@ -798,18 +798,19 @@ def test_phi_mc_cross_check_state_dependent_drift():
         assert abs(sim.mean - curve.surv_q[k]) <= 0.012
 
 
-def test_phi_survival_route_peak_stays_below_three_fields():
+def test_phi_survival_route_peak_stays_below_two_and_a_half_fields():
     """The Power(2) curve on the survival-PDE route, at the default sizes,
-    peaks below 3 arrays of the (801, 1601) drift field: the conditional
-    solve keeps its last row only, and the drift's survival field is built
-    on its window only (4.1 when both built whole fields, 8.3 when the
-    conditional field was kept and each step of a field build allocated a
-    field of its own)."""
+    peaks below 2.5 arrays of the (801, 1601) drift field: both conditional
+    survivals are adjoint marches of one probe, built after the drift, and
+    the drift's survival field is built on its window only (2.03 when Gp
+    came from a survival-PDE restart, 4.1 when both built whole fields, 8.3
+    when the conditional field was kept and each step of a field build
+    allocated a field of its own)."""
     spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0)
     curve, peak = traced_peak(build_phi_curve, Power(2.0), spec, 0.25, 1.0, 0.0,
                               drift_const=None)
     assert curve.meta["mu_source"] == "pde-field"
-    assert peak < 3.0 * 801 * 1601 * 8
+    assert peak < 2.5 * 801 * 1601 * 8
 
 
 def test_trimmed_field_peak_stays_below_two_and_a_half_fields():
@@ -1136,18 +1137,64 @@ def test_trimmed_field_without_a_node_near_x0_is_rejected():
         _trimmed_pde_field(SPEC0, 0.5, 1.0, 1602, 1e-6)
 
 
-def test_phi_conditional_curve_is_the_last_row_of_the_conditional_field():
-    s, t, x = 0.25, 1.0, 0.2
+def test_phi_conditional_curve_is_the_multi_payload_march_under_the_base_drift():
+    """Gp off the survival route equals the backward march of every smoothed
+    indicator payload under the base drift, read at x: the same adjoint route
+    as Gq, with the base drift in place of mu."""
+    s, t, x, n_steps, n_march = 0.25, 1.0, 0.2, 50, 401
     curve = build_phi_curve(Wang(0.5), OU, s, t, x, mu=wang_mu_closed(0.5),
-                            n_steps=50, n_march=401)
-    gap, b_sx = t - s, -x
-    center = x + b_sx * gap
-    y_grid = np.linspace(center - 3.9 * math.sqrt(gap), center + 3.9 * math.sqrt(gap), 161)
-    half_c = (3.9 + 5.0) * math.sqrt(gap)
-    xg_c = np.linspace(x - half_c, x + half_c, 2401)
-    cond = solve_survival_pde(OU, np.linspace(s, t, 401), xg_c, initial=(x + b_sx * 1e-4, 1e-4))
+                            n_steps=n_steps, n_march=n_march)
+    sq_gap = math.sqrt(t - s)
+    center = x - x * (t - s)
+    y_grid = np.linspace(center - 3.9 * sq_gap, center + 3.9 * sq_gap, 161)
+    half_m = (3.9 + 5.6) * sq_gap + abs(center - x)
+    pde_x = x + np.linspace(-half_m, half_m, n_march)
+    width = 2.0 * (pde_x[1] - pde_x[0])
+    tau = t - _sqrt_graded(s, t, n_steps)[::-1]
+    u_final = march(_smoothed_indicators(y_grid, pde_x, width), pde_x, tau, 0.5,
+                    lambda tm: OU.drift(t - tm, pde_x), bc="neumann", rannacher=2)[-1]
+    raw = np.array([np.interp(x, pde_x, row) for row in np.clip(u_final, 0.0, 1.0)])
+    ref = np.minimum.accumulate(np.clip(_debias_smoothed(y_grid, raw, width), 0.0, 1.0))
     assert np.array_equal(curve.y_grid, y_grid)
-    assert np.array_equal(curve.surv_p, np.interp(y_grid, xg_c, cond.G[-1]))
+    assert np.max(np.abs(curve.surv_p - ref)) <= 1e-12
+
+
+def _ou_law(s, t, x):
+    """Mean and standard deviation of X_t given X_s = x under dX = -X dt + dW."""
+    return x * math.exp(-(t - s)), math.sqrt(-0.5 * math.expm1(-2.0 * (t - s)))
+
+
+@pytest.mark.parametrize("spec, s, t, x", [(SPEC0, 0.5, 1.0, 0.7), (OU, 0.5, 0.6, -0.4)],
+                         ids=["driftless", "ou"])
+def test_phi_conditional_curve_matches_the_exact_conditional_survival(spec, s, t, x):
+    """Gp off the survival route against the Gaussian law of X_t given
+    X_s = x, over the 161 probes (1.4e-4 for OU from the restart solve)."""
+    curve = build_phi_curve(Wang(0.5), spec, s, t, x, mu=wang_mu_closed(0.5))
+    mean, sd = _ou_law(s, t, x) if spec is OU else (x, math.sqrt(t - s))
+    exact = normal.sf((curve.y_grid - mean) / sd)
+    assert np.max(np.abs(curve.surv_p - exact)) <= 2e-5
+
+
+@pytest.mark.parametrize("s, t, x", [(0.5, 0.6, -0.4), (0.1, 1.0, 1.0)])
+def test_wang_phi_under_ou_matches_its_closed_form(s, t, x):
+    """Under Wang(alpha) the OU drift gains alpha / (2 sqrt(v(t))),
+    v(t) = (1 - e^(-2t)) / 2, so both conditional laws are Gaussian with the
+    same variance and Phi(p) = sf(quantile(1 - p) - shift / sd), shift the
+    integral of e^(-(t - r)) alpha / (2 sqrt(v(r))) over [s, t] (1.6e-4 at
+    (0.5, 0.6, -0.4) when Gp came from the restart solve)."""
+    alpha = 0.5
+
+    def mu(tm, xs):
+        v = -0.5 * math.expm1(-2.0 * tm)
+        return -np.asarray(xs, dtype=float) + alpha / (2.0 * math.sqrt(v))
+
+    curve = build_phi_curve(Wang(alpha), OU, s, t, x, mu=mu)
+    r = np.linspace(s, t, 20001)
+    shift = np.trapezoid(np.exp(r - t) * alpha / (2.0 * np.sqrt(-0.5 * np.expm1(-2.0 * r))), r)
+    _, sd = _ou_law(s, t, x)
+    p = np.linspace(0.05, 0.95, 181)
+    closed = normal.sf(normal.quantile(1.0 - p) - shift / sd)
+    assert np.max(np.abs(curve(p) - closed)) <= 1.5e-5
 
 
 SPOILED_HISTORIES = {
@@ -1157,11 +1204,10 @@ SPOILED_HISTORIES = {
 }
 
 
-@pytest.mark.parametrize("spoil", list(SPOILED_HISTORIES))
-@pytest.mark.parametrize("route", ["window", "conditional"])
-def test_spoiled_history_outside_the_window_is_rejected(monkeypatch, route, spoil):
-    """Both routes that read only part of a survival history check all of
-    it, as a DensityField checks its field."""
+@pytest.mark.parametrize("spoil", list(SPOILED_HISTORIES), ids=lambda k: f"window-{k}")
+def test_spoiled_history_outside_the_window_is_rejected(monkeypatch, spoil):
+    """The trimmed field reads only a window of its survival history but
+    checks all of it, as a DensityField checks its field."""
     change, message = SPOILED_HISTORIES[spoil]
     real = dynamics.survival_march
 
@@ -1172,11 +1218,7 @@ def test_spoiled_history_outside_the_window_is_rejected(monkeypatch, route, spoi
 
     monkeypatch.setattr(dynamics, "survival_march", spoiled)
     with pytest.raises(NumericError, match=message):
-        if route == "window":
-            _trimmed_pde_field(OU, 0.5, 1.0, 1601, math.inf)
-        else:
-            build_phi_curve(Wang(0.5), OU, 0.25, 1.0, 0.2, mu=wang_mu_closed(0.5),
-                            n_steps=50, n_march=401)
+        _trimmed_pde_field(OU, 0.5, 1.0, 1601, math.inf)
 
 
 def test_convergence_internal_reference_for_ou_drift():
