@@ -42,6 +42,7 @@ from .presets import get_preset, preset_names
 from .report import canonical_json, write_csv
 from .tree import (
     TreeModel,
+    _constant_level,
     _grid_levels,
     backward_induction,
     crossing_tree_residual,
@@ -67,7 +68,7 @@ def _tree_from_config(block):
     x0 = float(block.get("x0", 0.0))
     step = float(block.get("step", 1.0))
     times = np.linspace(0.0, T, N + 1)
-    up_prob = [np.full(i + 1, p) for i in range(N)]
+    up_prob = [_constant_level(p, i + 1) for i in range(N)]
     return TreeModel(times, _grid_levels(x0, step, N), up_prob)
 
 

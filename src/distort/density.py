@@ -430,6 +430,8 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0):
     """
     if not (0.0 < t <= spec.T):
         raise DomainError(f"bridge_density_mc: t={t} outside (0, T]")
+    if not np.isfinite(x):
+        raise DomainError(f"bridge_density_mc: x={x} must be finite")
     if paths < 1 or steps < 2:
         raise DomainError("bridge_density_mc: need paths >= 1 and steps >= 2")
     x0 = spec.x0

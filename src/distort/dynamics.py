@@ -17,6 +17,7 @@ to a binomial lattice for convergence studies against the PDE.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ from .errors import (
 from .tree import (
     PhiCurve,
     TreeModel,
+    _constant_level,
     _grid_levels,
-    _triangle_levels,
     backward_induction,
     distort_tree,
 )
@@ -680,11 +681,16 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         )
     if not (s < t <= spec.T + 1e-12):
         raise DomainError("build_phi_curve: need 0 < s < t <= T")
+    if not math.isfinite(x):
+        raise DomainError(f"build_phi_curve: x={x} must be finite")
+    if n_y < 2:
+        raise DomainError(f"build_phi_curve: n_y={n_y} y probes; need n_y >= 2")
     if p_grid is None:
         p_grid = np.linspace(0.002, 0.998, 499)
     p_grid = np.asarray(p_grid, dtype=float)
-    if np.any((p_grid < 0.0) | (p_grid > 1.0)):
-        raise DomainError("build_phi_curve: p_grid must lie in [0, 1]")
+    outside = ~((p_grid >= 0.0) & (p_grid <= 1.0))  # a NaN is outside too
+    if outside.any():
+        raise DomainError(f"build_phi_curve: p_grid must lie in [0, 1], got {p_grid[outside][0]}")
 
     gap = t - s
     sq_gap = math.sqrt(gap)
@@ -813,27 +819,48 @@ def wang_value_closed(alpha, g, s, t_end, x, k=0.0):
 # ---------------------------------------------------------------------------
 # lattice discretization and convergence
 
+def _lattice_size(N, where):
+    """N as an int; a DomainError names an N that is not integral (16.0 passes)."""
+    if not (isinstance(N, numbers.Real) and float(N).is_integer()):
+        raise DomainError(f"{where}: N={N!r} must be an integer")
+    return int(N)
+
+
 def lattice_from_diffusion(spec, N):
     """Binomial lattice on the sqrt(h) grid with moment-matched transitions:
     states x0 + (2j - i) sqrt(h), up-probability 1/2 + 1/2 b sqrt(h).
 
     The one-step mean is b h exactly and the raw second moment is h, so the
     variance is h - (b h)^2.  Every level is a read-only strided view of the
-    one grid x0 + k sqrt(h), k = -N..N, and up_prob a list of views of one
-    buffer that holds level i at offset i (i + 1) / 2."""
+    one grid x0 + k sqrt(h), k = -N..N.  The drift is read once per level:
+    a level whose drift row is one value throughout is a read-only stride-0
+    view of its one up-probability (every level, for a drift constant in
+    x), and the other levels are views of one buffer that holds level i at
+    offset i (i + 1) / 2, allocated only when some level varies.  Copy a
+    level before mutating it."""
+    N = _lattice_size(N, "lattice_from_diffusion")
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
     h = spec.T / N
     sq = math.sqrt(h)
     times = np.linspace(0.0, spec.T, N + 1)
     states = _grid_levels(spec.x0, sq, N)
-    up_prob = _triangle_levels(np.empty(N * (N + 1) // 2), N)
-    for i, p in enumerate(up_prob):
+    flat = None
+    up_prob = []
+    for i in range(N):
         b_row = np.broadcast_to(
             np.asarray(spec.drift(times[i], states[i]), dtype=float), states[i].shape
         )
-        p[:] = 0.5 + 0.5 * b_row * sq
-        if not np.all((p > 0.0) & (p < 1.0)):
+        if np.all(b_row == b_row[0]):
+            p = _constant_level(0.5 + 0.5 * b_row[0] * sq, i + 1)
+            inside = 0.0 < p[0] < 1.0
+        else:
+            if flat is None:
+                flat = np.empty(N * (N + 1) // 2)
+            p = flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
+            p[:] = 0.5 + 0.5 * b_row * sq
+            inside = np.all((p > 0.0) & (p < 1.0))
+        if not inside:
             bad = ~np.isfinite(b_row)
             if bad.any():
                 j = int(np.argmax(bad))
@@ -847,6 +874,7 @@ def lattice_from_diffusion(spec, N):
                 f"lattice_from_diffusion: |b| sqrt(h) >= 1 at level {i}; "
                 f"this drift needs N > {n_min}"
             )
+        up_prob.append(p)
     return TreeModel(times, states, up_prob)
 
 
@@ -877,6 +905,7 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     when u_ref is given)."""
     if not 0.0 < eval_t < spec.T:
         raise DomainError(f"convergence_study: eval_t={eval_t} must lie in (0, T) = (0, {spec.T})")
+    N_list = [_lattice_size(N, "convergence_study") for N in N_list]
     clamps = extrapolations = 0
     if u_ref is None:
         trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)
@@ -889,13 +918,13 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     used = []
     skipped = []
     for N in N_list:
-        tree = lattice_from_diffusion(spec, int(N))
+        tree = lattice_from_diffusion(spec, N)
         try:
             dt_tree = distort_tree(tree, d)
         except ConsistencyError:
-            skipped.append(int(N))
+            skipped.append(N)
             continue
-        i_float = eval_t / (spec.T / int(N))
+        i_float = eval_t / (spec.T / N)
         i = int(round(i_float))
         if abs(i_float - i) > 1e-9:
             raise DomainError(
@@ -905,7 +934,7 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
         u_i = backward_induction(dt_tree, _payload_on_grid(g, tree.states[-1]), levels=(i,))[i]
         val = float(np.interp(eval_x, tree.states[i], u_i))
         errors.append(abs(val - u_ref))
-        used.append(int(N))
+        used.append(N)
     slope = float("nan")
     if len(used) >= 2:
         A = np.vstack([np.log(np.asarray(used, float)), np.ones(len(used))]).T

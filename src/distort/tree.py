@@ -82,7 +82,12 @@ def _in_open_unit(p, a, b):
 
 @dataclass(frozen=True)
 class TreeModel:
-    """Recombining binomial tree: level i has states x_i0 < ... < x_ii."""
+    """Recombining binomial tree: level i has states x_i0 < ... < x_ii.
+
+    Levels are kept as given (asarray, no copy), so a level may be a
+    read-only view: lattice_from_diffusion and a generated CLI tree store a
+    level whose up-probabilities are all one value as a stride-0 view of it.
+    Copy a level before mutating it."""
 
     times: np.ndarray
     states: list
@@ -174,6 +179,12 @@ def _grid_levels(x0, step, n):
     grid = x0 + np.arange(-n, n + 1) * step
     grid.flags.writeable = False
     return [grid[n - i : n + i + 1 : 2] for i in range(n + 1)]
+
+
+def _constant_level(p, size):
+    """A transition level of size entries all equal to p: a read-only
+    stride-0 view of the one float."""
+    return np.broadcast_to(np.float64(p), (size,))
 
 
 def survival_probabilities(tree):
@@ -557,8 +568,11 @@ def naive_nested_expectation(tree, d, terminal_values):
 def static_distorted_value(tree, d, terminal_values):
     """Static Choquet expectation of an increasing terminal payoff."""
     g = np.asarray(terminal_values, dtype=float)
+    n = tree.n_periods
+    if g.shape != (n + 1,):
+        raise DomainError(f"static_distorted_value: expected {n + 1} terminal values")
     _check_increasing(g, "static_distorted_value terminal payoff")
-    surv = _conditional_survival(tree.up_prob, 0, 0, tree.n_periods)
+    surv = _conditional_survival(tree.up_prob, 0, 0, n)
     t_n = float(tree.times[-1])
     w_hi = np.asarray(d.eval(t_n, np.clip(surv, 0.0, 1.0)), dtype=float)
     return float(g @ choquet_increments(w_hi))

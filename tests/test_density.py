@@ -1,5 +1,7 @@
 """Density/survival estimators: closed form, PDE, bridge MC, serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,14 @@ def test_bridge_determinism_and_batching():
     assert a.value == b.value and a.std_error == b.std_error
     assert a.value != c.value
     assert isinstance(a, BridgeEstimate) and a.paths == 3000
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_bridge_rejects_a_non_finite_endpoint(x):
+    """Named up front, not reported as a drift blowup along the bridge."""
+    spec = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
+    with pytest.raises(DomainError, match=rf"bridge_density_mc: x={x} must be finite"):
+        bridge_density_mc(spec, 1.0, x, paths=1000, steps=10, seed=1)
 
 
 def _strided_bridge(rng, size, steps, t, x0, x):

@@ -834,6 +834,21 @@ def test_phi_rejects_time_zero_and_below_s_min():
                         p_grid=np.array([-0.1, 0.5]))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"n_y": 1}, r"n_y=1 y probes; need n_y >= 2"),
+    ({"x": math.nan}, r"x=nan must be finite"),
+    ({"x": math.inf}, r"x=inf must be finite"),
+    ({"p_grid": np.array([0.2, math.nan, 0.8])}, r"p_grid must lie in \[0, 1\], got nan"),
+], ids=["one-y-probe", "nan-x", "inf-x", "nan-p"])
+def test_phi_rejects_edge_inputs_by_name(kwargs, match):
+    """Each is named up front, before any field or march, and does not
+    surface as an IndexError, a float-to-int ValueError or a dropped knot."""
+    args = {"x": 0.0, **kwargs}
+    x = args.pop("x")
+    with pytest.raises(DomainError, match=match):
+        build_phi_curve(Wang(0.5), SPEC0, 0.25, 1.0, x, **args)
+
+
 def test_phi_curve_endpoint_validation():
     with pytest.raises(ConsistencyError):
         PhiCurve(0.25, 1.0, 0.0,
@@ -1053,6 +1068,27 @@ def test_convergence_rejects_eval_t_outside_the_horizon(eval_t):
     """Named up front, before any field, drift or lattice is built."""
     with pytest.raises(DomainError, match=rf"eval_t={eval_t} must lie in \(0, T\) = \(0, 1.0\)"):
         convergence_study(SPEC0, Wang(0.5), smoothed_step, [16], eval_t, 0.0)
+
+
+@pytest.mark.parametrize("N, shown", [(64.5, "64.5"), ("8", "'8'"), (math.nan, "nan")])
+def test_lattice_rejects_a_non_integral_size(N, shown):
+    with pytest.raises(DomainError, match=rf"lattice_from_diffusion: N={shown} must be an integer"):
+        lattice_from_diffusion(SPEC0, N)
+
+
+def test_lattice_accepts_an_integral_float_size():
+    a, b = lattice_from_diffusion(SPEC0, 16.0), lattice_from_diffusion(SPEC0, 16)
+    assert a.n_periods == 16 and np.array_equal(a.times, b.times)
+    assert [p.tobytes() for p in a.up_prob] == [p.tobytes() for p in b.up_prob]
+
+
+def test_convergence_rejects_a_non_integral_size():
+    """16.5 used to run as N = 16 and be reported as 16; it is named up
+    front, before the reference is solved, while 16.0 runs as 16."""
+    with pytest.raises(DomainError, match=r"convergence_study: N=16.5 must be an integer"):
+        convergence_study(SPEC0, Wang(0.5), smoothed_step, [8, 16.5], 0.5, 0.0)
+    rep = convergence_study(SPEC0, Wang(0.5), smoothed_step, [16.0], 0.5, 0.0, u_ref=0.5)
+    assert rep.N_list == [16] and isinstance(rep.N_list[0], int)
 
 
 def test_convergence_internal_reference_close_to_closed_form():

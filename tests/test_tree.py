@@ -417,6 +417,12 @@ def test_naive_value_and_gap(two_period):
     assert static - naive == pytest.approx(0.125, abs=1e-15)
 
 
+@pytest.mark.parametrize("size", [2, 4])
+def test_static_value_rejects_a_payoff_of_the_wrong_length(two_period, size):
+    with pytest.raises(DomainError, match=r"static_distorted_value: expected 3 terminal values"):
+        static_distorted_value(two_period, Power(2.0), np.arange(size, dtype=float))
+
+
 def test_naive_identity_has_no_gap(two_period):
     naive = naive_nested_expectation(two_period, Identity(), G_PAYOFF)
     static = static_distorted_value(two_period, Identity(), G_PAYOFF)
@@ -805,21 +811,42 @@ def test_backward_induction_peak_stays_near_one_block():
 
 
 def test_lattice_transitions_are_views_of_one_buffer():
-    """up_prob and q_up each hold level i at offset i (i + 1) / 2 of one
-    buffer; up_prob holds the per-level formula's values bit for bit."""
-    spec = DiffusionSpec(lambda t, x: 0.4 - 0.3 * x + 0.1 * t, 0.2, 1.5)
+    """A level of up_prob whose drift row varies is a view of one buffer
+    that holds level i at offset i (i + 1) / 2, as every level of q_up is;
+    a level of one value (level 0, and every level of a drift constant in
+    x) is a read-only stride-0 view of it.  Every level holds the
+    per-level formula's values bit for bit."""
     N = 300  # four blocks of levels
-    tree = lattice_from_diffusion(spec, N)
-    dt = distort_tree(tree, Wang(0.5))
     triangle = [i * (i + 1) // 2 for i in range(N)]
-    for levels in (tree.up_prob, dt.q_up):
+
+    def buffer_offsets(levels):
         flat = levels[0].base
         assert flat.size == N * (N + 1) // 2 and all(x.base is flat for x in levels)
         start = flat.__array_interface__["data"][0]
-        assert [(x.__array_interface__["data"][0] - start) // 8 for x in levels] == triangle
-    sq = math.sqrt(spec.T / N)
-    ref = [0.5 + 0.5 * spec.drift(t, x) * sq for t, x in zip(tree.times, tree.states[:-1])]
-    assert [p.tobytes() for p in tree.up_prob] == [p.tobytes() for p in ref]
+        return [(x.__array_interface__["data"][0] - start) // 8 for x in levels]
+
+    drifts = {
+        "x-dependent": lambda t, x: 0.4 - 0.3 * x + 0.1 * t,
+        "constant": constant_drift(0.3),
+        "time-only": lambda t, x: np.full_like(x, 0.4 + 0.1 * t),
+    }
+    for name, drift in drifts.items():
+        spec = DiffusionSpec(drift, 0.2, 1.5)
+        tree = lattice_from_diffusion(spec, N)
+        sq = math.sqrt(spec.T / N)
+        ref = [0.5 + 0.5 * drift(t, x) * sq for t, x in zip(tree.times, tree.states[:-1])]
+        assert [p.tobytes() for p in tree.up_prob] == [p.tobytes() for p in ref], name
+        varying = [i for i, p in enumerate(ref) if np.any(p != p[0])]
+        assert varying == (list(range(1, N)) if name == "x-dependent" else []), name
+        if varying:
+            assert buffer_offsets([tree.up_prob[i] for i in varying]) == triangle[1:]
+        for i in sorted(set(range(N)) - set(varying)):
+            p = tree.up_prob[i]
+            assert p.strides == (0,) and not p.flags.writeable, (name, i)
+        if not varying:
+            with pytest.raises(ValueError):
+                tree.up_prob[N // 2][0] = 0.5
+        assert buffer_offsets(distort_tree(tree, Wang(0.5)).q_up) == triangle
 
 
 FRAGMENTATION_PROBE = """
@@ -833,7 +860,7 @@ def peak_kb():
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 def run(N):
-    tree = lattice_from_diffusion(DiffusionSpec(constant_drift(0.0), 0.0, 1.0), N)
+    tree = lattice_from_diffusion(DiffusionSpec(DRIFT, 0.0, 1.0), N)
     dt = distort_tree(tree, Power(2.0))
     backward_induction(dt, np.maximum(tree.states[-1], 0.0))
     return tree, dt
@@ -842,23 +869,38 @@ run(64)
 before = peak_kb()
 tree, dt = run(2048)
 grown = 1024 * (peak_kb() - before)
-print(grown / sum(x.nbytes for x in [*tree.up_prob, *dt.q_up]))
+print(grown / sum(x.nbytes for x in COUNTED))
 """
+
+
+def probe_growth(drift, counted):
+    """FRAGMENTATION_PROBE's growth ratio, run in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = FRAGMENTATION_PROBE.replace("DRIFT", drift).replace("COUNTED", counted)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return float(out.stdout)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
 def test_lattice_path_resident_growth_stays_near_its_transitions():
     """A fresh process's peak resident set grows by little more than the
-    bytes of up_prob and q_up at N = 2048 (1.5 times them when each level
-    was its own array between the builds' temporaries, which fragments the
-    heap).  tracemalloc cannot see fragmentation, and a spawned process's
-    ru_maxrss starts at its parent's peak on Linux (a child of this test
-    process would read no growth), so the probe reads its own VmHWM."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", FRAGMENTATION_PROBE], env=env,
-                         capture_output=True, text=True, check=True)
-    assert float(out.stdout) <= 1.15
+    bytes of up_prob and q_up at N = 2048 under a drift that varies in x
+    (1.5 times them when each level was its own array between the builds'
+    temporaries, which fragments the heap).  tracemalloc cannot see
+    fragmentation, and a spawned process's ru_maxrss starts at its parent's
+    peak on Linux (a child of this test process would read no growth), so
+    the probe reads its own VmHWM."""
+    assert probe_growth("lambda t, x: -0.5 * x", "[*tree.up_prob, *dt.q_up]") <= 1.15
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
+def test_constant_drift_lattice_resident_growth_stays_near_q_up():
+    """Under a constant drift every up_prob level is one value, so the
+    growth is bounded by the bytes of q_up alone (2.07 times them when
+    up_prob was a buffer too)."""
+    assert probe_growth("constant_drift(0.0)", "dt.q_up") <= 1.15
 
 
 def test_lattice_states_are_read_only_views_of_one_grid():
