@@ -6,8 +6,12 @@ BASE and CHANGE are checkouts of this repository (for instance a
 `git archive` of the parent commit and the working tree).  Every preset of
 the tree, dynamics and density commands of either tree, or only the
 --preset ones when given, and each config file F runs once with each
-tree's src/ on PYTHONPATH, into a fresh output directory per tree.  The
-command of F is read off its keys: a "tree" block makes a tree config, a
+tree's src/ on PYTHONPATH, into a fresh output directory per tree.  With
+neither --config nor --preset, the configs are the ones committed in
+scripts/identity_configs/, which exercise what no preset does: Euler paths
+that leave the drift grid, a convergence study, a non-strict tree with
+interleaving violations, and a binary density with bridges.  The command
+of F is read off its keys: a "tree" block makes a tree config, a
 "distortion" block a dynamics config, and anything else a density config.
 
 Two runs agree when their exit codes are equal, their standard output is
@@ -27,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("tree", "dynamics", "density")
+COMMITTED_CONFIGS = sorted((Path(__file__).resolve().parent / "identity_configs").glob("*.json"))
 UNCOMPARED = {"meta.json"}
 
 
@@ -89,13 +94,16 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="checkout whose src/ gives the reference outputs")
     ap.add_argument("change", help="checkout whose src/ is checked against it")
-    ap.add_argument("--config", action="append", default=[], help="config file to run too")
+    ap.add_argument("--config", action="append", default=[],
+                    help="config file to run too (default: the committed identity configs, "
+                         "unless --preset is given)")
     ap.add_argument("--preset", action="append", default=[],
                     help="COMMAND:NAME, run only these presets (default: every preset)")
     args = ap.parse_args(argv)
+    configs = args.config or ([] if args.preset else [str(f) for f in COMMITTED_CONFIGS])
     failures = []
     with tempfile.TemporaryDirectory(prefix="identity-") as work:
-        for label, run in planned_runs(args.base, args.change, args.config, args.preset):
+        for label, run in planned_runs(args.base, args.change, configs, args.preset):
             out_a, out_b = Path(work, "base", label), Path(work, "change", label)
             code_a, text_a = run_cli(args.base, run, out_a)
             code_b, text_b = run_cli(args.change, run, out_b)

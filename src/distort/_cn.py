@@ -148,10 +148,13 @@ def _step_bands(x, diffusion, velocity, bc):
     return lambda t: _bands(dx, n, diffusion, velocity(t), bc)
 
 
-def _transposed_bands(bands):
-    """Bands of L^T: the sub- and superdiagonals trade places."""
-    sub, diag, sup = bands
-    return sup, diag, sub
+def _interval_step(u, bands, dt, rannacher, bc_values=None):
+    """u across one interval of length dt: two fully implicit half steps on
+    a Rannacher interval, one Crank-Nicolson step otherwise."""
+    if rannacher:
+        u = theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
+        return theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
+    return theta_step(u, bands, dt, bc_values=bc_values)
 
 
 def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None,
@@ -173,13 +176,8 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
     history = np.empty((times.size,) + u.shape)
     history[0] = u
     for k in range(times.size - 1):
-        dt = times[k + 1] - times[k]
         bands = bands_at(0.5 * (times[k] + times[k + 1]))
-        if k < rannacher:
-            u = theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
-            u = theta_step(u, bands, 0.5 * dt, theta=1.0, bc_values=bc_values)
-        else:
-            u = theta_step(u, bands, dt, bc_values=bc_values)
+        u = _interval_step(u, bands, times[k + 1] - times[k], k < rannacher, bc_values)
         history[k + 1] = u
     return history
 
@@ -203,11 +201,6 @@ def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", rannach
     _check_finite(w)
     bands_at = _step_bands(x, diffusion, velocity, bc)
     for k in range(times.size - 2, -1, -1):
-        dt = times[k + 1] - times[k]
-        bands = _transposed_bands(bands_at(0.5 * (times[k] + times[k + 1])))
-        if k < rannacher:
-            w = theta_step(w, bands, 0.5 * dt, theta=1.0)
-            w = theta_step(w, bands, 0.5 * dt, theta=1.0)
-        else:
-            w = theta_step(w, bands, dt)
+        sub, diag, sup = bands_at(0.5 * (times[k] + times[k + 1]))
+        w = _interval_step(w, (sup, diag, sub), times[k + 1] - times[k], k < rannacher)
     return w

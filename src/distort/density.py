@@ -13,6 +13,7 @@ Three independent routes to rho(t, x) and G(t, x) = P(X_t >= x):
 The routes share no code, so pairwise agreement is a real check.
 """
 
+import numbers
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -76,6 +77,14 @@ def default_grids(spec, nt=800, nx=1601, width=8.0):
     x_grid = np.linspace(spec.x0 - half, spec.x0 + half, nx)
     t_grid = np.linspace(_T_INIT_MIN, spec.T, nt)
     return t_grid, x_grid
+
+
+def _whole(value, name):
+    """value as an int; a DomainError names a value that is not integral
+    (16.0 passes)."""
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise DomainError(f"{name}={value!r} must be an integer")
+    return int(value)
 
 
 def blend_rows(grid, t, stack):
@@ -432,6 +441,8 @@ def bridge_density_mc(spec, t, x, paths=100_000, steps=200, seed=0):
         raise DomainError(f"bridge_density_mc: t={t} outside (0, T]")
     if not np.isfinite(x):
         raise DomainError(f"bridge_density_mc: x={x} must be finite")
+    paths = _whole(paths, "bridge_density_mc: paths")
+    steps = _whole(steps, "bridge_density_mc: steps")
     if paths < 1 or steps < 2:
         raise DomainError("bridge_density_mc: need paths >= 1 and steps >= 2")
     x0 = spec.x0

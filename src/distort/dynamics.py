@@ -17,7 +17,6 @@ to a binomial lattice for convergence studies against the PDE.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from . import normal
 from ._cn import march, march_adjoint, uniform_spacing
 from .density import (
     DensityField,
+    _whole,
     blend_rows,
     bounded_read,
     bounded_rows,
@@ -71,19 +71,19 @@ _EULER_GROUP = 4
 # distorted drift
 
 class GridLookup:
-    """Piecewise-linear lookup on one x grid, held at the grid ends.
+    """Piecewise-linear reads on one x grid in np.interp's arithmetic.
 
-    Returns np.interp(xs, x_grid, row) bit for bit.  xs is clipped to the
-    grid (the clipped points are the extrapolated ones).  Given a slope
-    table, the lookup skips np.interp's binary search: the cell comes from
-    index arithmetic, j = trunc((xc - x0) / dx), corrected by one against
-    the actual nodes (xc < x[j], xc >= x[j+1]), which gives exactly the cell
-    np.interp uses, and the value is np.interp's own
-    slope[j] * (xc - x[j]) + row[j].  The slope table ends in a zero past
-    the last node, so xc = x[-1] returns row[-1] exactly.  The correction reaches one cell, so a grid whose nodes
-    stray a quarter cell or more from x0 + k dx, or a row whose slopes
-    overflow, is handed to np.interp instead.  A NaN query returns NaN and
-    counts as outside the grid.
+    cells(xs) gives each query's cell j (x_j <= x < x_j+1; the last node
+    for x on it) and offset x - x_j; table(row) puts a row above its cell
+    slopes; read gathers both at the cells in one take and returns
+    slope * offset + row[j], with row[j] itself where on_node holds, as
+    np.interp returns it on a node.  Inside the grid, with on_node =
+    (offset == 0), that is np.interp bit for bit.  The caller sets what
+    happens past the grid: it clips its queries to the grid before cells,
+    then keeps that offset (the edge value held) or the unclipped one (the
+    edge slope extended).  A uniform grid finds j by index arithmetic,
+    trunc((x - x0) / dx), corrected by one against the nodes; a grid whose
+    nodes stray a quarter cell or more from x0 + k dx uses np.searchsorted.
     """
 
     def __init__(self, x_grid):
@@ -97,70 +97,35 @@ class GridLookup:
         self._cell_dx = np.diff(xg)
         self._next = np.append(xg[1:], np.inf)
 
-    def slopes(self, rows):
-        """np.interp's cell slopes for rows (..., nx), zero past the last node;
-        None when the grid is not uniform or a slope overflows."""
-        if not self.uniform:
-            return None
-        slope = np.zeros_like(rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.divide(np.diff(rows, axis=-1), self._cell_dx, out=slope[..., :-1])
-        return slope if np.all(np.isfinite(slope)) else None
+    def cells(self, xs):
+        """(j, xs - x_j) for xs within the grid."""
+        xg = self.x_grid
+        if self.uniform:
+            j = ((xs - self.lo) / self.dx).astype(np.intp)
+            j -= xs < np.take(xg, j, mode="clip")
+            j += xs >= np.take(self._next, j, mode="clip")
+        else:
+            j = np.searchsorted(xg, xs, side="right") - 1
+        return j, xs - np.take(xg, j, mode="clip")
 
-    def __call__(self, xs, row, slope):
-        """(values at xs, count of xs outside the grid) for one row and its
-        slope row from slopes().  slope None means np.interp, which is the
-        cheaper route for a row read once: it builds its slopes as it goes,
-        and its search is nearly free on sorted queries such as a grid."""
-        xc = np.minimum(np.maximum(xs, self.lo), self.hi)
-        n_out = int(np.count_nonzero(xc != xs))
-        if slope is None:
-            return np.interp(xc, self.x_grid, row), n_out
-        with np.errstate(invalid="ignore"):  # NaN queries; take(mode="clip") keeps them NaN
-            j = ((xc - self.lo) / self.dx).astype(np.intp)
-        j -= xc < np.take(self.x_grid, j, mode="clip")
-        j += xc >= np.take(self._next, j, mode="clip")
-        out = xc - np.take(self.x_grid, j, mode="clip")
-        out *= np.take(slope, j, mode="clip")
-        out += np.take(row, j, mode="clip")
-        return out, n_out
+    def table(self, row):
+        """The (2, nx) table of one row: the row above its cell slopes, the
+        last node taking the last cell's slope."""
+        tab = np.empty((2, row.size))
+        tab[0] = row
+        np.subtract(row[1:], row[:-1], out=tab[1, :-1])
+        tab[1, :-1] /= self._cell_dx
+        tab[1, -1] = tab[1, -2]
+        return tab
 
-
-@dataclass(frozen=True)
-class DriftReader:
-    """The drift of a DriftField at fixed nodes: reader(t) is the row blended
-    at t, read at every node, and outside the count of nodes past the grid.
-
-    Each node's cell j (x_j <= x < x_j+1; cell 0 below the grid, the last
-    node at or above it), its offset x - x_j and whether it sits on x_j are
-    found once.  A read blends two rows in t, forms the cell slopes of the
-    blend, gathers row and slope at the cells in one take, and returns
-    slope * offset + row[j], np.interp's own formula, with row[j] itself on a
-    node as np.interp returns it.  Inside the grid that is np.interp of the
-    blended row bit for bit; past the ends it extends by the edge slope,
-    row[0] + slope * (x - x0) and row[-1] + slope * (x - x_last).  Reading
-    changes nothing."""
-
-    field: object
-    cell_dx: np.ndarray
-    cell: np.ndarray
-    offset: np.ndarray
-    on_node: np.ndarray
-    outside: int
-
-    def __call__(self, t):
-        row = blend_rows(self.field.t_grid, t, self.field.mu)
-        # row and cell slopes side by side; the last node's slope is that of
-        # the last cell, which the nodes past the upper end extend by
-        table = np.empty((2, row.size))
-        table[0] = row
-        np.subtract(row[1:], row[:-1], out=table[1, :-1])
-        table[1, :-1] /= self.cell_dx
-        table[1, -1] = table[1, -2]
-        at_cell = np.take(table, self.cell, axis=1)
-        out = at_cell[1] * self.offset
-        out += at_cell[0]
-        np.copyto(out, at_cell[0], where=self.on_node)
+    @staticmethod
+    def read(table, j, offset, on_node):
+        """slope * offset + row[j] at the cells j of one (2, nx) table, and
+        row[j] itself where on_node holds."""
+        at = np.take(table, j, axis=1, mode="clip")
+        out = at[1] * offset
+        out += at[0]
+        np.copyto(out, at[0], where=on_node)
         return out
 
 
@@ -168,14 +133,13 @@ class DriftReader:
 class DriftField:
     """mu(t, x) on a grid, with interpolation and extension.
 
-    Rows are blended linearly in t (held at the time ends) and read in x
-    exactly as np.interp would; reading changes nothing.  reader(nodes)
-    serves a march: it finds each node's cell once and extends the drift
-    past the grid by the edge slope.  table() serves many lookups at fixed
-    times from rows and slopes built once, 16 bytes per node per time, by a
-    GridLookup, held at the grid ends.  clamps counts the survival cells
-    that compute_mu clamped into [EPS_P, 1 - EPS_P] (0 for a field built
-    otherwise).
+    Rows are blended linearly in t (held at the time ends) and read in x by
+    one GridLookup; reading changes nothing.  reader(nodes) serves a march:
+    it finds the fixed nodes' cells once and extends the drift past the
+    grid by the edge slope.  table(times) serves the Euler engine: it holds
+    the edge value past the grid, where a path may wander without bound.
+    clamps counts the survival cells that compute_mu clamped into [EPS_P,
+    1 - EPS_P] (0 for a field built otherwise).
     """
 
     t_grid: np.ndarray
@@ -203,28 +167,40 @@ class DriftField:
         return blend_rows(self.t_grid, t, self.mu)
 
     def table(self, times):
-        """look(k, xs) -> (the drift at (times[k], xs), the count of xs
-        outside the grid), with xs clipped to the grid and read as np.interp
-        would bit for bit, from rows and slopes built once.
+        """look(k, xs) -> (the drift at (times[k], xs) with xs clipped to
+        the grid, the count of xs outside it), from the tables of all times
+        built once into one array, 16 bytes per node per time.
 
         look changes nothing, so worker threads may share it; the caller
         sums the counts."""
-        rows = np.array([self.row_at(t) for t in times])
-        slopes = self._lookup.slopes(rows)
+        lookup = self._lookup
+        tables = np.empty((len(times), 2, self.x_grid.size))
+        for k, t in enumerate(times):
+            tables[k] = lookup.table(self.row_at(t))
 
         def look(k, xs):
-            return self._lookup(xs, rows[k], None if slopes is None else slopes[k])
+            xc = np.minimum(np.maximum(xs, lookup.lo), lookup.hi)
+            j, offset = lookup.cells(xc)
+            out = lookup.read(tables[k], j, offset, offset == 0.0)
+            return out, int(np.count_nonzero(xc != xs))
 
         return look
 
     def reader(self, nodes):
-        """The DriftReader of the 1-D array nodes."""
+        """(read, outside): read(t) is the row blended at t at the 1-D array
+        nodes, extended past the grid by the edge slope, and outside counts
+        the nodes past the grid.  Their cells are found once."""
         nodes = np.asarray(nodes, dtype=float)
-        xg = self.x_grid
-        cell = np.clip(np.searchsorted(xg, nodes, side="right") - 1, 0, xg.size - 1)
-        offset = nodes - xg[cell]
-        outside = int(np.count_nonzero((nodes < xg[0]) | (nodes > xg[-1])))
-        return DriftReader(self, np.diff(xg), cell, offset, offset == 0.0, outside)
+        lookup = self._lookup
+        xc = np.minimum(np.maximum(nodes, lookup.lo), lookup.hi)
+        j, _ = lookup.cells(xc)
+        offset = nodes - np.take(self.x_grid, j, mode="clip")
+        on_node = offset == 0.0
+
+        def read(t):
+            return lookup.read(lookup.table(self.row_at(t)), j, offset, on_node)
+
+        return read, int(np.count_nonzero(xc != nodes))
 
     def growth_constant(self):
         """max |mu| / (1 + |x - c|) over the grid, c its midpoint (the
@@ -356,14 +332,13 @@ def _payload_on_grid(g, x):
 
 
 def _velocity_from(mu, x_grid):
-    """The march's drift reader t -> mu(t, x_grid) on its fixed nodes, and
-    how many of those nodes lie outside a DriftField's grid: a DriftField is
-    read through its DriftReader, which extends the drift there by the edge
-    slope.  A callable's value is passed on as it is (a scalar or any shape
-    that broadcasts to the grid); the march's bands broadcast it."""
+    """(read, outside): the march's drift reader t -> mu(t, x_grid) on its
+    fixed nodes, and how many of those nodes lie outside a DriftField's
+    grid (see DriftField.reader).  A callable's value is passed on as it
+    is (a scalar or any shape that broadcasts to the grid); the march's
+    bands broadcast it."""
     if isinstance(mu, DriftField):
-        reader = mu.reader(x_grid)
-        return reader, reader.outside
+        return mu.reader(x_grid)
     if callable(mu):
         return (lambda tm: mu(tm, x_grid)), 0
     raise DomainError("mu must be a DriftField or a callable (t, x) -> drift")
@@ -427,7 +402,8 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None):
 
     Drift queries outside the field hold the nearest value and are counted.
     Returns mean and batch-means standard error of g at the terminal time
-    (identity payoff if g is None).
+    (identity payoff if g is None).  A DomainError names a non-finite s, t
+    or x, or a non-integral paths or steps, before any path is drawn.
 
     A DriftField is read through DriftField.table, built once per call: the
     drift rows at the step times and their slopes, 16 * steps * nx bytes
@@ -443,8 +419,13 @@ def simulate_q_dynamics(mu, s, x, t, paths=100_000, steps=200, seed=0, g=None):
     count, and so does the count of drift queries outside the grid."""
     if not (isinstance(mu, DriftField) or callable(mu)):
         raise DomainError("simulate_q_dynamics: mu must be a DriftField or callable")
+    for name, v in (("s", s), ("t", t), ("x", x)):
+        if not math.isfinite(v):
+            raise DomainError(f"simulate_q_dynamics: {name}={v} must be finite")
     if not (s < t):
         raise DomainError("simulate_q_dynamics: need s < t")
+    paths = _whole(paths, "simulate_q_dynamics: paths")
+    steps = _whole(steps, "simulate_q_dynamics: steps")
     if paths < 1 or steps < 1:
         raise DomainError("simulate_q_dynamics: need paths >= 1 and steps >= 1")
     dt = (t - s) / steps
@@ -681,8 +662,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
         )
     if not (s < t <= spec.T + 1e-12):
         raise DomainError("build_phi_curve: need 0 < s < t <= T")
-    if not math.isfinite(x):
-        raise DomainError(f"build_phi_curve: x={x} must be finite")
+    for name, v in (("x", x), ("drift_const", drift_const)):
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"build_phi_curve: {name}={v} must be finite")
     if n_y < 2:
         raise DomainError(f"build_phi_curve: n_y={n_y} y probes; need n_y >= 2")
     if p_grid is None:
@@ -819,13 +801,6 @@ def wang_value_closed(alpha, g, s, t_end, x, k=0.0):
 # ---------------------------------------------------------------------------
 # lattice discretization and convergence
 
-def _lattice_size(N, where):
-    """N as an int; a DomainError names an N that is not integral (16.0 passes)."""
-    if not (isinstance(N, numbers.Real) and float(N).is_integer()):
-        raise DomainError(f"{where}: N={N!r} must be an integer")
-    return int(N)
-
-
 def lattice_from_diffusion(spec, N):
     """Binomial lattice on the sqrt(h) grid with moment-matched transitions:
     states x0 + (2j - i) sqrt(h), up-probability 1/2 + 1/2 b sqrt(h).
@@ -838,7 +813,7 @@ def lattice_from_diffusion(spec, N):
     x), and the other levels are views of one buffer that holds level i at
     offset i (i + 1) / 2, allocated only when some level varies.  Copy a
     level before mutating it."""
-    N = _lattice_size(N, "lattice_from_diffusion")
+    N = _whole(N, "lattice_from_diffusion: N")
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
     h = spec.T / N
@@ -905,7 +880,10 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     when u_ref is given)."""
     if not 0.0 < eval_t < spec.T:
         raise DomainError(f"convergence_study: eval_t={eval_t} must lie in (0, T) = (0, {spec.T})")
-    N_list = [_lattice_size(N, "convergence_study") for N in N_list]
+    for name, v in (("eval_x", eval_x), ("u_ref", u_ref)):
+        if v is not None and not math.isfinite(v):
+            raise DomainError(f"convergence_study: {name}={v} must be finite")
+    N_list = [_whole(N, "convergence_study: N") for N in N_list]
     clamps = extrapolations = 0
     if u_ref is None:
         trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)

@@ -6,7 +6,6 @@ from scipy.linalg import solve_banded
 
 from distort import _cn
 from distort._cn import (
-    _transposed_bands,
     apply_operator,
     march,
     march_adjoint,
@@ -95,13 +94,31 @@ def test_history_rows_are_the_final_slices_of_shorter_marches(velocity, rannache
         assert history[k].tobytes() == last.tobytes()
 
 
-def test_transposed_bands_match_the_dense_transpose():
+def test_transposed_bands_match_the_dense_transpose(monkeypatch):
+    """The adjoint makes the march's theta_step calls in reverse order, each
+    on the exact transpose of the march's operator with the same step
+    length and theta (Rannacher half steps included)."""
     def dense(bands):
         sub, diag, sup = bands
         return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
 
-    bands = operator_bands(X, 0.5, strong_velocity(0.2), "neumann")
-    assert np.array_equal(dense(_transposed_bands(bands)), dense(bands).T)
+    step = _cn.theta_step
+
+    def recording(calls):
+        def rec(u, bands, dt, theta=0.5, bc_values=None):
+            calls.append((dense(bands), dt, theta))
+            return step(u, bands, dt, theta=theta, bc_values=bc_values)
+        return rec
+
+    fwd, adj = [], []
+    monkeypatch.setattr(_cn, "theta_step", recording(fwd))
+    march(np.ones(X.size), X, GRADED, 0.5, strong_velocity, bc="neumann", rannacher=2)
+    monkeypatch.setattr(_cn, "theta_step", recording(adj))
+    march_adjoint(_unit(3), X, GRADED, 0.5, strong_velocity, bc="neumann", rannacher=2)
+    assert len(fwd) == len(adj) == GRADED.size + 1
+    for (op, dt, theta), (op_t, dt_t, theta_t) in zip(fwd, adj[::-1]):
+        assert (dt, theta) == (dt_t, theta_t)
+        assert np.array_equal(op_t, op.T)
 
 
 def test_adjoint_guards():

@@ -339,6 +339,16 @@ def test_bridge_rejects_a_non_finite_endpoint(x):
         bridge_density_mc(spec, 1.0, x, paths=1000, steps=10, seed=1)
 
 
+@pytest.mark.parametrize("kwargs, shown", [({"paths": 2.5}, "paths=2.5"),
+                                           ({"steps": 10.5}, "steps=10.5")])
+def test_bridge_rejects_a_non_integral_count(kwargs, shown):
+    """Named up front, not reported as a numpy TypeError."""
+    spec = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
+    args = {"paths": 1000, "steps": 10, **kwargs}
+    with pytest.raises(DomainError, match=rf"bridge_density_mc: {shown} must be an integer"):
+        bridge_density_mc(spec, 1.0, 0.5, seed=1, **args)
+
+
 def _strided_bridge(rng, size, steps, t, x0, x):
     """The bridge recursion written path-major, one strided column per step."""
     dt = t / steps

@@ -31,7 +31,6 @@ from distort.distortion import (
 from distort.dynamics import (
     ConvergenceReport,
     DriftField,
-    DriftReader,
     GridLookup,
     build_phi_curve,
     compute_mu,
@@ -222,8 +221,8 @@ def test_drift_field_interpolation_and_extension():
         np.array([0.0, 1.0, 2.0]),
         np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 4.0]]),
     )
-    assert f.reader([1.0])(0.5)[0] == pytest.approx(1.5)
-    assert f.reader([3.0])(0.0)[0] == pytest.approx(3.0)  # edge slope continues
+    assert f.reader([1.0])[0](0.5)[0] == pytest.approx(1.5)
+    assert f.reader([3.0])[0](0.0)[0] == pytest.approx(3.0)  # edge slope continues
     vals, n_out = f.table([0.0])(0, np.array([3.0]))
     assert vals[0] == pytest.approx(2.0)  # table holds
     assert n_out == 1  # the caller sums table counts
@@ -276,20 +275,31 @@ LOOKUP_GRIDS = {
 }
 
 
+def _held_read(lk, row, xs):
+    """GridLookup's read of row at xs clipped to the grid, on-node mask
+    given, as DriftField.table reads a path."""
+    j, offset = lk.cells(np.clip(xs, lk.lo, lk.hi))
+    return lk.read(lk.table(row), j, offset, offset == 0.0)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
 def test_grid_lookup_equals_np_interp(name):
+    """Cells, table and gather read np.interp bit for bit, the sign of a
+    zero on a node included."""
     rng = np.random.default_rng(len(name))
     xg = LOOKUP_GRIDS[name]
     lk = GridLookup(xg)
     assert lk.uniform == (name != "non-uniform")
-    assert (lk.slopes(np.zeros(xg.size)) is None) == (name == "non-uniform")
     row = rng.normal(size=xg.size)
+    row[0] = -0.0
     xs = _probe_points(xg, rng)
-    out, n_out = lk(xs, row, lk.slopes(row))
-    assert np.array_equal(out, np.interp(xs, xg, row))
-    assert n_out == np.count_nonzero((xs < xg[0]) | (xs > xg[-1]))
+    assert _same_bits(_held_read(lk, row, xs), np.interp(xs, xg, row))
     # the last node returns the last value exactly, not by a vanishing slope
-    assert lk(xg[-1:], row, lk.slopes(row))[0][0] == row[-1]
+    assert _held_read(lk, row, xg[-1:])[0] == row[-1]
 
 
 @pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
@@ -323,27 +333,51 @@ def test_mu_at_equals_the_np_interp_lookup(name, extrapolate):
 @pytest.mark.parametrize("nt", [1, 3])
 def test_drift_reader_equals_np_interp_with_edge_slopes(name, nt):
     """The reader finds each node's cell once and reads np.interp of the
-    blended row bit for bit, the sign of a zero on a node included, and
+    blended row bit for bit, the sign of a zero on a node included (node 2
+    sits below a rising cell, where slope * 0 + row would read +0), and
     past either end the edge slope's extension; it counts the nodes
     outside the grid."""
     rng = np.random.default_rng(11)
     xg = LOOKUP_GRIDS[name]
     mu = rng.normal(size=(nt, xg.size))
-    mu[:, 2] = -0.0
+    mu[:, 2], mu[:, 3] = -0.0, 1.0
     f = DriftField(np.linspace(0.2, 0.8, nt), xg, mu)
     span = xg[-1] - xg[0]
     below = xg[0] - span * rng.uniform(0.01, 1.0, 5)
     above = xg[-1] + span * rng.uniform(0.01, 1.0, 7)
     nodes = np.sort(np.concatenate([rng.uniform(xg[0], xg[-1], 50), xg, below, above]))
-    read = f.reader(nodes)
-    assert read.outside == 12
-    assert np.count_nonzero(read.on_node) == xg.size
+    read, outside = f.reader(nodes)
+    assert outside == 12
     for t in (0.0, 0.2, 0.35, 0.8, 1.5):
         ref, lo, hi = _interp_mu_at(f, t, nodes, "slope")
         out = read(t)
         assert (lo, hi) == (5, 7)
-        assert np.array_equal(out, ref)
-        assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert _same_bits(out, ref)
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_GRIDS))
+def test_table_and_reader_agree(name):
+    """Both readers of a DriftField go through one GridLookup: inside the
+    grid table and reader read the same bits, and past it table reads what
+    reader reads at the clipped point; both count the same reads outside."""
+    rng = np.random.default_rng(13)
+    xg = LOOKUP_GRIDS[name]
+    mu = rng.normal(size=(3, xg.size))
+    mu[:, 0] = -0.0
+    f = DriftField(np.array([0.1, 0.4, 1.0]), xg, mu)
+    xs = _probe_points(xg, rng)
+    xs = xs[np.isfinite(xs)]
+    xc = np.clip(xs, xg[0], xg[-1])
+    times = [0.0, 0.25, 0.4, 0.7, 2.0]
+    look = f.table(times)
+    (at_clipped, n_clipped), (extended, n_out) = f.reader(xc), f.reader(xs)
+    inside = xc == xs
+    assert n_clipped == 0 and n_out == np.count_nonzero(~inside) > 0
+    for k, t in enumerate(times):
+        held, n_held = look(k, xs)
+        assert n_held == n_out
+        assert _same_bits(held, at_clipped(t))
+        assert _same_bits(held[inside], extended(t)[inside])
 
 
 def test_grid_lookup_fuzz_against_np_interp():
@@ -361,18 +395,24 @@ def test_grid_lookup_fuzz_against_np_interp():
         row = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
         lk = GridLookup(xg)
         xs = _probe_points(xg, rng)
-        out, n_out = lk(xs, row, lk.slopes(row))
-        assert np.array_equal(out, np.interp(xs, xg, row)), (trial, n)
-        assert n_out == np.count_nonzero((xs < xg[0]) | (xs > xg[-1]))
+        assert np.array_equal(_held_read(lk, row, xs), np.interp(xs, xg, row)), (trial, n)
+        look = DriftField(np.array([0.0]), xg, row[None, :]).table([0.0])
+        assert look(0, xs)[1] == np.count_nonzero((xs < xg[0]) | (xs > xg[-1]))
 
 
-def test_grid_lookup_overflowing_slopes_fall_back_to_np_interp():
+def test_grid_lookup_overflowing_slopes_equal_np_interp():
+    """Slopes that overflow to inf still read np.interp's values: inf off
+    a node, and the row value itself on one."""
     xg = np.array([0.0, 1e-10, 2e-10])
     row = np.array([0.0, 1e300, -1e300])
     lk = GridLookup(xg)
-    assert lk.uniform and lk.slopes(row) is None
-    xs = np.array([5e-11, 1e-10, 3e-10])
-    assert np.array_equal(lk(xs, row, None)[0], np.interp(xs, xg, row))
+    xs = np.array([0.0, 5e-11, 1e-10, 1.5e-10, 2e-10, 3e-10])
+    ref = np.interp(xs, xg, row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert lk.uniform and np.all(np.isinf(lk.table(row)[1]))
+        assert np.array_equal(_held_read(lk, row, xs), ref)
+        look = DriftField(np.array([0.0]), xg, row[None, :]).table([0.0])
+        assert np.array_equal(look(0, xs)[0], ref)
 
 
 def test_growth_constant_is_the_linear_gauge(wang_field):
@@ -402,7 +442,7 @@ def _flow_gaps(field, d):
                   rannacher=2)
         return float(np.max(np.abs(h - exact)))
 
-    read = mu.reader(x)
+    read, _ = mu.reader(x)
     return flow_gap(lambda t: -read(t)), flow_gap(None)
 
 
@@ -695,6 +735,24 @@ def test_sim_diverging_drift_raises():
         simulate_q_dynamics(blow, 0.0, 1.0, 1.0, paths=10, steps=30, seed=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"x": math.nan}, r"x=nan must be finite"),
+    ({"x": math.inf}, r"x=inf must be finite"),
+    ({"x": -math.inf}, r"x=-inf must be finite"),
+    ({"t": math.inf}, r"t=inf must be finite"),
+    ({"paths": 2.5}, r"paths=2.5 must be an integer"),
+], ids=["nan-x", "inf-x", "minus-inf-x", "inf-t", "fractional-paths"])
+@pytest.mark.parametrize("drift", ["field", "callable"])
+def test_sim_rejects_edge_inputs_by_name(monkeypatch, kwargs, match, drift):
+    """Each is named before any path is drawn; none surfaces as diverged
+    paths or a numpy TypeError."""
+    mu = _narrow_field(np.linspace(-0.3, 0.5, 9)) if drift == "field" else wang_mu_closed(0.5)
+    monkeypatch.setattr(dynamics, "run_batches", lambda *a, **k: pytest.fail("paths drawn"))
+    args = {"x": 0.0, "t": 1.0, "paths": 100, **kwargs}
+    with pytest.raises(DomainError, match="simulate_q_dynamics: " + match):
+        simulate_q_dynamics(mu, 0.25, args["x"], args["t"], paths=args["paths"], steps=5)
+
+
 def test_sim_domain_guards():
     with pytest.raises(DomainError):
         simulate_q_dynamics(wang_mu_closed(0.5), 1.0, 0.0, 0.5, paths=10, steps=5)
@@ -839,7 +897,8 @@ def test_phi_rejects_time_zero_and_below_s_min():
     ({"x": math.nan}, r"x=nan must be finite"),
     ({"x": math.inf}, r"x=inf must be finite"),
     ({"p_grid": np.array([0.2, math.nan, 0.8])}, r"p_grid must lie in \[0, 1\], got nan"),
-], ids=["one-y-probe", "nan-x", "inf-x", "nan-p"])
+    ({"drift_const": math.nan}, r"drift_const=nan must be finite"),
+], ids=["one-y-probe", "nan-x", "inf-x", "nan-p", "nan-drift-const"])
 def test_phi_rejects_edge_inputs_by_name(kwargs, match):
     """Each is named up front, before any field or march, and does not
     surface as an IndexError, a float-to-int ValueError or a dropped knot."""
@@ -861,19 +920,25 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field, monkeypat
     """Gq from one adjoint march equals the backward march of every smoothed
     indicator payload read at x; the drift is read at the same times on the
     same nodes, some of them outside its grid."""
-    reads = []
-    read = DriftReader.__call__
+    times, reads = [], []
+    row_at, read = DriftField.row_at, GridLookup.read
 
-    def recorded(r, tm):
-        reads.append((tm, r))
-        return read(r, tm)
+    def recorded_row(f, tm):
+        times.append(tm)
+        return row_at(f, tm)
 
-    monkeypatch.setattr(DriftReader, "__call__", recorded)
+    def recorded_read(table, j, offset, on_node):
+        reads.append((j, offset))
+        return read(table, j, offset, on_node)
+
+    monkeypatch.setattr(DriftField, "row_at", recorded_row)
+    monkeypatch.setattr(GridLookup, "read", staticmethod(recorded_read))
     s, t, x, n_steps, n_march, n_y, y_width = 0.25, 1.0, 0.3, 200, 401, 41, 3.9
     mu = compute_mu(Wang(0.5), wang_field, ZERO)
     curve = build_phi_curve(Wang(0.5), SPEC0, s, t, x, drift_const=0.0, mu=mu,
                             n_steps=n_steps, n_march=n_march, n_y=n_y)
-    curve_reads = reads[:]
+    curve_times, curve_reads = times[:], reads[:]
+    times.clear()
     reads.clear()
 
     sq_gap = math.sqrt(t - s)
@@ -891,11 +956,14 @@ def test_phi_adjoint_route_matches_the_multi_payload_march(wang_field, monkeypat
 
     assert np.array_equal(curve.y_grid, y_grid)
     assert np.max(np.abs(curve.surv_q - ref)) <= 1e-12
-    assert len(reads) == n_steps
-    assert sorted(tm for tm, _ in curve_reads) == sorted(tm for tm, _ in reads)
-    assert all(np.array_equal(r.cell, vel.cell) and np.array_equal(r.offset, vel.offset)
-               for _, r in curve_reads + reads)
-    assert n_out == vel.outside > 0
+    assert len(times) == len(reads) == len(curve_reads) == n_steps
+    assert sorted(curve_times) == sorted(times)
+    # each node's cell, and its offset from it, as searchsorted finds them
+    xg = mu.x_grid
+    cell = np.clip(np.searchsorted(xg, pde_x, side="right") - 1, 0, xg.size - 1)
+    assert all(np.array_equal(j, cell) and np.array_equal(offset, pde_x - xg[cell])
+               for j, offset in curve_reads + reads)
+    assert n_out == np.count_nonzero((pde_x < xg[0]) | (pde_x > xg[-1])) > 0
 
 
 def _scalar_bisection(fn, lo, hi, v_lo, v_hi, target):
@@ -1089,6 +1157,19 @@ def test_convergence_rejects_a_non_integral_size():
         convergence_study(SPEC0, Wang(0.5), smoothed_step, [8, 16.5], 0.5, 0.0)
     rep = convergence_study(SPEC0, Wang(0.5), smoothed_step, [16.0], 0.5, 0.0, u_ref=0.5)
     assert rep.N_list == [16] and isinstance(rep.N_list[0], int)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"eval_x": math.nan}, r"eval_x=nan must be finite"),
+    ({"u_ref": math.nan}, r"u_ref=nan must be finite"),
+], ids=["nan-eval-x", "nan-u-ref"])
+def test_convergence_rejects_non_finite_inputs_by_name(monkeypatch, kwargs, match):
+    """Named before the reference solve; they used to return errors [nan,
+    nan] and a nan slope."""
+    monkeypatch.setattr(dynamics, "_trimmed_pde_field", lambda *a: pytest.fail("solved"))
+    args = {"eval_x": 0.0, "u_ref": None, **kwargs}
+    with pytest.raises(DomainError, match="convergence_study: " + match):
+        convergence_study(SPEC0, Wang(0.5), smoothed_step, [16, 64], 0.5, **args)
 
 
 def test_convergence_internal_reference_close_to_closed_form():

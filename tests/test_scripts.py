@@ -83,3 +83,19 @@ def test_identity_check_of_a_tree_against_itself_exits_0():
     r = run_script(("identity_check.py", str(ROOT), str(ROOT), "--preset", "tree:example3_3"))
     assert r.returncode == 0, r.stdout + r.stderr
     assert r.stdout.splitlines() == ["tree-example3_3: exit 0, identical"]
+
+
+def test_committed_identity_configs_validate_and_cover_every_block():
+    """identity_check runs the committed configs by default; each is a
+    valid config of its command, and together they set every top-level key
+    of the three schemas."""
+    from distort.config import SCHEMAS, validate_params
+
+    check = _identity_check()
+    seen = {command: set() for command in SCHEMAS}
+    for path in check.COMMITTED_CONFIGS:
+        command = check.config_command(path)
+        params = json.loads(path.read_text(encoding="utf-8"))
+        validate_params(command, params)
+        seen[command] |= set(params)
+    assert seen == {command: set(schema["properties"]) for command, schema in SCHEMAS.items()}
