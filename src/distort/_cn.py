@@ -20,10 +20,12 @@ layout, (sub, diag, sup) of lengths n - 1, n, n - 1, so a step passes them
 without slicing and the transposed step swaps sub and sup.  No band or
 velocity tables are built for all steps at once: on the Phi curve that was
 no faster than the per-step route and raised peak memory from 211 to 246 MB.
-A march returns its whole history: one (nt,) + u0.shape array allocated up
-front and filled a slice per step; no per-step copies are kept and joined at
-the end, so a march holds the history and a few slices, not the history
-twice.
+march_blocks steps into one buffer of a given number of rows and hands over
+each block of states as it fills, so a consumer that reads the history a
+block at a time (the survival field) never holds all of it.  march is the
+one-block case: its buffer is the whole history, one (nt,) + u0.shape array
+allocated up front and filled a slice per step, so it holds the history and
+a few slices, not the history twice.
 """
 
 import numpy as np
@@ -167,19 +169,39 @@ def march(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None
     Returns the history, one (nt,) + u0.shape array written step by step;
     its last slice [-1] is the state at times[-1].
     """
+    # one block: the buffer is the whole history
+    (_, history), = march_blocks(u0, x, times, diffusion, velocity, bc, bc_values, rannacher)
+    return history
+
+
+def march_blocks(u0, x, times, diffusion, velocity=None, bc="dirichlet", bc_values=None,
+                 rannacher=0, rows=None):
+    """march's history a block at a time: yields (a, block), block the
+    states at times[a:a + len(block)].
+
+    Every block is a view of one buffer of ``rows`` states (all of them when
+    None), stepped into in place and handed over when full, and the last
+    block when the march ends; a consumer may change a block, which the
+    march does not read back, but must copy what it keeps past the next one.
+    """
     times = _checked_times(times)
     u = np.array(u0, dtype=float)
     if u.shape[-1] != np.asarray(x).size:
         raise DomainError("initial data does not match the grid")
     _check_finite(u)
     bands_at = _step_bands(x, diffusion, velocity, bc)
-    history = np.empty((times.size,) + u.shape)
-    history[0] = u
+    buf = np.empty((times.size if rows is None else min(rows, times.size),) + u.shape)
+    buf[0] = u
+    a, n = 0, 1
     for k in range(times.size - 1):
+        if n == buf.shape[0]:
+            yield a, buf
+            a, n = a + n, 0
         bands = bands_at(0.5 * (times[k] + times[k + 1]))
         u = _interval_step(u, bands, times[k + 1] - times[k], k < rannacher, bc_values)
-        history[k + 1] = u
-    return history
+        buf[n] = u
+        n += 1
+    yield a, buf[:n]
 
 
 def march_adjoint(w, x, times, diffusion, velocity=None, bc="dirichlet", rannacher=0):

@@ -18,7 +18,8 @@ from .errors import AccuracyError, DomainError
 
 @dataclass(frozen=True)
 class DiscreteRV:
-    """Finitely supported law: strictly increasing support, positive probs summing to 1."""
+    """Finitely supported law: strictly increasing finite support, positive
+    finite probs summing to 1."""
 
     support: np.ndarray
     probs: np.ndarray
@@ -30,6 +31,10 @@ class DiscreteRV:
         object.__setattr__(self, "probs", probs)
         if support.ndim != 1 or probs.shape != support.shape or support.size < 1:
             raise DomainError("DiscreteRV: support and probs must be equal-length 1-d arrays")
+        for name, arr in (("support", support), ("probs", probs)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                raise DomainError(f"DiscreteRV: {name}[{bad[0]}] = {arr[bad[0]]} is not finite")
         if np.any(np.diff(support) <= 0.0):
             raise DomainError("DiscreteRV: support values must be strictly increasing")
         if np.any(probs <= 0.0):

@@ -11,6 +11,11 @@ Three independent routes to rho(t, x) and G(t, x) = P(X_t >= x):
     the bridge.
 
 The routes share no code, so pairwise agreement is a real check.
+
+The finite-difference route is read a block of rows at a time
+(survival_blocks), so a caller that keeps only part of the field, such as
+the distorted drift on a window, never holds the whole of it;
+solve_survival_pde fills the whole field from the same blocks.
 """
 
 import numbers
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import normal
-from ._cn import march, uniform_spacing
+from ._cn import march_blocks, uniform_spacing
 from .errors import AccuracyError, ConfigError, DomainError, NumericError
 from .report import write_csv
 
@@ -213,14 +218,20 @@ def gaussian_field(x0, t_grid, x_grid, drift=0.0):
     return DensityField(t, x, rho, normal.sf(z), G_comp=normal.cdf(z))
 
 
-def survival_march(spec, t_grid, x_grid):
-    """The checked march of solve_survival_pde: (t, x, G), G the history of
-    the forward CN solve of d_t G = 1/2 d_xx G - b d_x G with G(t, -inf)=1,
-    clipped to [0, 1] in place but not projected, its leak checked.
+def survival_blocks(spec, t_grid, x_grid):
+    """(t, x, blocks): the checked forward CN solve of d_t G = 1/2 d_xx G -
+    b d_x G with G(t, -inf) = 1 on the grids, read a block of rows at a time.
 
     The march starts at t_grid[0] from the driftless kernel at t_grid[0]
-    shifted by b(0, x0) * t_grid[0].  The history is the only array of the
-    field's size it allocates."""
+    shifted by b(0, x0) * t_grid[0].  The grids and the start are checked
+    here; blocks yields (a, G, rho) for the rows from a on, G clipped to
+    [0, 1] in place but not projected and rho = max(-d_x G, 0), each a block
+    of _BLOCK_ROWS rows that the next block overwrites.  After the last
+    block it runs the checks a DensityField of the whole history would run,
+    so a caller that keeps only some cells still checks them all: the leak
+    (AccuracyError), then rho and G finite and rho at least -1e-9
+    (NumericError).  Once a block fails to be finite no further block is
+    handed over."""
     t = np.asarray(t_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
@@ -240,54 +251,48 @@ def survival_march(spec, t_grid, x_grid):
     def velocity(tm):
         return -np.asarray(spec.drift(tm, x), dtype=float)
 
-    # two implicit start steps damp the high frequencies of the initial bump
-    G = march(
-        g0, x, t, 0.5, velocity, bc="dirichlet", bc_values=(1.0, 0.0), rannacher=2,
-    )
-    np.clip(G, 0.0, 1.0, out=G)
-    # mass conservation is automatic with pinned boundary values (the density
-    # integral telescopes to G_left - G_right), so a leak shows up as the
-    # solution visibly touching the boundary instead
-    leak = float(max(np.max(1.0 - G[:, 1]), np.max(G[:, -2])))
-    if leak > 1e-3:
-        raise AccuracyError(
-            f"solve_survival_pde: solution reaches the boundary (leak {leak:.2e}); "
-            "widen x_grid"
-        )
-    return t, x, G
+    def blocks():
+        top = bottom = -np.inf
+        finite, low = True, 0.0
+        # two implicit start steps damp the high frequencies of the initial bump
+        for a, G in march_blocks(g0, x, t, 0.5, velocity, bc="dirichlet",
+                                 bc_values=(1.0, 0.0), rannacher=2, rows=_BLOCK_ROWS):
+            np.clip(G, 0.0, 1.0, out=G)
+            # np.maximum keeps a NaN, as the maximum over the whole history does
+            top = np.maximum(top, np.max(1.0 - G[:, 1]))
+            bottom = np.maximum(bottom, np.max(G[:, -2]))
+            rho = np.negative(np.gradient(G, x, axis=1))
+            finite = finite and bool(np.all(np.isfinite(rho)) and np.all(np.isfinite(G)))
+            if finite:
+                low = min(low, float(np.min(rho)))
+                np.maximum(rho, 0.0, out=rho)
+                yield a, G, rho
+        # mass conservation is automatic with pinned boundary values (the
+        # density integral telescopes to G_left - G_right), so a leak shows up
+        # as the solution visibly touching the boundary instead
+        leak = float(max(top, bottom))
+        if leak > 1e-3:
+            raise AccuracyError(
+                f"solve_survival_pde: solution reaches the boundary (leak {leak:.2e}); "
+                "widen x_grid"
+            )
+        if not finite:
+            raise NumericError("DensityField: non-finite field values")
+        if low < -1e-9:
+            raise NumericError("DensityField: density has significant negative values")
 
-
-def density_blocks(G, x):
-    """(first row, max(-d_x G, 0)) for each block of _BLOCK_ROWS rows of a
-    survival history G on the grid x, differenced as solve_survival_pde
-    differences whole rows.
-
-    After the last block it runs the value checks a DensityField runs on
-    the whole field, with the same NumericError: rho and G finite, then rho
-    at least -1e-9.  So a caller that reads only some cells of a history
-    checks all of it, and holds one block of rho at a time."""
-    finite, low = True, 0.0
-    for a, g_blk in zip(range(0, G.shape[0], _BLOCK_ROWS), row_blocks(G)):
-        rho = np.negative(np.gradient(g_blk, x, axis=1))
-        finite = finite and bool(np.all(np.isfinite(rho)) and np.all(np.isfinite(g_blk)))
-        if finite:
-            low = min(low, float(np.min(rho)))
-        np.maximum(rho, 0.0, out=rho)
-        yield a, rho
-    if not finite:
-        raise NumericError("DensityField: non-finite field values")
-    if low < -1e-9:
-        raise NumericError("DensityField: density has significant negative values")
+    return t, x, blocks()
 
 
 def solve_survival_pde(spec, t_grid, x_grid):
-    """The whole field of survival_march's history: rho from density_blocks
-    and G projected monotone in x by the DensityField, which takes both
-    arrays over."""
-    t, x, G = survival_march(spec, t_grid, x_grid)
+    """The whole field of survival_blocks: its rho, and its G projected
+    monotone in x by the DensityField, which takes both arrays over."""
+    t, x, blocks = survival_blocks(spec, t_grid, x_grid)
+    G = np.empty((t.size, x.size))
     rho = np.empty_like(G)
-    for a, rho_blk in density_blocks(G, x):
-        rho[a:a + rho_blk.shape[0]] = rho_blk
+    for a, g_blk, rho_blk in blocks:
+        G[a:a + g_blk.shape[0]] = g_blk
+        rho[a:a + g_blk.shape[0]] = rho_blk
     return DensityField(t, x, rho, G)
 
 

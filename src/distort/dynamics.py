@@ -7,6 +7,11 @@ correction terms along the survival field G(t, x) of the original process:
     mu(t, x) = b + dt_phi(t, G) / (dp_phi(t, G) rho)
                  - rho dpp_phi(t, G) / (2 dp_phi(t, G)).
 
+mu(t, .) reads only that time's G, 1 - G and rho, so it is formed one time
+at a time (_mu_row), from the rows of a field, of a survival march read a
+block at a time, or of the Gaussian closed form; the last two never hold
+the law over the whole (t, x) grid.
+
 This module evaluates mu, solves the backward value PDE, simulates the
 distorted dynamics, assembles the dynamic distortion curve
 
@@ -24,19 +29,17 @@ import numpy as np
 from . import normal
 from ._cn import march, march_adjoint, uniform_spacing
 from .density import (
-    DensityField,
     _whole,
     blend_rows,
     bounded_read,
     bounded_rows,
-    density_blocks,
     draw_normals,
     gaussian_field,
     normals_buffer,
     owned,
     row_blocks,
     run_batches,
-    survival_march,
+    survival_blocks,
 )
 from .distortion import EPS_P
 from .errors import (
@@ -219,30 +222,63 @@ def compute_mu(d, field, b):
     drift out there, or blow it up.  Each G
     cell that the derivatives clamp into [EPS_P, 1 - EPS_P] counts once.
     """
-    t_grid, x = field.t_grid, field.x_grid
-    rho = field.rho
-    mu = np.empty_like(rho)
+    return _drift_of_rows(d, field.t_grid, field.x_grid,
+                          zip(field.G, field.G_comp, field.rho), b)
+
+
+def _drift_of_rows(d, t_grid, x, rows, b):
+    """compute_mu's DriftField from rows, one (G, 1 - G, rho) per time of
+    t_grid on the nodes x, each read once and then dropped."""
+    mu = np.empty((t_grid.size, x.size))
     clamps = 0
-    for i, t in enumerate(t_grid):
-        g_row = field.G[i]
-        c_row = field.G_comp[i]
-        clamps += int(np.count_nonzero((g_row < EPS_P) | (g_row > 1.0 - EPS_P)))
-        dp = np.asarray(d.derivatives(t, g_row), dtype=float)
-        denom = dp * rho[i]
-        if np.any(denom < _DENOM_FLOOR):
-            j = int(np.argmax(denom < _DENOM_FLOOR))
-            raise SingularityError(
-                f"distorted drift singular at t={t}, x={x[j]} "
-                f"(dp_phi * rho = {denom[j]:.3e}); restrict the field to cells "
-                "with usable density"
-            )
-        tr = np.asarray(d.time_ratio(t, g_row, c_row), dtype=float)
-        cr = np.asarray(d.curvature_ratio(t, g_row, c_row), dtype=float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            time_term = np.where(tr == 0.0, 0.0, tr / rho[i])
-        curv_term = 0.5 * cr * rho[i]
-        mu[i] = np.asarray(b(t, x), dtype=float) + time_term - curv_term
+    for i, (t, (g_row, c_row, rho_row)) in enumerate(zip(t_grid, rows)):
+        clamps += int(np.count_nonzero(_clamped(g_row)))
+        mu[i] = _mu_row(d, t, x, g_row, c_row, rho_row, b)
     return DriftField(t_grid.copy(), x.copy(), mu, clamps)
+
+
+def _gaussian_drift(d, x0, t_grid, x_grid, drift, b):
+    """compute_mu(d, gaussian_field(x0, t_grid, x_grid, drift), b) bit for
+    bit, the field formed one time at a time, so only the drift is held
+    over the whole grid.  The times are first checked as the whole field
+    checks them, on one column."""
+    gaussian_field(x0, t_grid, x_grid[:1], drift)
+    fields = (gaussian_field(x0, t_grid[i:i + 1], x_grid, drift) for i in range(t_grid.size))
+    return _drift_of_rows(d, t_grid, x_grid, ((f.G[0], f.G_comp[0], f.rho[0]) for f in fields), b)
+
+
+def _clamped(g_row):
+    """The G cells that the derivatives clamp into [EPS_P, 1 - EPS_P]."""
+    return (g_row < EPS_P) | (g_row > 1.0 - EPS_P)
+
+
+def _raise_singular(t, x, bad, denom):
+    """The SingularityError of the first cell where bad holds in a row at
+    time t on the nodes x, denom its dp_phi * rho."""
+    j = int(np.argmax(bad))
+    raise SingularityError(
+        f"distorted drift singular at t={t}, x={x[j]} "
+        f"(dp_phi * rho = {denom[j]:.3e}); restrict the field to cells "
+        "with usable density"
+    )
+
+
+def _mu_row(d, t, x, g_row, c_row, rho_row, b, singular=_raise_singular):
+    """mu at time t on the nodes x from that time's G, 1 - G and rho: the
+    one place the drift is formed.  Where dp_phi * rho lies below the floor,
+    singular(t, x, bad, denom) is called before either ratio is read; the
+    default raises for the first such cell."""
+    dp = np.asarray(d.derivatives(t, g_row), dtype=float)
+    denom = dp * rho_row
+    bad = denom < _DENOM_FLOOR
+    if np.any(bad):
+        singular(t, x, bad, denom)
+    tr = np.asarray(d.time_ratio(t, g_row, c_row), dtype=float)
+    cr = np.asarray(d.curvature_ratio(t, g_row, c_row), dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        time_term = np.where(tr == 0.0, 0.0, tr / rho_row)
+    curv_term = 0.5 * cr * rho_row
+    return np.asarray(b(t, x), dtype=float) + time_term - curv_term
 
 
 def smoothed_step_payload(center=0.2, width=0.25):
@@ -358,6 +394,7 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
     uniform_spacing(x)
     if not (0.0 <= s_min < t_end):
         raise DomainError("solve_distorted_pde: need 0 <= s_min < t_end")
+    n_steps = _whole(n_steps, "solve_distorted_pde: n_steps")
     s_grid = np.linspace(s_min, t_end, n_steps + 1)
     g_vals = _payload_on_grid(g, x)
     vel, n_out = _velocity_from(mu, x)
@@ -583,22 +620,26 @@ def _field_equals_drift(mu_field, drift):
     return True
 
 
-def _trimmed_pde_field(spec, s, t, nx, half):
-    """Survival-PDE field of spec on [s, t], trimmed to usable density, and
-    the x grid it was solved on (nx points within 8 sqrt(T) of x0).
+def _trimmed_pde_field(d, spec, s, t, nx, half):
+    """The drift of spec's survival-PDE field on [s, t], trimmed to usable
+    density, and the x grid the field was solved on (nx points within
+    8 sqrt(T) of x0).
 
     A survival field carried in floats saturates at G = 1 near seven
     standard deviations, where the density read off the grid collapses to
-    exact zeros.  The field keeps the times from s on (to 1e-12) and the x
+    exact zeros.  The drift keeps the times from s on (to 1e-12) and the x
     within min(half, 7 sqrt(s)) of x0, stopping short of the first x on
     either side of x0 whose density is exactly 0 at a kept time; callers
     extend the drift past the trimmed edges.
 
-    It equals solve_survival_pde's field on 801 times from 1e-3 to t, cut
-    to those cells, bit for bit, and runs every check that field runs; but
-    only the march history is formed over the whole grid.  rho and the
-    projected G (a running minimum from the first column) are read off it
-    a block of rows at a time, on the window only, before it is dropped."""
+    It equals compute_mu on solve_survival_pde's field on 801 times from
+    1e-3 to t, cut to those cells, bit for bit, its clamps and its
+    SingularityError included, and runs every check that field runs; but no
+    array of the field's size is formed.  The march is read a block of rows
+    at a time (survival_blocks), and each kept row's rho and G, projected by
+    a running minimum from the first column, feed _mu_row on the columns not
+    yet cut.  The cut only narrows as rows arrive, so clamps and the first
+    singular cell are kept per column and read inside the final cut."""
     wide_half = 8.0 * math.sqrt(spec.T)
     wide = np.linspace(spec.x0 - wide_half, spec.x0 + wide_half, nx)
     radius = min(half, 7.0 * math.sqrt(s))
@@ -606,27 +647,38 @@ def _trimmed_pde_field(spec, s, t, nx, half):
     if near.size == 0:
         raise DomainError(f"_trimmed_pde_field: no grid point within {radius} of x0={spec.x0}")
     lo, hi = int(near[0]), int(near[-1]) + 1
-    t_grid, _, hist = survival_march(spec, np.linspace(1e-3, t, 801), wide)
-    r0 = int(np.searchsorted(t_grid, s - 1e-12))  # the kept times are a suffix
-    rho = np.empty((t_grid.size - r0, hi - lo))
-    G = np.empty_like(rho)
-    zero = np.zeros(hi - lo, dtype=bool)
-    for a, rho_blk in density_blocks(hist, wide):
-        b = a + rho_blk.shape[0]
-        if b <= r0:
-            continue
-        a0 = max(a, r0)
-        rows = slice(a0 - r0, b - r0)
-        rho[rows] = rho_blk[a0 - a:, lo:hi]
-        zero |= (rho[rows] == 0.0).any(axis=0)
-        G[rows] = np.minimum.accumulate(hist[a0:b, :hi], axis=1)[:, lo:]
-    del hist
+    x = wide[lo:hi]
     k0 = int(np.argmin(np.abs(wide - spec.x0))) - lo
-    zero = np.flatnonzero(zero)
-    cut = slice(np.max(zero[zero < k0], initial=-1) + 1, np.min(zero[zero > k0], initial=hi - lo))
-    field = DensityField(t_grid[r0:], wide[lo:hi][cut], rho[:, cut], G[:, cut],
-                         G_comp=1.0 - G[:, cut])
-    return field, wide
+    t_grid, _, blocks = survival_blocks(spec, np.linspace(1e-3, t, 801), wide)
+    r0 = int(np.searchsorted(t_grid, s - 1e-12))  # the kept times are a suffix
+    times = t_grid[r0:]
+    mu = np.empty((times.size, x.size))
+    clamps = np.zeros(x.size, dtype=np.intp)
+    first_bad = np.full(x.size, times.size)  # each column's first singular row
+    bad_denom = np.empty(x.size)
+    c0, c1 = 0, x.size  # the columns with density at every kept row so far
+
+    def singular(t_i, x_row, bad, denom):
+        # called from the current row's _mu_row: i and cols are that row's
+        new = bad & (first_bad[cols] == times.size)
+        first_bad[cols][new] = i
+        bad_denom[cols][new] = denom[new]
+
+    for a, G, rho in blocks:
+        for r in range(max(r0 - a, 0), G.shape[0]):
+            zero = np.flatnonzero(rho[r, lo:hi] == 0.0)
+            c0 = max(c0, int(np.max(zero[zero < k0], initial=-1)) + 1)
+            c1 = min(c1, int(np.min(zero[zero > k0], initial=x.size)))
+            i, cols = a + r - r0, slice(c0, c1)
+            g = np.minimum.accumulate(G[r, :lo + c1])[lo + c0:]
+            clamps[cols] += _clamped(g)
+            mu[i, cols] = _mu_row(d, times[i], x[cols], g, 1.0 - g,
+                                  rho[r, lo + c0:lo + c1], spec.drift, singular)
+    cut = slice(c0, c1)
+    i = int(np.min(first_bad[cut]))
+    if i < times.size:
+        _raise_singular(times[i], x[cut], first_bad[cut] == i, bad_denom[cut])
+    return DriftField(times.copy(), x[cut].copy(), mu[:, cut], int(np.sum(clamps[cut]))), wide
 
 
 def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
@@ -642,8 +694,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     Gp is the Gaussian closed form instead.  The y probes span 3.9
     sqrt(t - s) on either side of the drifted center.
     The drift of the distorted dynamics is taken from mu when given (field
-    or callable), else computed from a Gaussian field for constant drift, or
-    from the trimmed survival-PDE field (_trimmed_pde_field); the clamps of
+    or callable), else computed row by row from a Gaussian field for
+    constant drift (_gaussian_drift), or from the trimmed survival-PDE field
+    (_trimmed_pde_field); the clamps of
     a drift computed here go in meta["derivative_clamps"], and the march's
     drift reads outside the drift's grid, one per node and step, in
     meta["mu_extrapolations"].  The inverse
@@ -665,6 +718,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     for name, v in (("x", x), ("drift_const", drift_const)):
         if v is not None and not math.isfinite(v):
             raise DomainError(f"build_phi_curve: {name}={v} must be finite")
+    n_steps = _whole(n_steps, "build_phi_curve: n_steps")
+    n_march = _whole(n_march, "build_phi_curve: n_march")
+    n_y = _whole(n_y, "build_phi_curve: n_y")
     if n_y < 2:
         raise DomainError(f"build_phi_curve: n_y={n_y} y probes; need n_y >= 2")
     if p_grid is None:
@@ -695,14 +751,13 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
             half_f = min(half_m + abs(x - spec.x0), _Z_USABLE * math.sqrt(s))
             nf = max(801, int(2.0 * half_f / dx) | 1)
             xg_f = np.linspace(spec.x0 - half_f, spec.x0 + half_f, nf)
-            field = gaussian_field(spec.x0, _sqrt_graded(s, t, 200), xg_f, drift=b_sx)
+            mu = _gaussian_drift(d, spec.x0, _sqrt_graded(s, t, 200), xg_f, b_sx, spec.drift)
             mu_src = "gaussian-field"
         else:
             # the march extends the trimmed drift by the edge slope
-            field, _ = _trimmed_pde_field(spec, s, t, max(n_march, 1601),
-                                          half_m + abs(x - spec.x0))
+            mu, _ = _trimmed_pde_field(d, spec, s, t, max(n_march, 1601),
+                                       half_m + abs(x - spec.x0))
             mu_src = "pde-field"
-        mu = compute_mu(d, field, spec.drift)
         clamps = mu.clamps
     knots_p = np.concatenate(([0.0], np.unique(p_grid[(p_grid > 0.0) & (p_grid < 1.0)]), [1.0]))
 
@@ -886,8 +941,7 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     N_list = [_whole(N, "convergence_study: N") for N in N_list]
     clamps = extrapolations = 0
     if u_ref is None:
-        trimmed, xg = _trimmed_pde_field(spec, eval_t, spec.T, 1601, math.inf)
-        mu = compute_mu(d, trimmed, spec.drift)
+        mu, xg = _trimmed_pde_field(d, spec, eval_t, spec.T, 1601, math.inf)
         clamps = mu.clamps
         sol = solve_distorted_pde(mu, g, eval_t, spec.T, xg, n_steps=800)
         u_ref = sol.u_at(eval_t, eval_x)

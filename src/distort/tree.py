@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .choquet import choquet_increments, survival_sum
+from .density import _whole
 from .errors import ConfigError, ConsistencyError, DomainError
 from .report import read_json
 
@@ -319,6 +320,21 @@ def _check_increasing(values, where):
         raise DomainError(f"{where}: values must be nondecreasing")
 
 
+def _terminal_values(values, n, where):
+    """values as the n + 1 finite, nondecreasing terminal values of a
+    payoff; a DomainError names where for any other."""
+    g = np.asarray(values, dtype=float)
+    if g.shape != (n + 1,):
+        raise DomainError(f"{where}: expected {n + 1} terminal values")
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise DomainError(
+            f"{where}: terminal value {g[bad[0]]} at state {bad[0]} is not finite"
+        )
+    _check_increasing(g, f"{where} terminal payoff")
+    return g
+
+
 def backward_induction(dt, terminal_values, horizon=None, levels=(0,)):
     """Linear backward induction under the distorted transitions.
 
@@ -332,14 +348,11 @@ def backward_induction(dt, terminal_values, horizon=None, levels=(0,)):
     outside [0, 1] can break it, and the guard, run once per block, names
     the highest level that decreases, the first one the walk forms.
     """
-    n = dt.n_periods if horizon is None else int(horizon)
-    keep = {int(i) for i in levels}
+    n = dt.n_periods if horizon is None else _whole(horizon, "backward_induction: horizon")
+    keep = {_whole(i, "backward_induction: level") for i in levels}
     if keep and not 0 <= min(keep) <= max(keep) <= n:
         raise DomainError(f"backward_induction: levels {sorted(keep)} must lie in 0..{n}")
-    g = np.asarray(terminal_values, dtype=float)
-    if g.shape != (n + 1,):
-        raise DomainError(f"backward_induction: expected {n + 1} terminal values")
-    _check_increasing(g, "backward_induction terminal payoff")
+    g = _terminal_values(terminal_values, n, "backward_induction")
     if np.any(g < 0.0):
         raise DomainError("backward_induction: terminal payoff must be nonnegative")
     u = g.copy()
@@ -462,7 +475,8 @@ def phi_at_node(dt, i, j, n=None):
     at two states, or at 0 or 1, must map to values within 1e-9 of each
     other or of the pinned endpoint.  Reads only the transition data of the
     subtree rooted at (i, j)."""
-    n = dt.n_periods if n is None else int(n)
+    i, j = _whole(i, "phi_at_node: i"), _whole(j, "phi_at_node: j")
+    n = dt.n_periods if n is None else _whole(n, "phi_at_node: n")
     if not (0 <= i < n <= dt.n_periods) or not (0 <= j <= i):
         raise DomainError(f"phi_at_node: invalid indices (i={i}, j={j}, n={n})")
     surv_p = _conditional_survival(dt.base.up_prob, i, j, n)
@@ -503,28 +517,30 @@ def verify_tower(dt, terminal_values, r=0, s=None, n=None):
     distortion.  Transitions that do not come from the schedule pass it;
     verify_initial_consistency is the check against phi.
     """
-    n = dt.n_periods if n is None else int(n)
-    s = (r + n) // 2 if s is None else int(s)
+    r = _whole(r, "verify_tower: r")
+    n = dt.n_periods if n is None else _whole(n, "verify_tower: n")
+    s = (r + n) // 2 if s is None else _whole(s, "verify_tower: s")
     if not (0 <= r < s < n <= dt.n_periods):
         raise DomainError(f"verify_tower: need r < s < n, got ({r}, {s}, {n})")
-    g = np.asarray(terminal_values, dtype=float)
+    g = _terminal_values(terminal_values, n, "verify_tower")
     levels = backward_induction(dt, g, horizon=n, levels=(r, s))
     u_r, u_s = levels[r], levels[s]
 
+    # np.maximum keeps a NaN gap, where max() drops it
     worst = 0.0
     for j in range(s + 1):
         curve = phi_at_node(dt, s, j, n)
         inner = _choquet_with_curve(curve, g)
-        worst = max(worst, abs(inner - u_s[j]))
+        worst = np.maximum(worst, abs(inner - u_s[j]))
     inner_vals = u_s
     for j in range(r + 1):
         direct_curve = phi_at_node(dt, r, j, n)
         direct = _choquet_with_curve(direct_curve, g)
         outer_curve = phi_at_node(dt, r, j, s)
         composed = _choquet_with_curve(outer_curve, inner_vals)
-        worst = max(worst, abs(direct - u_r[j]))
-        worst = max(worst, abs(composed - direct))
-    return worst
+        worst = np.maximum(worst, abs(direct - u_r[j]))
+        worst = np.maximum(worst, abs(composed - direct))
+    return float(worst)
 
 
 def verify_initial_consistency(dt):
@@ -550,11 +566,8 @@ def naive_nested_expectation(tree, d, terminal_values):
     This is the naive construction that fails the tower property; it is
     defined here for time-invariant schedules (each one-step expectation uses
     the distortion at the child's time)."""
-    g = np.asarray(terminal_values, dtype=float)
     n = tree.n_periods
-    if g.shape != (n + 1,):
-        raise DomainError(f"naive_nested_expectation: expected {n + 1} terminal values")
-    _check_increasing(g, "naive_nested_expectation terminal payoff")
+    g = _terminal_values(terminal_values, n, "naive_nested_expectation")
     u = g.copy()
     for i in range(n - 1, -1, -1):
         p = tree.up_prob[i]
@@ -567,11 +580,8 @@ def naive_nested_expectation(tree, d, terminal_values):
 
 def static_distorted_value(tree, d, terminal_values):
     """Static Choquet expectation of an increasing terminal payoff."""
-    g = np.asarray(terminal_values, dtype=float)
     n = tree.n_periods
-    if g.shape != (n + 1,):
-        raise DomainError(f"static_distorted_value: expected {n + 1} terminal values")
-    _check_increasing(g, "static_distorted_value terminal payoff")
+    g = _terminal_values(terminal_values, n, "static_distorted_value")
     surv = _conditional_survival(tree.up_prob, 0, 0, n)
     t_n = float(tree.times[-1])
     w_hi = np.asarray(d.eval(t_n, np.clip(surv, 0.0, 1.0)), dtype=float)

@@ -88,6 +88,19 @@ def test_scaled_law_merges_points_rounded_together():
     assert np.array_equal(doubled.probs, rv.probs)
 
 
+@pytest.mark.parametrize("support, probs, match", [
+    ([0.0, 1.0], [np.nan, 1.0], r"probs\[0\] = nan"),
+    ([0.0, 1.0], [0.5, np.inf], r"probs\[1\] = inf"),
+    ([np.nan, 1.0], [0.5, 0.5], r"support\[0\] = nan"),
+    ([0.0, np.inf], [0.5, 0.5], r"support\[1\] = inf"),
+], ids=["nan-prob", "inf-prob", "nan-support", "inf-support"])
+def test_discrete_rv_rejects_non_finite_entries_by_name(support, probs, match):
+    """[nan, 1.0] used to pass the positivity and the sum checks, and a NaN
+    support point the ordering check; the expectation then read NaN."""
+    with pytest.raises(DomainError, match=rf"^DiscreteRV: {match} is not finite$"):
+        DiscreteRV(np.array(support), np.array(probs))
+
+
 def test_scaled_law_rejects_negative_infinite_and_overflowing_factors():
     rv = DiscreteRV(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
     for c in (-1.0, np.inf, np.nan, 1e308):

@@ -371,6 +371,23 @@ def test_bad_tree_file_exits_2_naming_it(tmp_path, text, message):
     assert "Traceback" not in r.stderr and "unknown keys" not in r.stderr
 
 
+def test_tree_payload_with_a_nan_exits_2_naming_it(tmp_path):
+    """A NaN terminal value used to reach the report and exit 2 from
+    canonical_json; it is named where the payload is first read."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"schema_version": 1, "distortion": {"family": "power", "gamma": 2.0},\n'
+        ' "tree": {"N": 2, "T": 2.0, "p": 0.5, "x0": 0.0, "step": 1.0},\n'
+        ' "payload": [0.0, NaN, 2.0], "compare_naive": true}'
+    )
+    out = tmp_path / "o"
+    r = run_cli("tree", "--config", str(cfg), "--out", str(out))
+    assert r.returncode == 2
+    assert "backward_induction: terminal value nan at state 1 is not finite" in r.stderr
+    assert "canonical_json" not in r.stderr and "Traceback" not in r.stderr
+    assert not (out / "report.json").exists()
+
+
 def test_missing_config_and_preset_exits_2(tmp_path):
     r = run_cli("dynamics", "--out", str(tmp_path / "o"))
     assert r.returncode == 2

@@ -9,6 +9,7 @@ from distort._cn import (
     apply_operator,
     march,
     march_adjoint,
+    march_blocks,
     operator_bands,
     theta_step,
 )
@@ -92,6 +93,26 @@ def test_history_rows_are_the_final_slices_of_shorter_marches(velocity, rannache
         last = march(u0, X, GRADED[:k + 1], 0.5, velocity, bc_values=bc_values,
                      rannacher=rannacher)[-1]
         assert history[k].tobytes() == last.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 41, None])
+@pytest.mark.parametrize("shape", [(X.size,), (3, X.size)], ids=["one", "three"])
+def test_blocks_are_the_history_a_block_at_a_time(shape, rows):
+    """The blocks tile march's history in order, bit for bit, each a view
+    of one buffer of at most ``rows`` states; a consumer that overwrites a
+    block changes none of the states that follow."""
+    u0 = 0.5 * (1.0 - np.tanh(X)) * np.ones(shape)
+    history = march(u0, X, GRADED, 0.5, strong_velocity, bc_values=(1.0, 0.0), rannacher=2)
+    seen = 0
+    for a, blk in march_blocks(u0, X, GRADED, 0.5, strong_velocity, bc_values=(1.0, 0.0),
+                               rannacher=2, rows=rows):
+        first = blk if a == 0 else first
+        assert a == seen and blk.shape[1:] == shape and np.shares_memory(blk, first)
+        assert blk.shape[0] <= (GRADED.size if rows is None else rows)
+        assert blk.tobytes() == history[a:a + blk.shape[0]].tobytes()
+        blk[...] = np.nan
+        seen += blk.shape[0]
+    assert seen == GRADED.size
 
 
 def test_transposed_bands_match_the_dense_transpose(monkeypatch):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from distort import normal
+from distort import density, normal
 from distort.density import (
     BridgeEstimate,
     DensityField,
@@ -258,6 +258,40 @@ def test_survival_solve_peak_stays_below_five_and_a_half_fields():
     field, peak = traced_peak(solve_survival_pde, spec, t_grid, x_grid)
     assert field.G.shape == (801, 1601)
     assert peak < 5.5 * field.G.nbytes
+
+
+SPOILED_CELLS = {
+    # (row, column): value written into the march before the clip
+    "leak": ({(5, 1): 0.5}, AccuracyError, r"reaches the boundary \(leak 5.00e-01\)"),
+    "leak-before-a-later-nan": ({(5, 1): 0.5, (600, 3): np.nan}, AccuracyError, "leak"),
+    "leak-after-an-earlier-nan": ({(5, 3): np.nan, (600, -2): 0.5}, AccuracyError, "leak"),
+    "nan-in-the-leak-column": ({(5, 1): np.nan}, NumericError, "non-finite field values"),
+    "nan-before-negative": ({(700, 4): 0.5, (650, 3): np.nan}, NumericError, "non-finite"),
+    "negative": ({(700, 4): 0.5}, NumericError, "significant negative values"),
+}
+
+
+@pytest.mark.parametrize("name", list(SPOILED_CELLS))
+def test_survival_checks_every_row_in_order(monkeypatch, name):
+    """The block reader runs the whole field's checks after its last block,
+    in the order the whole field ran them: the leak, then non-finite
+    values, then negative densities, whichever block spoils them.  A NaN
+    where the leak is read passes the leak check, as np.max then max()
+    over the whole history let it."""
+    cells, error, message = SPOILED_CELLS[name]
+    real = density.march_blocks
+
+    def spoiled(*args, **kwargs):
+        for a, G in real(*args, **kwargs):
+            for (row, col), value in cells.items():
+                if a <= row < a + G.shape[0]:
+                    G[row - a, col] = value
+            yield a, G
+
+    monkeypatch.setattr(density, "march_blocks", spoiled)
+    spec = DiffusionSpec(drift=ZERO_DRIFT, x0=0.0, T=1.0)
+    with pytest.raises(error, match=message):
+        solve_survival_pde(spec, np.linspace(1e-3, 1.0, 801), np.linspace(-8.0, 8.0, 1601))
 
 
 def test_pde_guards():

@@ -856,28 +856,64 @@ def test_phi_mc_cross_check_state_dependent_drift():
         assert abs(sim.mean - curve.surv_q[k]) <= 0.012
 
 
-def test_phi_survival_route_peak_stays_below_two_and_a_half_fields():
+def test_phi_survival_route_peak_stays_below_one_field():
     """The Power(2) curve on the survival-PDE route, at the default sizes,
-    peaks below 2.5 arrays of the (801, 1601) drift field: both conditional
+    peaks below one array of the (801, 1601) survival grid: both conditional
     survivals are adjoint marches of one probe, built after the drift, and
-    the drift's survival field is built on its window only (2.03 when Gp
-    came from a survival-PDE restart, 4.1 when both built whole fields, 8.3
-    when the conditional field was kept and each step of a field build
-    allocated a field of its own)."""
+    the drift is formed row by row off a survival march read a block at a
+    time (2.00 when the march history and the trimmed field were formed,
+    2.03 when Gp came from a survival-PDE restart, 4.1 when both built whole
+    fields, 8.3 when the conditional field was kept and each step of a field
+    build allocated a field of its own)."""
     spec = DiffusionSpec(drift=ZERO, x0=0.0, T=1.0)
     curve, peak = traced_peak(build_phi_curve, Power(2.0), spec, 0.25, 1.0, 0.0,
                               drift_const=None)
     assert curve.meta["mu_source"] == "pde-field"
-    assert peak < 2.5 * 801 * 1601 * 8
+    assert peak < 1.0 * 801 * 1601 * 8
 
 
-def test_trimmed_field_peak_stays_below_two_and_a_half_fields():
-    """The march history is the one array of the (801, 1601) grid that the
-    trimmed field forms; its window's rho and G are read off it a block at
-    a time (4.1 arrays when the whole field was built and then cut)."""
-    (field, _), peak = traced_peak(_trimmed_pde_field, SPEC0, 0.25, 1.0, 1601, math.inf)
-    assert field.rho.shape == (601, 701)
-    assert peak < 2.5 * 801 * 1601 * 8
+def test_phi_gaussian_route_peak_stays_below_nine_tenths_of_a_field():
+    """The Power(2) curve on the drift_const route peaks below 0.9 arrays of
+    the (801, 1601) grid: the Gaussian field is formed one time at a time,
+    so of its (201, 1601) grid only the drift is held (1.62 when the whole
+    Gaussian field was formed)."""
+    curve, peak = traced_peak(build_phi_curve, Power(2.0), SPEC0, 0.25, 1.0, 0.0,
+                              drift_const=0.0)
+    assert curve.meta["mu_source"] == "gaussian-field"
+    assert peak < 0.9 * 801 * 1601 * 8
+
+
+def test_trimmed_field_peak_stays_below_eight_tenths_of_a_field():
+    """No array of the (801, 1601) survival grid is formed: the march is
+    read a block of rows at a time and only the drift on the (601, 701)
+    window is held, 0.33 of the grid (2.5 arrays when the march history was
+    formed and the window's rho and G were read off it)."""
+    (mu, _), peak = traced_peak(_trimmed_pde_field, Power(2.0), SPEC0, 0.25, 1.0, 1601,
+                                math.inf)
+    assert mu.mu.shape == (601, 701)
+    assert peak < 0.8 * 801 * 1601 * 8
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"n_steps": 2.5}, "n_steps=2.5"),
+    ({"n_march": 1600.5}, "n_march=1600.5"),
+    ({"n_y": 2.5}, "n_y=2.5"),
+], ids=["n-steps", "n-march", "n-y"])
+def test_phi_rejects_non_integral_sizes_by_name(kwargs, name):
+    """They used to raise a TypeError from np.linspace; named before any
+    drift is built."""
+    with pytest.raises(DomainError, match=rf"^build_phi_curve: {name} must be an integer$"):
+        build_phi_curve(Wang(0.5), SPEC0, 0.25, 1.0, 0.0, drift_const=0.0, **kwargs)
+
+
+def test_value_pde_rejects_a_non_integral_step_count_by_name():
+    """n_steps=2.5 used to raise a TypeError from np.linspace; 40.0 runs as 40."""
+    x = np.linspace(-6.0, 6.0, 241)
+    with pytest.raises(DomainError, match=r"^solve_distorted_pde: n_steps=2.5 must be an integer$"):
+        solve_distorted_pde(wang_mu_closed(0.5), smoothed_step, 0.1, 1.0, x, n_steps=2.5)
+    sol = solve_distorted_pde(wang_mu_closed(0.5), smoothed_step, 0.1, 1.0, x, n_steps=40.0)
+    ref = solve_distorted_pde(wang_mu_closed(0.5), smoothed_step, 0.1, 1.0, x, n_steps=40)
+    assert sol.u.tobytes() == ref.u.tobytes()
 
 
 def test_phi_rejects_time_zero_and_below_s_min():
@@ -1186,17 +1222,31 @@ def test_convergence_internal_reference_close_to_closed_form():
 OU = DiffusionSpec(drift=lambda t, x: -np.asarray(x, dtype=float), x0=0.0, T=1.0)
 
 
+def _window_field(full, keep_t, keep_x):
+    """The DensityField of full's cells in keep_t x keep_x."""
+    cells = np.ix_(keep_t, keep_x)
+    return DensityField(full.t_grid[keep_t], full.x_grid[keep_x], full.rho[cells],
+                        full.G[cells], G_comp=full.G_comp[cells])
+
+
 def test_trimmed_field_stops_short_of_zero_density():
     # the OU law at t = 0.5 has sd 0.56, so 7 sqrt(0.5) reaches 8.8 sd, where
     # the survival field saturates and its density is exactly 0
-    field, wide = _trimmed_pde_field(OU, 0.5, 1.0, 1601, math.inf)
-    assert np.all(field.rho > 0.0)
-    assert field.t_grid[0] >= 0.5 - 1e-12 and field.t_grid[-1] == 1.0
-    assert field.x_grid[0] > -7.0 * math.sqrt(0.5) and field.x_grid[-1] < 7.0 * math.sqrt(0.5)
-    assert set(field.x_grid) <= set(wide) and wide.size == 1601
+    mu, wide = _trimmed_pde_field(Wang(0.5), OU, 0.5, 1.0, 1601, math.inf)
+    assert mu.t_grid[0] >= 0.5 - 1e-12 and mu.t_grid[-1] == 1.0
+    assert mu.x_grid[0] > -7.0 * math.sqrt(0.5) and mu.x_grid[-1] < 7.0 * math.sqrt(0.5)
+    assert set(mu.x_grid) <= set(wide) and wide.size == 1601
+    # the density is positive on every kept cell; the saturated left tail
+    # stops the drift where a kept time reads 0, the right tail at the window
+    full = solve_survival_pde(OU, np.linspace(1e-3, 1.0, 801), wide)
+    kept = full.rho[full.t_grid >= 0.5 - 1e-12]
+    lo, hi = np.searchsorted(wide, mu.x_grid[[0, -1]])
+    assert np.all(kept[:, lo:hi + 1] > 0.0)
+    assert np.any(kept[:, lo - 1] == 0.0)
+    assert mu.x_grid[-1] == wide[wide <= 7.0 * math.sqrt(0.5) + 1e-12][-1]
     # the base case keeps its full window
-    field0, _ = _trimmed_pde_field(SPEC0, 0.5, 1.0, 1601, math.inf)
-    assert field0.x_grid[-1] == pytest.approx(7.0 * math.sqrt(0.5), abs=0.01)
+    mu0, _ = _trimmed_pde_field(Wang(0.5), SPEC0, 0.5, 1.0, 1601, math.inf)
+    assert mu0.x_grid[-1] == pytest.approx(7.0 * math.sqrt(0.5), abs=0.01)
 
 
 TRIM_DRIFTS = {
@@ -1204,27 +1254,91 @@ TRIM_DRIFTS = {
     "ou": OU.drift,
     "time-varying": lambda t, x: 0.3 * t - 0.2 * np.asarray(x, dtype=float),
 }
+# one family per drift: a time ratio (Wang k = 1), a steep endpoint slope
+# (KahnemanTversky) and a curvature ratio 1 / p (Power)
+TRIM_FAMILIES = {"zero": Wang(0.5, k=1.0), "ou": KahnemanTversky(0.7),
+                 "time-varying": Power(2.0)}
 
 
 @pytest.mark.parametrize("drift", list(TRIM_DRIFTS))
 @pytest.mark.parametrize("s, half", [(0.25, math.inf), (0.5, math.inf), (0.25, 2.0)])
 def test_trimmed_field_is_the_whole_field_cut_to_its_window(drift, s, half):
-    """The window route equals the whole survival field cut by np.ix_ with
-    the same trimming, bit for bit."""
+    """The streamed drift equals compute_mu on the whole survival field cut
+    by np.ix_ with the same trimming, bit for bit, clamps included."""
     spec = DiffusionSpec(drift=TRIM_DRIFTS[drift], x0=0.0, T=1.0)
-    field, wide = _trimmed_pde_field(spec, s, 1.0, 1601, half)
+    d = TRIM_FAMILIES[drift]
+    mu, wide = _trimmed_pde_field(d, spec, s, 1.0, 1601, half)
     full = solve_survival_pde(spec, np.linspace(1e-3, 1.0, 801), wide)
     keep_t = full.t_grid >= s - 1e-12
     keep_x = np.abs(wide) <= min(half, 7.0 * math.sqrt(s)) + 1e-12
     zero = np.flatnonzero((full.rho == 0.0)[keep_t].any(axis=0))
     keep_x[: np.max(zero[zero < 800], initial=-1) + 1] = False
     keep_x[np.min(zero[zero > 800], initial=wide.size):] = False
-    cells = np.ix_(keep_t, keep_x)
-    assert np.array_equal(field.t_grid, full.t_grid[keep_t])
-    assert np.array_equal(field.x_grid, wide[keep_x])
-    for name in ("rho", "G", "G_comp"):
-        assert np.array_equal(getattr(field, name), getattr(full, name)[cells]), name
-    assert field.projection == 0.0
+    ref = compute_mu(d, _window_field(full, keep_t, keep_x), spec.drift)
+    assert np.array_equal(mu.t_grid, full.t_grid[keep_t])
+    assert np.array_equal(mu.x_grid, wide[keep_x])
+    assert mu.mu.tobytes() == ref.mu.tobytes()
+    assert mu.clamps == ref.clamps
+
+
+def _late_cut_column(mu, wide, full, s):
+    """The column just left of the trimmed drift's grid, and the kept rows
+    of the whole field's rho: under OU from s = 0.5 its density is positive
+    at every node between it and x0 for the first seven kept times, so the
+    cut drops it only at a later one."""
+    kept = full.rho[full.t_grid >= s - 1e-12]
+    j = int(np.flatnonzero(wide < mu.x_grid[0])[-1])
+    assert np.all(kept[:7, j:801] > 0.0) and np.any(kept[:, j] == 0.0)
+    return j, kept
+
+
+def test_trimmed_field_counts_clamps_inside_the_cut_only():
+    """The cut narrows as the kept rows arrive; the clamps of a column that
+    a later row cuts are not counted, as compute_mu on the cut field never
+    sees them."""
+    d = Power(2.0)
+    mu, wide = _trimmed_pde_field(d, OU, 0.5, 1.0, 1601, math.inf)
+    full = solve_survival_pde(OU, np.linspace(1e-3, 1.0, 801), wide)
+    j, _ = _late_cut_column(mu, wide, full, 0.5)
+    G = full.G[full.t_grid >= 0.5 - 1e-12]
+    clamped = (G < 1e-12) | (G > 1.0 - 1e-12)
+    assert np.all(clamped[:7, j])
+    assert mu.clamps == np.count_nonzero(clamped[:, np.isin(wide, mu.x_grid)])
+
+
+def test_trimmed_field_raises_for_the_first_singular_cell_of_the_cut(monkeypatch):
+    """A singular cell is raised only inside the final cut, and the cell
+    named is the one compute_mu on the cut field names: the first in time,
+    then in x.  A singular cell in a column that a later row cuts is not
+    raised."""
+    d = Power(2.0)
+    mu, wide = _trimmed_pde_field(d, OU, 0.5, 1.0, 1601, math.inf)
+    full = solve_survival_pde(OU, np.linspace(1e-3, 1.0, 801), wide)
+    j_out, _ = _late_cut_column(mu, wide, full, 0.5)
+    j_in = j_out + 6
+    real = dynamics._mu_row
+    spoiled_cells, seen = [], []  # (time, column): rho there reads 1e-310
+
+    def spoiled(d_, t, x, g, c, rho, b, singular=dynamics._raise_singular):
+        first = int(np.searchsorted(wide, x[0]))
+        for tk, jk in spoiled_cells:
+            if t == tk and first <= jk < first + x.size:
+                rho = rho.copy()
+                rho[jk - first] = 1e-310
+                seen.append((tk, jk))
+        return real(d_, t, x, g, c, rho, b, singular)
+
+    monkeypatch.setattr(dynamics, "_mu_row", spoiled)
+    times = mu.t_grid
+    spoiled_cells[:] = [(times[3], j_out)]
+    again, _ = _trimmed_pde_field(d, OU, 0.5, 1.0, 1601, math.inf)
+    assert seen == spoiled_cells
+    assert again.mu.tobytes() == mu.mu.tobytes() and again.clamps == mu.clamps
+    spoiled_cells[:] = [(times[7], j_in + 2), (times[3], j_out), (times[7], j_in),
+                        (times[9], j_in - 1)]
+    with pytest.raises(SingularityError) as got:
+        _trimmed_pde_field(d, OU, 0.5, 1.0, 1601, math.inf)
+    assert f"at t={times[7]}, x={wide[j_in]} (dp_phi * rho = " in str(got.value)
 
 
 def test_trimmed_field_projects_from_the_first_column(monkeypatch):
@@ -1234,24 +1348,70 @@ def test_trimmed_field_projects_from_the_first_column(monkeypatch):
     t_grid, wide = np.linspace(1e-3, 1.0, 801), np.linspace(-8.0, 8.0, 1601)
     row = int(np.searchsorted(t_grid, 0.25 - 1e-12))  # the first kept time
     lo = int(np.argmax(wide >= -3.5 - 1e-12))  # the window's first column
-    real = density.march
+    d = Power(2.0)
+    plain, _ = _trimmed_pde_field(d, SPEC0, 0.25, 1.0, 1601, math.inf)
+    real = density.march_blocks
 
     def dipped(*args, **kwargs):
-        G = real(*args, **kwargs)
-        G[row, 100] = G[row, lo] - 1e-13  # G there is 1 - 1.3e-12
-        return G
+        for a, G in real(*args, **kwargs):
+            if a <= row < a + G.shape[0]:
+                G[row - a, 100] = G[row - a, lo] - 1e-13  # G there is 1 - 1.3e-12
+            yield a, G
 
-    monkeypatch.setattr(density, "march", dipped)
-    field, _ = _trimmed_pde_field(SPEC0, 0.25, 1.0, 1601, math.inf)
+    monkeypatch.setattr(density, "march_blocks", dipped)
+    mu, _ = _trimmed_pde_field(d, SPEC0, 0.25, 1.0, 1601, math.inf)
     full = solve_survival_pde(SPEC0, t_grid, wide)
-    assert field.G[0, 0] < 1.0 - 1.3e-12
-    assert np.array_equal(field.G, full.G[row:, lo:lo + field.x_grid.size])
+    keep_x = np.isin(wide, mu.x_grid)
+    assert full.G[row, lo] < 1.0 - 1.3e-12 and keep_x[lo]
+    ref = compute_mu(d, _window_field(full, t_grid >= 0.25 - 1e-12, keep_x), ZERO)
+    assert mu.mu.tobytes() == ref.mu.tobytes()
+    assert mu.mu[0, 0] != plain.mu[0, 0] and np.array_equal(mu.mu[1:], plain.mu[1:])
 
 
 def test_trimmed_field_without_a_node_near_x0_is_rejected():
     # 1602 nodes leave none at x0, and half = 1e-6 keeps none within reach
     with pytest.raises(DomainError, match="no grid point within 1e-06 of x0=0.0"):
-        _trimmed_pde_field(SPEC0, 0.5, 1.0, 1602, 1e-6)
+        _trimmed_pde_field(Wang(0.5), SPEC0, 0.5, 1.0, 1602, 1e-6)
+
+
+GAUSSIAN_FAMILIES = {"wang-k1": Wang(0.5, k=1.0), "kahneman-tversky": KahnemanTversky(0.7),
+                     "power": Power(2.0), "prelec": Prelec(0.65, 0.8)}
+
+
+@pytest.mark.parametrize("name", list(GAUSSIAN_FAMILIES))
+def test_gaussian_drift_is_compute_mu_on_the_whole_field(name):
+    """The Gaussian field formed one time at a time gives compute_mu's drift
+    on the whole field bit for bit, clamps included (the grid reaches 9 sd,
+    where G saturates)."""
+    d = GAUSSIAN_FAMILIES[name]
+    t_grid, x_grid = _sqrt_graded(0.3, 1.0, 60), np.linspace(-4.6, 5.4, 1201)
+    mu = dynamics._gaussian_drift(d, 0.2, t_grid, x_grid, 0.4, OU.drift)
+    ref = compute_mu(d, gaussian_field(0.2, t_grid, x_grid, drift=0.4), OU.drift)
+    assert np.array_equal(mu.t_grid, ref.t_grid) and np.array_equal(mu.x_grid, ref.x_grid)
+    assert mu.mu.tobytes() == ref.mu.tobytes()
+    assert mu.clamps == ref.clamps > 0
+
+
+@pytest.mark.parametrize("times", [[0.3, 0.6, 0.6, 0.9], [0.3, 0.6, 1.0, 0.9]],
+                         ids=["repeated", "decreasing"])
+def test_gaussian_drift_checks_its_times_as_the_whole_field(times):
+    """Every time is checked before the first row is formed, with the whole
+    field's error: a bad time after a singular row is still the error."""
+    times, x_grid = np.array(times), np.linspace(-60.0, 60.0, 801)
+    with pytest.raises(SingularityError):  # rho underflows at the edges
+        compute_mu(Wang(0.5), gaussian_field(0.0, times[:2], x_grid), ZERO)
+    with pytest.raises(DomainError, match="DensityField: grids must be increasing"):
+        dynamics._gaussian_drift(Wang(0.5), 0.0, times, x_grid, 0.0, ZERO)
+
+
+def test_gaussian_drift_names_the_first_singular_cell():
+    x_grid = np.linspace(-60.0, 60.0, 801)
+    t_grid = np.array([0.3, 0.6, 0.9])
+    with pytest.raises(SingularityError) as want:
+        compute_mu(Wang(0.5), gaussian_field(0.0, t_grid, x_grid), ZERO)
+    with pytest.raises(SingularityError) as got:
+        dynamics._gaussian_drift(Wang(0.5), 0.0, t_grid, x_grid, 0.0, ZERO)
+    assert str(got.value) == str(want.value)
 
 
 def test_phi_conditional_curve_is_the_multi_payload_march_under_the_base_drift():
@@ -1323,19 +1483,20 @@ SPOILED_HISTORIES = {
 
 @pytest.mark.parametrize("spoil", list(SPOILED_HISTORIES), ids=lambda k: f"window-{k}")
 def test_spoiled_history_outside_the_window_is_rejected(monkeypatch, spoil):
-    """The trimmed field reads only a window of its survival history but
+    """The trimmed drift reads only a window of its survival march but
     checks all of it, as a DensityField checks its field."""
     change, message = SPOILED_HISTORIES[spoil]
-    real = dynamics.survival_march
+    real = density.march_blocks
 
     def spoiled(*args, **kwargs):
-        t, x, G = real(*args, **kwargs)
-        change(G[5])
-        return t, x, G
+        for a, G in real(*args, **kwargs):
+            if a == 0:
+                change(G[5])
+            yield a, G
 
-    monkeypatch.setattr(dynamics, "survival_march", spoiled)
+    monkeypatch.setattr(density, "march_blocks", spoiled)
     with pytest.raises(NumericError, match=message):
-        _trimmed_pde_field(OU, 0.5, 1.0, 1601, math.inf)
+        _trimmed_pde_field(Wang(0.5), OU, 0.5, 1.0, 1601, math.inf)
 
 
 def test_convergence_internal_reference_for_ou_drift():

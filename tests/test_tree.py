@@ -407,6 +407,70 @@ def test_backward_induction_rejects_levels_past_the_horizon(square_tree):
         backward_induction(square_tree, [0.0, 1.0], horizon=1, levels=(2,))
 
 
+NON_FINITE_PAYOFF_CALLS = {
+    "backward_induction": lambda dt, g: backward_induction(dt, g),
+    "static_distorted_value": lambda dt, g: static_distorted_value(dt.base, Power(2.0), g),
+    "naive_nested_expectation": lambda dt, g: naive_nested_expectation(dt.base, Power(2.0), g),
+    "verify_tower": lambda dt, g: verify_tower(dt, g),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", list(NON_FINITE_PAYOFF_CALLS))
+def test_non_finite_terminal_value_is_rejected_by_name(square_tree, name, bad):
+    """A NaN used to return a NaN value, or a tower gap of 0.0 (max()
+    dropped it); it is named before any value is formed."""
+    g = np.array([0.0, bad, 2.0])
+    with pytest.raises(DomainError,
+                       match=rf"^{name}: terminal value {bad} at state 1 is not finite$"):
+        NON_FINITE_PAYOFF_CALLS[name](square_tree, g)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"levels": (1.5,)}, "level=1.5"),
+    ({"levels": (0, 2.0, 0.5)}, "level=0.5"),
+    ({"horizon": 1.5}, "horizon=1.5"),
+], ids=["level", "one-level-of-three", "horizon"])
+def test_backward_induction_rejects_non_integral_levels_by_name(square_tree, kwargs, match):
+    """levels=(1.5,) used to return level 1, horizon=1.5 to start from
+    level 1; 2.0 still reads level 2."""
+    with pytest.raises(DomainError, match=rf"^backward_induction: {match} must be an integer$"):
+        backward_induction(square_tree, G_PAYOFF, **kwargs)
+    got = backward_induction(square_tree, G_PAYOFF, levels=(2.0, 0))
+    assert list(got) == [0, 2] and got[2].tobytes() == G_PAYOFF.tobytes()
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1.5, 0), "i=1.5"), ((1, 0.5), "j=0.5"), ((0, 0, 1.5), "n=1.5"),
+], ids=["i", "j", "n"])
+def test_phi_at_node_rejects_non_integral_indices_by_name(square_tree, args, match):
+    """phi_at_node(dt, 1.5, 0) used to raise a numpy TypeError."""
+    with pytest.raises(DomainError, match=rf"^phi_at_node: {match} must be an integer$"):
+        phi_at_node(square_tree, *args)
+    whole = phi_at_node(square_tree, 1.0, 0.0, 2.0)
+    assert whole.surv_q.tobytes() == phi_at_node(square_tree, 1, 0, 2).surv_q.tobytes()
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"r": 0.5}, "r=0.5"), ({"s": 1.5}, "s=1.5"), ({"n": 2.5}, "n=2.5"),
+], ids=["r", "s", "n"])
+def test_tower_rejects_non_integral_levels_by_name(square_tree, kwargs, match):
+    with pytest.raises(DomainError, match=rf"^verify_tower: {match} must be an integer$"):
+        verify_tower(square_tree, G_PAYOFF, **kwargs)
+
+
+def test_tower_keeps_a_nan_gap():
+    """A NaN transition makes the node curves' sums NaN; the gap is NaN, so
+    a check `gap <= tol` fails (Python's max() dropped it and read 0.0)."""
+    rng = np.random.default_rng(1)
+    dt = distort_tree(random_tree(rng, 8), Power(2.0))
+    q_up = [q.copy() for q in dt.q_up]
+    q_up[3][1] = np.nan
+    g = random_monotone_payoff(rng, 9)
+    assert verify_tower(dt, g) <= 1e-12
+    assert math.isnan(verify_tower(dataclasses.replace(dt, q_up=q_up), g))
+
+
 # ---------------------------------------------------------------------------
 # naive nesting is inconsistent
 
