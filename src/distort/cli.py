@@ -43,7 +43,6 @@ from .report import canonical_json, write_csv
 from .tree import (
     TreeModel,
     _constant_level,
-    _grid_levels,
     backward_induction,
     crossing_tree_residual,
     distort_tree,
@@ -69,7 +68,7 @@ def _tree_from_config(block):
     step = float(block.get("step", 1.0))
     times = np.linspace(0.0, T, N + 1)
     up_prob = [_constant_level(p, i + 1) for i in range(N)]
-    return TreeModel(times, _grid_levels(x0, step, N), up_prob)
+    return TreeModel.on_grid(times, x0, step, up_prob)
 
 
 def cmd_tree(cfg, out_dir):

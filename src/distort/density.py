@@ -67,9 +67,23 @@ class DiffusionSpec:
             raise DomainError("DiffusionSpec: drift is not finite at (0, x0)")
 
 
+@dataclass(frozen=True)
+class ConstantDrift:
+    """The drift b(t, x) = c, a callable like any other drift that also
+    carries c: survival_blocks, the value and Gp marches and
+    lattice_from_diffusion read c once instead of calling it per step or
+    per level."""
+
+    c: float
+
+    def __call__(self, t, x):
+        return np.full_like(np.asarray(x, dtype=float), self.c)
+
+
 def constant_drift(c):
-    c = float(c)
-    return lambda t, x: np.full_like(np.asarray(x, dtype=float), c)
+    """The drift b(t, x) = c as a ConstantDrift; a call returns the same
+    array a plain ``lambda t, x: np.full_like(x, c)`` over float x does."""
+    return ConstantDrift(float(c))
 
 
 def default_grids(spec, nt=800, nx=1601, width=8.0):
@@ -223,15 +237,16 @@ def survival_blocks(spec, t_grid, x_grid):
     b d_x G with G(t, -inf) = 1 on the grids, read a block of rows at a time.
 
     The march starts at t_grid[0] from the driftless kernel at t_grid[0]
-    shifted by b(0, x0) * t_grid[0].  The grids and the start are checked
-    here; blocks yields (a, G, rho) for the rows from a on, G clipped to
-    [0, 1] in place but not projected and rho = max(-d_x G, 0), each a block
-    of _BLOCK_ROWS rows that the next block overwrites.  After the last
-    block it runs the checks a DensityField of the whole history would run,
-    so a caller that keeps only some cells still checks them all: the leak
-    (AccuracyError), then rho and G finite and rho at least -1e-9
-    (NumericError).  Once a block fails to be finite no further block is
-    handed over."""
+    shifted by b(0, x0) * t_grid[0]; a ConstantDrift is marched as one
+    fixed velocity, whose bands are built once.  The grids and the start
+    are checked here; blocks yields (a, G, rho) for the rows from a on, G
+    clipped to [0, 1] in place but not projected and rho = max(-d_x G, 0),
+    each a block of _BLOCK_ROWS rows that the next block overwrites.  After
+    the last block it runs the checks a DensityField of the whole history
+    would run, so a caller that keeps only some cells still checks them
+    all: the leak (AccuracyError), then rho and G finite and rho at least
+    -1e-9 (NumericError).  Once a block fails to be finite no further block
+    is handed over."""
     t = np.asarray(t_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
@@ -248,8 +263,11 @@ def survival_blocks(spec, t_grid, x_grid):
     if g0[0] < 1.0 - 1e-9 or g0[-1] > 1e-9:
         raise AccuracyError("solve_survival_pde: initial bump touches the boundary; widen x_grid")
 
-    def velocity(tm):
-        return -np.asarray(spec.drift(tm, x), dtype=float)
+    if isinstance(spec.drift, ConstantDrift):
+        velocity = np.full_like(x, -spec.drift.c)  # one set of bands for the march
+    else:
+        def velocity(tm):
+            return -np.asarray(spec.drift(tm, x), dtype=float)
 
     def blocks():
         top = bottom = -np.inf

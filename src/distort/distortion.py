@@ -37,7 +37,8 @@ _BELOW_ONE = 0.9999999999999999
 
 def _asarray_prob(p, where):
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+    # np.min and np.max both carry a NaN, which fails either comparison
+    if arr.size and not (np.min(arr) >= 0.0 and np.max(arr) <= 1.0):
         raise DomainError(f"{where}: probability outside [0, 1]")
     return arr
 

@@ -29,6 +29,7 @@ import numpy as np
 from . import normal
 from ._cn import march, march_adjoint, uniform_spacing
 from .density import (
+    ConstantDrift,
     _whole,
     blend_rows,
     bounded_read,
@@ -372,12 +373,21 @@ def _velocity_from(mu, x_grid):
     fixed nodes, and how many of those nodes lie outside a DriftField's
     grid (see DriftField.reader).  A callable's value is passed on as it
     is (a scalar or any shape that broadcasts to the grid); the march's
-    bands broadcast it."""
+    bands broadcast it.  A ConstantDrift is read once, as the fixed array
+    every call would return, so the march builds its bands once."""
     if isinstance(mu, DriftField):
         return mu.reader(x_grid)
+    if isinstance(mu, ConstantDrift):
+        return mu(0.0, x_grid), 0
     if callable(mu):
         return (lambda tm: mu(tm, x_grid)), 0
     raise DomainError("mu must be a DriftField or a callable (t, x) -> drift")
+
+
+def _reversed(vel, t_end):
+    """The velocity of a march in reversed time tau = t_end - t: vel read
+    at t_end - tau, a fixed array as it is."""
+    return (lambda tm: vel(t_end - tm)) if callable(vel) else vel
 
 
 def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
@@ -400,10 +410,7 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
     vel, n_out = _velocity_from(mu, x)
     tau = t_end - s_grid[::-1]
 
-    u_tau = march(
-        g_vals, x, tau, 0.5, lambda tm: vel(t_end - tm),
-        bc="neumann", rannacher=2,
-    )
+    u_tau = march(g_vals, x, tau, 0.5, _reversed(vel, t_end), bc="neumann", rannacher=2)
     u = u_tau[::-1]
     dx = x[1] - x[0]
     rng_g = (float(np.min(g_vals)), float(np.max(g_vals)))
@@ -620,6 +627,16 @@ def _field_equals_drift(mu_field, drift):
     return True
 
 
+def _pde_window(spec, s, nx, half):
+    """(wide, radius, near): the survival-PDE field's x grid, nx points
+    within 8 sqrt(T) of x0, the half-width min(half, 7 sqrt(s)) of the
+    drift's window, and the indices of the grid points within it."""
+    wide_half = 8.0 * math.sqrt(spec.T)
+    wide = np.linspace(spec.x0 - wide_half, spec.x0 + wide_half, nx)
+    radius = min(half, 7.0 * math.sqrt(s))
+    return wide, radius, np.flatnonzero(np.abs(wide - spec.x0) <= radius + 1e-12)
+
+
 def _trimmed_pde_field(d, spec, s, t, nx, half):
     """The drift of spec's survival-PDE field on [s, t], trimmed to usable
     density, and the x grid the field was solved on (nx points within
@@ -640,10 +657,7 @@ def _trimmed_pde_field(d, spec, s, t, nx, half):
     a running minimum from the first column, feed _mu_row on the columns not
     yet cut.  The cut only narrows as rows arrive, so clamps and the first
     singular cell are kept per column and read inside the final cut."""
-    wide_half = 8.0 * math.sqrt(spec.T)
-    wide = np.linspace(spec.x0 - wide_half, spec.x0 + wide_half, nx)
-    radius = min(half, 7.0 * math.sqrt(s))
-    near = np.flatnonzero(np.abs(wide - spec.x0) <= radius + 1e-12)
+    wide, radius, near = _pde_window(spec, s, nx, half)
     if near.size == 0:
         raise DomainError(f"_trimmed_pde_field: no grid point within {radius} of x0={spec.x0}")
     lo, hi = int(near[0]), int(near[-1]) + 1
@@ -691,8 +705,10 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     each sweep is one adjoint (Kolmogorov forward) march of the probe at x
     on the same grid and times, paired with each payload.  The smoothing
     bias is then removed.  When the drift is declared constant (drift_const)
-    Gp is the Gaussian closed form instead.  The y probes span 3.9
-    sqrt(t - s) on either side of the drifted center.
+    Gp is the Gaussian closed form instead; a drift_const that disagrees
+    with the spec's ConstantDrift is a DomainError, and so is a size too
+    small for the grids, named before any drift is built.  The y probes
+    span 3.9 sqrt(t - s) on either side of the drifted center.
     The drift of the distorted dynamics is taken from mu when given (field
     or callable), else computed row by row from a Gaussian field for
     constant drift (_gaussian_drift), or from the trimmed survival-PDE field
@@ -718,11 +734,19 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     for name, v in (("x", x), ("drift_const", drift_const)):
         if v is not None and not math.isfinite(v):
             raise DomainError(f"build_phi_curve: {name}={v} must be finite")
+    if isinstance(spec.drift, ConstantDrift) and drift_const not in (None, spec.drift.c):
+        raise DomainError(
+            f"build_phi_curve: drift_const={drift_const} contradicts the spec's "
+            f"constant drift {spec.drift.c}"
+        )
     n_steps = _whole(n_steps, "build_phi_curve: n_steps")
     n_march = _whole(n_march, "build_phi_curve: n_march")
     n_y = _whole(n_y, "build_phi_curve: n_y")
-    if n_y < 2:
-        raise DomainError(f"build_phi_curve: n_y={n_y} y probes; need n_y >= 2")
+    for name, v, what, least in (("n_steps", n_steps, "time steps", 1),
+                                 ("n_march", n_march, "march nodes", 3),
+                                 ("n_y", n_y, "y probes", 2)):
+        if v < least:
+            raise DomainError(f"build_phi_curve: {name}={v} {what}; need {name} >= {least}")
     if p_grid is None:
         p_grid = np.linspace(0.002, 0.998, 499)
     p_grid = np.asarray(p_grid, dtype=float)
@@ -744,6 +768,29 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     half_m = (_Y_WIDTH + 5.6) * sq_gap + abs(center - x)
     pde_x = x + np.linspace(-half_m, half_m, n_march)
     dx = pde_x[1] - pde_x[0]
+    tau = t - _sqrt_graded(s, t, n_steps)[::-1]
+    # a gap too short for doubles collapses a time grid or leaves the march
+    # nodes uneven; say so before any field is built
+    try:
+        uniform_spacing(pde_x)
+        even = all(np.all(np.diff(g) > 0.0) for g in (tau, _sqrt_graded(s, t, 200), y_grid))
+    except DomainError:
+        even = False
+    if not even:
+        raise DomainError(
+            f"build_phi_curve: t - s = {gap:.3g} is too short for the grids in double "
+            f"precision (n_steps={n_steps}, n_y={n_y}, n_march={n_march} about x={x}); "
+            "widen [s, t]"
+        )
+    nx = max(n_march, 1601)  # the survival-PDE field's grid
+    if mu is None and drift_const is None:
+        _, radius, near = _pde_window(spec, s, nx, half_m + abs(x - spec.x0))
+        if near.size < 2:
+            raise DomainError(
+                f"build_phi_curve: s={s} and t={t} keep the survival-PDE drift within "
+                f"{radius:.3g} of x0={spec.x0}, which holds {near.size} of its {nx} grid "
+                "points; need 2 (raise s or t - s, or pass drift_const or mu)"
+            )
 
     mu_src, clamps = "given", 0
     if mu is None:
@@ -755,8 +802,7 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
             mu_src = "gaussian-field"
         else:
             # the march extends the trimmed drift by the edge slope
-            mu, _ = _trimmed_pde_field(d, spec, s, t, max(n_march, 1601),
-                                       half_m + abs(x - spec.x0))
+            mu, _ = _trimmed_pde_field(d, spec, s, t, nx, half_m + abs(x - spec.x0))
             mu_src = "pde-field"
         clamps = mu.clamps
     knots_p = np.concatenate(([0.0], np.unique(p_grid[(p_grid > 0.0) & (p_grid < 1.0)]), [1.0]))
@@ -769,11 +815,9 @@ def build_phi_curve(d, spec, s, t, x, p_grid=None, drift_const=None, mu=None,
     width = 2.0 * dx
     payloads = _smoothed_indicators(y_grid, pde_x, width)
     probe = _interp_weights(pde_x, x)
-    tau = t - _sqrt_graded(s, t, n_steps)[::-1]
 
     def conditional_survival(vel):
-        w = march_adjoint(probe, pde_x, tau, 0.5, lambda tm: vel(t - tm),
-                          bc="neumann", rannacher=2)
+        w = march_adjoint(probe, pde_x, tau, 0.5, _reversed(vel, t), bc="neumann", rannacher=2)
         raw = np.clip(payloads @ w, 0.0, 1.0)
         debiased = np.clip(_debias_smoothed(y_grid, raw, width), 0.0, 1.0)
         return raw, np.minimum.accumulate(debiased)
@@ -861,20 +905,31 @@ def lattice_from_diffusion(spec, N):
     states x0 + (2j - i) sqrt(h), up-probability 1/2 + 1/2 b sqrt(h).
 
     The one-step mean is b h exactly and the raw second moment is h, so the
-    variance is h - (b h)^2.  Every level is a read-only strided view of the
-    one grid x0 + k sqrt(h), k = -N..N.  The drift is read once per level:
-    a level whose drift row is one value throughout is a read-only stride-0
-    view of its one up-probability (every level, for a drift constant in
-    x), and the other levels are views of one buffer that holds level i at
-    offset i (i + 1) / 2, allocated only when some level varies.  Copy a
-    level before mutating it."""
+    variance is h - (b h)^2.  The tree is TreeModel.on_grid's: every level
+    is a read-only strided view of the one grid x0 + k sqrt(h), k = -N..N,
+    and the tree is checked on that grid.  A ConstantDrift is read once:
+    one up-probability, one range check, and every level a read-only
+    stride-0 view of that value, so the build costs O(N); a value out of
+    range is named by the per-level route, at level 0.  Any other drift is
+    read once per level: a level whose drift row is one value throughout
+    is a stride-0 view of its one up-probability, and the other levels are
+    views of one buffer that holds level i at offset i (i + 1) / 2,
+    allocated only when some level varies.  Both routes give each level
+    the per-level formula's values bit for bit.  Copy a level before
+    mutating it."""
     N = _whole(N, "lattice_from_diffusion: N")
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
     h = spec.T / N
     sq = math.sqrt(h)
     times = np.linspace(0.0, spec.T, N + 1)
-    states = _grid_levels(spec.x0, sq, N)
+    if isinstance(spec.drift, ConstantDrift):
+        p = 0.5 + 0.5 * spec.drift.c * sq
+        if 0.0 < p < 1.0:
+            return TreeModel.on_grid(times, spec.x0, sq,
+                                     [_constant_level(p, i + 1) for i in range(N)])
+        # out of range: the per-level route names it at level 0
+    _, states = _grid_levels(spec.x0, sq, N)
     flat = None
     up_prob = []
     for i in range(N):
@@ -905,7 +960,7 @@ def lattice_from_diffusion(spec, N):
                 f"this drift needs N > {n_min}"
             )
         up_prob.append(p)
-    return TreeModel(times, states, up_prob)
+    return TreeModel.on_grid(times, spec.x0, sq, up_prob)
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,32 @@ class TreeModel:
         if not np.isfinite(states[n][[0, -1]]).all():
             raise DomainError(f"TreeModel: states at level {n} must be finite")
 
+    @classmethod
+    def on_grid(cls, times, x0, step, up_prob):
+        """The tree whose level i holds the states x0 + (2j - i) step, j =
+        0..i: read-only views of the one grid x0 + k step, k = -N..N, level i
+        every second point of its middle 2i + 1, with the transitions
+        up_prob kept as given.
+
+        Checking it costs what its data costs, not one pass over every
+        level's states: the times; the 2N + 1 grid points, finite and
+        strictly increasing, which makes every level increasing and every
+        pair of children straddle its parent; the count and shape of the
+        transition levels; and their values in (0, 1), a stride-0 level on
+        its one value.  Where any of these fails, the tree is built as
+        TreeModel(times, levels, up_prob), whose checks name the defect."""
+        times = np.asarray(times, dtype=float)
+        grid, states = _grid_levels(x0, step, times.size - 1)
+        up_prob = [np.asarray(p, dtype=float) for p in up_prob]
+        if not _grid_tree_ok(times, grid, up_prob):
+            return cls(times, states, up_prob)
+        # the checks above stand for __post_init__'s, which would walk
+        # every level's states
+        tree = object.__new__(cls)
+        for name, value in (("times", times), ("states", states), ("up_prob", up_prob)):
+            object.__setattr__(tree, name, value)
+        return tree
+
     @property
     def n_periods(self):
         return self.times.size - 1
@@ -175,11 +201,30 @@ def load_tree(path):
 
 
 def _grid_levels(x0, step, n):
-    """States x0 + (2j - i) step of levels i = 0..n: read-only views of the one
-    grid x0 + k step, k = -n..n, level i every second point of its middle 2i + 1."""
+    """The read-only grid x0 + k step, k = -n..n, and the states x0 + (2j -
+    i) step of levels i = 0..n as views of it, level i every second point
+    of its middle 2i + 1."""
     grid = x0 + np.arange(-n, n + 1) * step
     grid.flags.writeable = False
-    return [grid[n - i : n + i + 1 : 2] for i in range(n + 1)]
+    return grid, [grid[n - i : n + i + 1 : 2] for i in range(n + 1)]
+
+
+def _grid_tree_ok(times, grid, up_prob):
+    """Whether TreeModel.on_grid's tree passes its checks: times finite and
+    strictly increasing, at least two; the grid finite and strictly
+    increasing; level i of up_prob of shape (i + 1,) with entries in (0, 1)."""
+    n = times.size - 1
+    if not (n >= 1 and times.ndim == 1 and np.isfinite(times).all()
+            and np.all(np.diff(times) > 0.0)):
+        return False
+    # an increasing grid with finite ends is finite throughout; a NaN fails >
+    if not (np.all(np.diff(grid) > 0.0) and np.isfinite(grid[[0, -1]]).all()):
+        return False
+    if len(up_prob) != n or any(p.shape != (i + 1,) for i, p in enumerate(up_prob)):
+        return False
+    values = np.concatenate([p[:1] if p.strides == (0,) else p for p in up_prob])
+    # np.min and np.max both carry a NaN, which fails either comparison
+    return bool(np.min(values) > 0.0 and np.max(values) < 1.0)
 
 
 def _constant_level(p, size):

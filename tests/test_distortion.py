@@ -147,6 +147,20 @@ def test_eval_rejects_out_of_range():
         Wang(1.0).eval(0.0, 1.0001)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5e-324, 1.0000000000000002])
+def test_eval_and_derivatives_reject_any_entry_outside_the_unit_interval(bad):
+    p = np.array([[0.5, 0.2], [bad, 1.0]])
+    with pytest.raises(DomainError, match=r"Power\.eval: probability outside \[0, 1\]"):
+        Power(2.0).eval(0.0, p)
+    with pytest.raises(DomainError, match=r"Wang\.derivatives: probability outside"):
+        Wang(0.5).derivatives(0.0, p)
+
+
+def test_eval_and_derivatives_pass_empty_probabilities():
+    assert Power(2.0).eval(0.0, np.array([])).shape == (0,)
+    assert Wang(0.5).derivatives(0.0, np.zeros((3, 0))).shape == (3, 0)
+
+
 # ---------------------------------------------------------------------------
 # derivatives: frozen high-precision spot values (40-digit oracle)
 

@@ -10,6 +10,7 @@ import pytest
 
 from distort import normal
 from distort.density import (
+    ConstantDrift,
     DensityField,
     DiffusionSpec,
     bridge_density_mc,
@@ -944,6 +945,58 @@ def test_phi_rejects_edge_inputs_by_name(kwargs, match):
         build_phi_curve(Wang(0.5), SPEC0, 0.25, 1.0, x, **args)
 
 
+def test_phi_curve_is_the_same_under_a_marked_constant_drift():
+    """On the survival-PDE route (drift_const=None) the survival march and
+    the Gp march read a ConstantDrift as one fixed velocity; the curve is
+    that of the same constant as a plain callable, bit for bit."""
+    curves = [build_phi_curve(Power(2.0), DiffusionSpec(drift, 0.0, 1.0), 0.25, 1.0, 0.1,
+                              drift_const=None, n_steps=200, n_march=801, n_y=41)
+              for drift in (constant_drift(0.3), _unmarked(0.3))]
+    for name in ("p_grid", "values", "y_grid", "surv_p", "surv_q"):
+        assert getattr(curves[0], name).tobytes() == getattr(curves[1], name).tobytes(), name
+    assert curves[0].meta == curves[1].meta
+    assert curves[0].meta["mu_source"] == "pde-field"
+
+
+def test_value_pde_is_the_same_under_a_marked_constant_drift():
+    x = np.linspace(-6.0, 6.0, 241)
+    sols = [solve_distorted_pde(drift, smoothed_step, 0.1, 1.0, x, n_steps=40)
+            for drift in (constant_drift(-0.4), _unmarked(-0.4))]
+    assert sols[0].u.tobytes() == sols[1].u.tobytes()
+
+
+def test_phi_rejects_a_drift_const_that_contradicts_the_spec(monkeypatch):
+    """A drift-0 spec with drift_const=0.5 used to mix a field at drift 0.5
+    with a base drift of 0 and return Phi(0.5) = 0.4426 (0.6136 is right)."""
+    monkeypatch.setattr(dynamics, "_gaussian_drift", lambda *a: pytest.fail("solved"))
+    with pytest.raises(DomainError, match=r"^build_phi_curve: drift_const=0\.5 contradicts "
+                                          r"the spec's constant drift 0\.0$"):
+        build_phi_curve(Wang(0.5), SPEC0, 0.25, 1.0, 0.0, drift_const=0.5)
+
+
+@pytest.mark.parametrize("s, t, kwargs, match", [
+    (1e-10, 1.0, {"s_min": 1e-12, "n_march": 1602},
+     r"s=1e-10 and t=1\.0 keep the survival-PDE drift within 7e-05 of x0=0\.0, which "
+     r"holds 0 of its 1602 grid points"),
+    (1e-10, 1.0, {"s_min": 1e-12},
+     r"s=1e-10 and t=1\.0 keep the survival-PDE drift within 7e-05 of x0=0\.0, which "
+     r"holds 1 of its 1601 grid points"),
+    (0.25, 0.25 + 1e-15, {}, r"t - s = 9\.99e-16 is too short for the grids"),
+    (0.25, 0.25 + 1e-15, {"drift_const": 0.0}, r"t - s = 9\.99e-16 is too short"),
+    (0.25, 1.0, {"n_march": 2}, r"n_march=2 march nodes; need n_march >= 3"),
+    (0.25, 1.0, {"n_steps": 0}, r"n_steps=0 time steps; need n_steps >= 1"),
+], ids=["no-node-near-x0", "one-node-near-x0", "tiny-gap", "tiny-gap-gaussian",
+        "two-nodes", "no-steps"])
+def test_phi_rejects_degenerate_sizes_by_their_inputs(monkeypatch, s, t, kwargs, match):
+    """Each used to surface from an internal constructor (no grid point
+    near x0, a DriftField or DensityField whose grid does not increase, or
+    the march's grid check); each is named before any drift is built."""
+    for name in ("_trimmed_pde_field", "_gaussian_drift"):
+        monkeypatch.setattr(dynamics, name, lambda *a: pytest.fail("solved"))
+    with pytest.raises(DomainError, match="^build_phi_curve: " + match):
+        build_phi_curve(Power(2.0), SPEC0, s, t, 0.0, **kwargs)
+
+
 def test_phi_curve_endpoint_validation():
     with pytest.raises(ConsistencyError):
         PhiCurve(0.25, 1.0, 0.0,
@@ -1129,6 +1182,46 @@ def test_lattice_resolution_error_suggests_minimal_n():
         lattice_from_diffusion(spec, 4)
 
 
+def _unmarked(c):
+    """The constant drift c as a plain callable, which no consumer can read
+    as constant."""
+    return lambda t, x: np.full_like(np.asarray(x, dtype=float), c)
+
+
+class CountingDrift(ConstantDrift):
+    """A ConstantDrift that records the time of every call."""
+
+    calls = []
+
+    def __call__(self, t, x):
+        CountingDrift.calls.append(t)
+        return super().__call__(t, x)
+
+
+@pytest.mark.parametrize("c, N", [(0.0, 1), (0.3, 64), (-0.7, 4096)])
+def test_constant_drift_lattice_is_the_per_level_lattice_without_a_drift_call(c, N):
+    """A ConstantDrift is read once: no drift call, and every level equal,
+    byte for byte and stride for stride, to the per-level route's."""
+    spec = DiffusionSpec(CountingDrift(c), 0.2, 1.5)
+    CountingDrift.calls.clear()  # the spec's own check calls it once
+    tree = lattice_from_diffusion(spec, N)
+    assert CountingDrift.calls == []
+    ref = lattice_from_diffusion(DiffusionSpec(_unmarked(c), 0.2, 1.5), N)
+    assert tree.times.tobytes() == ref.times.tobytes()
+    for got, want in ((tree.states, ref.states), (tree.up_prob, ref.up_prob)):
+        assert [(x.tobytes(), x.strides, x.flags.writeable) for x in got] == \
+            [(x.tobytes(), x.strides, x.flags.writeable) for x in want]
+
+
+def test_constant_drift_lattice_names_an_unresolved_drift_as_the_per_level_route():
+    for drift in (constant_drift(3.0), _unmarked(3.0)):
+        with pytest.raises(DomainError) as err:
+            lattice_from_diffusion(DiffusionSpec(drift, 0.0, 1.0), 4)
+        assert str(err.value) == (
+            "lattice_from_diffusion: |b| sqrt(h) >= 1 at level 0; this drift needs N > 10"
+        )
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_lattice_names_a_non_finite_drift(bad):
     """A drift that turns non-finite at one node is named by level and
@@ -1206,6 +1299,17 @@ def test_convergence_rejects_non_finite_inputs_by_name(monkeypatch, kwargs, matc
     args = {"eval_x": 0.0, "u_ref": None, **kwargs}
     with pytest.raises(DomainError, match="convergence_study: " + match):
         convergence_study(SPEC0, Wang(0.5), smoothed_step, [16, 64], 0.5, **args)
+
+
+def test_convergence_reference_is_the_same_under_a_marked_constant_drift():
+    """survival_blocks marches a ConstantDrift as one fixed velocity; the
+    reference, its clamps and extrapolations and the lattice errors are
+    those of the same constant as a plain callable, bit for bit."""
+    reps = [convergence_study(DiffusionSpec(drift, 0.0, 1.0), Wang(0.5), smoothed_step,
+                              [16, 64], 0.5, 0.0)
+            for drift in (constant_drift(0.3), _unmarked(0.3))]
+    assert dataclasses.asdict(reps[0]) == dataclasses.asdict(reps[1])
+    assert reps[0].N_list == [16, 64]
 
 
 def test_convergence_internal_reference_close_to_closed_form():

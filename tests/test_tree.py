@@ -40,6 +40,8 @@ from distort.report import canonical_json
 from distort.tree import (
     DistortedTree,
     _blocks,
+    _constant_level,
+    _grid_levels,
     _conditional_survival,
     _forward_laws,
     _last_law,
@@ -191,6 +193,70 @@ def test_model_reports_the_defect_that_comes_first_in_check_order(defects, messa
         parts[field_name] = _defect(parts[field_name], level, change)
     with pytest.raises(DomainError, match=re.escape("TreeModel: " + message)):
         TreeModel(tree.times, parts["states"], parts["up_prob"])
+
+
+def _grid_case(n=120, x0=0.3, step=0.5, times=None, levels=None):
+    """on_grid's arguments for an n-level tree: one-value levels of 0.4,
+    with level 100 varying, unless a field is replaced."""
+    up_prob = [_constant_level(0.4, i + 1) for i in range(n)]
+    up_prob[100] = np.linspace(0.3, 0.6, 101)
+    return (np.arange(n + 1, dtype=float) if times is None else np.asarray(times, dtype=float),
+            x0, step, up_prob if levels is None else levels(up_prob))
+
+
+def _put_level(i, value):
+    def change(up_prob):
+        out = list(up_prob)
+        out[i] = value
+        return out
+    return change
+
+
+GRID_DEFECTS = {
+    "one-time": dict(times=[0.0]),
+    "repeated-time": dict(times=[0.0, 1.0, 1.0, *range(3, 121)]),
+    "nan-time": dict(times=[0.0, NAN, *range(2, 121)]),
+    "inf-time": dict(times=[*range(120), INF]),
+    "grid-rounds-flat": dict(x0=1e20, step=1.0),
+    "nan-x0": dict(x0=NAN),
+    "inf-x0": dict(x0=INF),
+    "nan-step": dict(step=NAN),
+    "inf-step": dict(step=INF),
+    "zero-step": dict(step=0.0),
+    "one-value-p-at-one": dict(levels=_put_level(50, _constant_level(1.0, 51))),
+    "one-value-p-nan": dict(levels=_put_level(50, _constant_level(NAN, 51))),
+    "varying-p-at-zero": dict(levels=_put_level(100, np.r_[np.full(100, 0.5), 0.0])),
+    "varying-p-nan": dict(levels=_put_level(100, np.r_[0.5, NAN, np.full(99, 0.5)])),
+    "too-few-levels": dict(levels=lambda up: up[:-1]),
+    "too-many-levels": dict(levels=lambda up: [*up, np.full(121, 0.5)]),
+    "level-shape": dict(levels=_put_level(70, np.full(70, 0.5))),
+}
+
+
+@pytest.mark.parametrize("kind", GRID_DEFECTS)
+def test_grid_tree_rejects_what_tree_model_rejects_with_its_message(kind):
+    """TreeModel.on_grid checks the grid, not every level's states, and
+    names each defect as TreeModel does on the same levels."""
+    times, x0, step, up_prob = _grid_case(**GRID_DEFECTS[kind])
+    with np.errstate(invalid="ignore"):  # an infinite step puts inf - inf in the grid
+        with pytest.raises(DomainError) as want:
+            TreeModel(times, _grid_levels(x0, step, times.size - 1)[1], up_prob)
+        with pytest.raises(DomainError) as got:
+            TreeModel.on_grid(times, x0, step, up_prob)
+    assert str(got.value) == str(want.value)
+
+
+def test_grid_tree_is_the_tree_model_of_its_levels():
+    times, x0, step, up_prob = _grid_case()
+    tree = TreeModel.on_grid(times, x0, step, up_prob)
+    ref = TreeModel(times, _grid_levels(x0, step, 120)[1], up_prob)
+    assert tree.times.tobytes() == ref.times.tobytes()
+    assert [(s.tobytes(), s.strides) for s in tree.states] == \
+        [(s.tobytes(), s.strides) for s in ref.states]
+    assert all(p is q for p, q in zip(tree.up_prob, up_prob))
+    assert np.shares_memory(tree.states[0], tree.states[-1])
+    with pytest.raises(ValueError):
+        tree.states[3][0] = 0.0
 
 
 def test_load_tree_rejects_nan_in_the_file(tmp_path):
