@@ -55,6 +55,8 @@ from .tree import (
     TreeModel,
     _constant_level,
     _grid_levels,
+    _terminal_values,
+    _triangle_levels,
     backward_induction,
     distort_tree,
 )
@@ -359,15 +361,6 @@ class PDESolution:
         return bounded_read(self.x_grid, bounded_rows(self.s_grid, s, self.u), x)
 
 
-def _payload_on_grid(g, x):
-    vals = np.asarray(g(x) if callable(g) else g, dtype=float)
-    if vals.shape != x.shape:
-        raise DomainError("payload does not match the grid")
-    if np.any(np.diff(vals) < -1e-12):
-        raise DomainError("payload must be nondecreasing")
-    return vals
-
-
 def _velocity_from(mu, x_grid):
     """(read, outside): the march's drift reader t -> mu(t, x_grid) on its
     fixed nodes, and how many of those nodes lie outside a DriftField's
@@ -399,14 +392,16 @@ def solve_distorted_pde(mu, g, s_min, t_end, x_grid, n_steps=400):
     projected monotone, with both magnitudes and the count of drift reads
     outside the drift's grid recorded on the solution.  A
     visible payload gradient at the spatial boundary means the domain cut
-    off transported mass, reported as an accuracy error."""
+    off transported mass, reported as an accuracy error.  The payload g (its
+    values on x_grid, or a callable giving them) is checked once, as
+    tree._terminal_values checks a lattice's: finite and nondecreasing."""
     x = np.asarray(x_grid, dtype=float)
     uniform_spacing(x)
     if not (0.0 <= s_min < t_end):
         raise DomainError("solve_distorted_pde: need 0 <= s_min < t_end")
     n_steps = _whole(n_steps, "solve_distorted_pde: n_steps")
     s_grid = np.linspace(s_min, t_end, n_steps + 1)
-    g_vals = _payload_on_grid(g, x)
+    g_vals = _terminal_values(g(x) if callable(g) else g, x.size - 1, "solve_distorted_pde")
     vel, n_out = _velocity_from(mu, x)
     tau = t_end - s_grid[::-1]
 
@@ -907,16 +902,13 @@ def lattice_from_diffusion(spec, N):
     The one-step mean is b h exactly and the raw second moment is h, so the
     variance is h - (b h)^2.  The tree is TreeModel.on_grid's: every level
     is a read-only strided view of the one grid x0 + k sqrt(h), k = -N..N,
-    and the tree is checked on that grid.  A ConstantDrift is read once:
-    one up-probability, one range check, and every level a read-only
-    stride-0 view of that value, so the build costs O(N); a value out of
-    range is named by the per-level route, at level 0.  Any other drift is
-    read once per level: a level whose drift row is one value throughout
-    is a stride-0 view of its one up-probability, and the other levels are
-    views of one buffer that holds level i at offset i (i + 1) / 2,
-    allocated only when some level varies.  Both routes give each level
-    the per-level formula's values bit for bit.  Copy a level before
-    mutating it."""
+    and the tree is checked on that grid.  The drift's type picks the route.
+    A ConstantDrift is read once: one up-probability, one range check, and
+    every level a read-only stride-0 view of that value, so the build costs
+    O(N).  Any other drift is read once per level into level i of one
+    buffer at offset i (i + 1) / 2, as distort_tree's q_up.  Both routes
+    give the per-level formula's values bit for bit and name a drift out
+    of range at its first level.  Copy a level before mutating it."""
     N = _whole(N, "lattice_from_diffusion: N")
     if N < 1:
         raise DomainError("lattice_from_diffusion: need N >= 1")
@@ -924,43 +916,39 @@ def lattice_from_diffusion(spec, N):
     sq = math.sqrt(h)
     times = np.linspace(0.0, spec.T, N + 1)
     if isinstance(spec.drift, ConstantDrift):
-        p = 0.5 + 0.5 * spec.drift.c * sq
-        if 0.0 < p < 1.0:
-            return TreeModel.on_grid(times, spec.x0, sq,
-                                     [_constant_level(p, i + 1) for i in range(N)])
-        # out of range: the per-level route names it at level 0
+        b = np.array([spec.drift.c])
+        p = 0.5 + 0.5 * b * sq
+        _check_transitions(p, b, 0, [spec.x0], spec.T)
+        return TreeModel.on_grid(times, spec.x0, sq,
+                                 [_constant_level(p[0], i + 1) for i in range(N)])
     _, states = _grid_levels(spec.x0, sq, N)
-    flat = None
-    up_prob = []
-    for i in range(N):
+    up_prob = _triangle_levels(np.empty(N * (N + 1) // 2), N)
+    for i, p in enumerate(up_prob):
         b_row = np.broadcast_to(
-            np.asarray(spec.drift(times[i], states[i]), dtype=float), states[i].shape
+            np.asarray(spec.drift(times[i], states[i]), dtype=float), p.shape
         )
-        if np.all(b_row == b_row[0]):
-            p = _constant_level(0.5 + 0.5 * b_row[0] * sq, i + 1)
-            inside = 0.0 < p[0] < 1.0
-        else:
-            if flat is None:
-                flat = np.empty(N * (N + 1) // 2)
-            p = flat[i * (i + 1) // 2 : (i + 1) * (i + 2) // 2]
-            p[:] = 0.5 + 0.5 * b_row * sq
-            inside = np.all((p > 0.0) & (p < 1.0))
-        if not inside:
-            bad = ~np.isfinite(b_row)
-            if bad.any():
-                j = int(np.argmax(bad))
-                raise DomainError(
-                    f"lattice_from_diffusion: drift {b_row[j]} at level {i}, "
-                    f"state {states[i][j]} is not finite"
-                )
-            worst = float(np.max(np.abs(b_row)))
-            n_min = int(math.ceil(spec.T * worst**2)) + 1
-            raise DomainError(
-                f"lattice_from_diffusion: |b| sqrt(h) >= 1 at level {i}; "
-                f"this drift needs N > {n_min}"
-            )
-        up_prob.append(p)
+        p[:] = 0.5 + 0.5 * b_row * sq
+        _check_transitions(p, b_row, i, states[i], spec.T)
     return TreeModel.on_grid(times, spec.x0, sq, up_prob)
+
+
+def _check_transitions(p, b_row, i, x_row, T):
+    """DomainError unless level i's up-probabilities p lie in (0, 1); it names
+    a non-finite drift b_row by its state in x_row, else the N it needs on T."""
+    if np.all((p > 0.0) & (p < 1.0)):
+        return
+    bad = ~np.isfinite(b_row)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DomainError(
+            f"lattice_from_diffusion: drift {b_row[j]} at level {i}, "
+            f"state {x_row[j]} is not finite"
+        )
+    n_min = int(math.ceil(T * float(np.max(np.abs(b_row)))**2)) + 1
+    raise DomainError(
+        f"lattice_from_diffusion: |b| sqrt(h) >= 1 at level {i}; "
+        f"this drift needs N > {n_min}"
+    )
 
 
 @dataclass(frozen=True)
@@ -979,21 +967,34 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
 
     The reference is u_ref, or when None the value PDE at (eval_t, eval_x)
     with the drift computed on the trimmed survival-PDE field
-    (_trimmed_pde_field) from eval_t on.  Each N gets its own survival
-    weights and distorted transitions; the value is read at (eval_t,
-    eval_x), interpolated across the level when the state is off-lattice,
-    and backward induction keeps that level only.  Lattices whose
-    transitions violate the interleaving condition are skipped and
+    (_trimmed_pde_field) from eval_t on.  Before either is built, a
+    DomainError names the first N of which eval_t is no level i, or whose
+    level i, x0 +- i sqrt(h), does not reach eval_x.  Each N gets its own
+    survival weights and distorted transitions; the value is read at
+    (eval_t, eval_x), interpolated across the level when the state is
+    off-lattice, and backward induction keeps that level only.  Lattices
+    whose transitions violate the interleaving condition are skipped and
     reported.  The slope is the least-squares fit of log error against
-    log N.  derivative_clamps counts the clamps of the reference's drift and
-    extrapolations its march's drift reads outside the drift's grid (both 0
-    when u_ref is given)."""
+    log N.  derivative_clamps counts the clamps of the reference's drift
+    and extrapolations its march's drift reads outside the drift's grid
+    (both 0 when u_ref is given)."""
     if not 0.0 < eval_t < spec.T:
         raise DomainError(f"convergence_study: eval_t={eval_t} must lie in (0, T) = (0, {spec.T})")
     for name, v in (("eval_x", eval_x), ("u_ref", u_ref)):
         if v is not None and not math.isfinite(v):
             raise DomainError(f"convergence_study: {name}={v} must be finite")
     N_list = [_whole(N, "convergence_study: N") for N in N_list]
+    levels = []
+    for N in N_list:
+        h = spec.T / N
+        i = int(round(eval_t / h))
+        if abs(eval_t / h - i) > 1e-9:
+            raise DomainError(f"convergence_study: eval_t={eval_t} is not a lattice level for N={N}")
+        lo, hi = spec.x0 - i * math.sqrt(h), spec.x0 + i * math.sqrt(h)
+        if not lo <= eval_x <= hi:
+            raise DomainError(f"convergence_study: eval_x={eval_x} lies outside level {i} "
+                              f"of the N={N} lattice, [{lo}, {hi}]")
+        levels.append(i)
     clamps = extrapolations = 0
     if u_ref is None:
         mu, xg = _trimmed_pde_field(d, spec, eval_t, spec.T, 1601, math.inf)
@@ -1004,21 +1005,14 @@ def convergence_study(spec, d, g, N_list, eval_t, eval_x, u_ref=None):
     errors = []
     used = []
     skipped = []
-    for N in N_list:
+    for N, i in zip(N_list, levels):
         tree = lattice_from_diffusion(spec, N)
         try:
             dt_tree = distort_tree(tree, d)
         except ConsistencyError:
             skipped.append(N)
             continue
-        i_float = eval_t / (spec.T / N)
-        i = int(round(i_float))
-        if abs(i_float - i) > 1e-9:
-            raise DomainError(
-                f"convergence_study: eval_t={eval_t} is not a lattice level "
-                f"for N={N}"
-            )
-        u_i = backward_induction(dt_tree, _payload_on_grid(g, tree.states[-1]), levels=(i,))[i]
+        u_i = backward_induction(dt_tree, g(tree.states[-1]), levels=(i,))[i]
         val = float(np.interp(eval_x, tree.states[i], u_i))
         errors.append(abs(val - u_ref))
         used.append(N)

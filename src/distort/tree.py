@@ -85,10 +85,11 @@ def _in_open_unit(p, a, b):
 class TreeModel:
     """Recombining binomial tree: level i has states x_i0 < ... < x_ii.
 
-    Levels are kept as given (asarray, no copy), so a level may be a
-    read-only view: lattice_from_diffusion and a generated CLI tree store a
-    level whose up-probabilities are all one value as a stride-0 view of it.
-    Copy a level before mutating it."""
+    Levels are kept as given (asarray, no copy), so a level may be a view:
+    TreeModel.on_grid's states are read-only views of one grid, a
+    ConstantDrift lattice and a generated CLI tree store each transition
+    level as a read-only stride-0 view of its one value, and the levels of
+    any other lattice share one buffer.  Copy a level before mutating it."""
 
     times: np.ndarray
     states: list
@@ -156,8 +157,12 @@ class TreeModel:
         strictly increasing, which makes every level increasing and every
         pair of children straddle its parent; the count and shape of the
         transition levels; and their values in (0, 1), a stride-0 level on
-        its one value.  Where any of these fails, the tree is built as
+        its one value.  A non-finite x0 or step is named before the grid is
+        formed; where any other check fails, the tree is built as
         TreeModel(times, levels, up_prob), whose checks name the defect."""
+        for name, v in (("x0", x0), ("step", step)):
+            if not math.isfinite(v):
+                raise DomainError(f"TreeModel.on_grid: {name}={v} must be finite")
         times = np.asarray(times, dtype=float)
         grid, states = _grid_levels(x0, step, times.size - 1)
         up_prob = [np.asarray(p, dtype=float) for p in up_prob]

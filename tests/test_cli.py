@@ -388,6 +388,20 @@ def test_tree_payload_with_a_nan_exits_2_naming_it(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_tree_with_an_infinite_step_exits_2_naming_it(tmp_path):
+    """An infinite step used to print numpy RuntimeWarnings and then name
+    the states at level 2; it is named before the grid is formed."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        '{"schema_version": 1, "distortion": {"family": "power", "gamma": 2.0},\n'
+        ' "tree": {"N": 4, "T": 1.0, "p": 0.5, "x0": 0.0, "step": Infinity}}'
+    )
+    r = run_cli("tree", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert r.returncode == 2
+    assert "TreeModel.on_grid: step=inf must be finite" in r.stderr
+    assert "Warning" not in r.stderr and "Traceback" not in r.stderr
+
+
 def test_missing_config_and_preset_exits_2(tmp_path):
     r = run_cli("dynamics", "--out", str(tmp_path / "o"))
     assert r.returncode == 2

